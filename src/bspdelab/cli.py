@@ -1007,18 +1007,8 @@ def main(argv=None) -> int:
             payload["suggested_dt"] = min(report.dt_parabolic, report.dt_transport)
             payload["dt_parabolic"] = report.dt_parabolic
             payload["dt_transport"] = report.dt_transport
-        print(json.dumps(_jsonable_safe(payload), sort_keys=True), file=sys.stderr)
+        print(json.dumps(_jsonable(payload), sort_keys=True), file=sys.stderr)
         return EXIT_VIOLATION
-
-
-def _jsonable_safe(payload: dict) -> dict:
-    out = {}
-    for key, value in payload.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            out[key] = repr(value)
-        else:
-            out[key] = value
-    return out
 
 
 if __name__ == "__main__":

@@ -334,7 +334,16 @@ def _build_level_data(problem: ProblemData, level: int) -> _LevelData:
         inv = None
 
     diva, divsigma = _divergences(a, sig, grid)
+    f = _forcing_array(problem, level)
 
+    return _LevelData(t=t, a=a, b=b, c=c, sigma=sig, nu=nu, diva=diva, divsigma=divsigma, inv=inv, f=f)
+
+
+def _forcing_array(problem: ProblemData, level: int) -> np.ndarray:
+    """The level's forcing, (nodes, *grid) or (1, *grid); samples no coefficient."""
+    tree, grid = problem.tree, problem.grid
+    t = float(tree.time_grid.time(level))
+    n_nodes = tree.level_sizes[level]
     if problem.forcing_level is not None:
         f = np.asarray(problem.forcing_level(level), dtype=np.float64)
         if f.shape not in ((1,) + grid.shape, (n_nodes,) + grid.shape):
@@ -356,8 +365,7 @@ def _build_level_data(problem: ProblemData, level: int) -> _LevelData:
         raise ValueError(f"level {level}: forcing grid shape {f.shape[1:]} != {grid.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError(f"level {level}: forcing contains non-finite values")
-
-    return _LevelData(t=t, a=a, b=b, c=c, sigma=sig, nu=nu, diva=diva, divsigma=divsigma, inv=inv, f=f)
+    return f
 
 
 # -- differential pieces ---------------------------------------------------------
@@ -407,62 +415,129 @@ def _q_part(q, row, ld: _LevelData, grid, kind):
     return out + np.einsum("...k,...k->...", ld.nu[row], q)
 
 
+@dataclass(frozen=True)
+class _ImplicitPattern:
+    """CSC structure of the second-order operator A and the map that fills it.
+
+    A = sum_ij S_i diag(a_ij) S_j [- sum_i diag(div a)_i S_i for the primal
+    kind], with S_i the centred first difference along axis i.  Each stencil
+    block (field, at, inner, outer) adds outer * (coef[field, at] * inner)
+    to the CSC entries `slots` of the same index, where coef stacks the a_ij
+    fields, then the div a components, on the flattened grid.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    diag: np.ndarray
+    blocks: tuple
+    slots: np.ndarray
+
+
 @lru_cache(maxsize=8)
-def _shift_ops(grid: SpatialGrid):
-    """Centred first-difference matrices on the flattened grid, one per axis."""
-    m = grid.points
-    idx = np.arange(m)
-    nxt = sparse.csr_matrix((np.ones(m), (idx, (idx + 1) % m)), shape=(m, m))
-    s1 = ((nxt - nxt.T) / (2.0 * grid.h)).tocsr()
-    if grid.dim == 1:
-        return (s1,)
-    eye = sparse.identity(m, format="csr")
-    return (sparse.kron(s1, eye, format="csr"), sparse.kron(eye, s1, format="csr"))
+def _implicit_pattern(grid: SpatialGrid, kind: str) -> _ImplicitPattern:
+    d, m = grid.dim, grid.size
+    c = 1.0 / (2.0 * grid.h)
+    pos = np.indices(grid.shape).reshape(d, m)
+    here = np.arange(m, dtype=np.int32)
 
+    def shifted(*steps):
+        moved = pos.copy()
+        for axis, sign in steps:
+            moved[axis] += sign
+        return np.ravel_multi_index(moved, grid.shape, mode="wrap").astype(np.int32)
 
-def _implicit_matrix(row, ld: _LevelData, grid: SpatialGrid, eps: float, kind: str):
-    """Sparse form of _second_order_part, entry for entry."""
-    shift = _shift_ops(grid)
-    d = grid.dim
-    a = ld.a[row]
-    total = None
+    blocks, cols = [], []
     for i in range(d):
-        inner = None
-        for j in range(d):
-            piece = sparse.diags(np.broadcast_to(a[..., i, j], grid.shape).ravel()) @ shift[j]
-            inner = piece if inner is None else inner + piece
-        term = shift[i] @ inner
-        total = term if total is None else total + term
-    if eps:
-        for i in range(d):
-            total = total + eps * (shift[i] @ shift[i])
+        for s1 in (1, -1):
+            mid = shifted((i, s1))
+            for j in range(d):
+                for s2 in (1, -1):
+                    blocks.append((i * d + j, mid, s2 * c, s1 * c))
+                    cols.append(shifted((i, s1), (j, s2)))
     if kind == KIND_BSPDE:
         for i in range(d):
-            total = total - sparse.diags(
-                np.broadcast_to(ld.diva[row][..., i], grid.shape).ravel()
-            ) @ shift[i]
-    return total
+            for s in (1, -1):
+                blocks.append((d * d + i, here, s * c, -1.0))
+                cols.append(shifted((i, s)))
+
+    key = np.concatenate(cols).astype(np.int64) * m + np.tile(here, len(cols))
+    entries, slots = np.unique(key, return_inverse=True)
+    entry_col, indices = np.divmod(entries, m)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(entry_col, minlength=m))])
+    indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
+    indices.flags.writeable = indptr.flags.writeable = False
+    return _ImplicitPattern(
+        indices=indices,
+        indptr=indptr,
+        diag=np.flatnonzero(indices == entry_col),
+        blocks=tuple(blocks),
+        slots=slots.reshape(len(cols), m).astype(np.int32),
+    )
 
 
-def _level_lu(cache: dict, problem: ProblemData, config: SolverConfig, ld: _LevelData, level: int, row):
+def _implicit_data(ld: _LevelData, grid: SpatialGrid, eps: float, kind: str):
+    """Pattern and CSC data of A for every coefficient row: data has shape (U, nnz).
+
+    The eps Laplacian enters as eps added to the diagonal of a.
+    """
+    pattern = _implicit_pattern(grid, kind)
+    d, m = grid.dim, grid.size
+    rows = ld.a.shape[0]
+    a = np.broadcast_to(ld.a, (rows,) + grid.shape + (d, d))
+    if eps:
+        a = a + eps * np.eye(d)
+    fields = [a.reshape(rows, m, d * d)]
+    if kind == KIND_BSPDE:
+        fields.append(np.broadcast_to(ld.diva, (rows,) + grid.shape + (d,)).reshape(rows, m, d))
+    coef = np.concatenate(fields, axis=2).transpose(0, 2, 1)
+    data = np.zeros((rows, pattern.indices.size))
+    for (field, at, inner, outer), slots in zip(pattern.blocks, pattern.slots):
+        data[:, slots] += outer * (coef[:, field, at] * inner)
+    return pattern, data
+
+
+def _level_lu(cache: dict, problem: ProblemData, config: SolverConfig, ld: _LevelData, level: int):
+    """LU factors of I - dt A, one per coefficient row of the level.
+
+    Constant coefficients share one set (key -1) for the whole sweep.
+    Otherwise a new level drops the previous level's factors, so one
+    level's factors at most are alive.
+    """
     coeffs = problem.coefficients
     varying = (
         coeffs.time_dependent
         or coeffs.w_dependent
         or problem.level_coefficients is not None
     )
-    key = (level if varying else -1, row)
+    key = level if varying else -1
     if key not in cache:
+        cache.clear()
+        grid = problem.grid
         dt = problem.tree.time_grid.dt
-        a_op = _implicit_matrix(row, ld, problem.grid, config.viscosity, problem.operator_kind)
-        system = sparse.identity(a_op.shape[0], format="csc") - dt * a_op.tocsc()
-        try:
-            cache[key] = splu(system)
-        except RuntimeError as exc:
-            raise SingularOperatorError(
-                f"implicit factorisation failed at level {level} (row {row}): {exc}; "
-                f"dt = {dt}, viscosity = {config.viscosity}"
-            ) from exc
+        pattern, data = _implicit_data(ld, grid, config.viscosity, problem.operator_kind)
+        data *= -dt
+        data[:, pattern.diag] += 1.0
+        # one matrix, its data swapped per row: SuperLU copies what it
+        # factorises, and a matrix built per row re-validates the same pattern
+        shared = sparse.csc_matrix(
+            (data[0], pattern.indices, pattern.indptr), shape=(grid.size, grid.size)
+        )
+        factors = []
+        for row, row_data in enumerate(data):
+            shared.data = row_data
+            system = shared
+            if not row_data.all():
+                # store no zeros, as a sparse-product assembly would
+                system = shared.copy()
+                system.eliminate_zeros()
+            try:
+                factors.append(splu(system))
+            except RuntimeError as exc:
+                raise SingularOperatorError(
+                    f"implicit factorisation failed at level {level} (row {row}): {exc}; "
+                    f"dt = {dt}, viscosity = {config.viscosity}"
+                ) from exc
+        cache[key] = factors
     return cache[key]
 
 
@@ -474,6 +549,7 @@ def _advance_level(problem, config, ld: _LevelData, ubar, q, level, lu_cache):
     eps = config.viscosity
     semi = config.time_stepping == SEMI_IMPLICIT
     groups = ld.groups()
+    factors = _level_lu(lu_cache, problem, config, ld, level) if semi else None
 
     qf = np.empty_like(ubar)
     for row, sel in groups:
@@ -496,9 +572,8 @@ def _advance_level(problem, config, ld: _LevelData, ubar, q, level, lu_cache):
         else:
             u_new = np.empty_like(ubar)
             for row, sel in groups:
-                lu = _level_lu(lu_cache, problem, config, ld, level, row)
                 block = rhs[sel].reshape(rhs[sel].shape[0], -1)
-                solved = lu.solve(block.T)
+                solved = factors[row].solve(block.T)
                 u_new[sel] = solved.T.reshape((-1,) + grid.shape)
             u_cur = u_new
     if not np.all(np.isfinite(u_cur)):
@@ -915,7 +990,7 @@ def viscosity_continuation(
 
 def level_forcing(problem: ProblemData, level: int) -> np.ndarray:
     """The forcing array the sweep uses at a level: (nodes, *grid) or (1, *grid)."""
-    return _build_level_data(problem, level).f
+    return _forcing_array(problem, level)
 
 
 # -- oracle hooks -------------------------------------------------------------------

@@ -1,0 +1,234 @@
+"""Semi-implicit assembly, factor lifetime and forcing evaluation.
+
+Core claims:
+    - the pattern-filled I - dt A matches a sparse-product construction of
+      the second-order part: exactly in 1D without viscosity, to 1e-14 of
+      the largest entry otherwise, and A u equals the stencil form
+    - a semi-implicit sweep with coefficients varying in W and t factorises
+      each (level, coefficient row) operator once and keeps at most one
+      level of factors alive, across corrector iterations
+    - level_forcing evaluates the forcing alone, sampling no coefficient
+    - the centred second-order part annihilates the Nyquist mode, so the
+      scheme keeps it undamped (a known limit of the scheme)
+"""
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from bspdelab import solver
+from bspdelab.coefficients import CoefficientSet, constant_sampler
+from bspdelab.grid import SpatialGrid, random_smooth_field
+from bspdelab.lattice import TimeGrid, build_tree
+from bspdelab.oracles import heat_oracle
+from bspdelab.solver import (
+    KIND_ADJOINT,
+    KIND_BSPDE,
+    SEMI_IMPLICIT,
+    ProblemData,
+    SolverConfig,
+    _build_level_data,
+    _divergences,
+    _implicit_data,
+    _LevelData,
+    _second_order_part,
+    level_forcing,
+    problem_from_oracle,
+    solve,
+)
+
+
+# -- reference assembly: products of sparse first-difference matrices ----------
+
+
+def _reference_shift_ops(grid):
+    m = grid.points
+    idx = np.arange(m)
+    nxt = sparse.csr_matrix((np.ones(m), (idx, (idx + 1) % m)), shape=(m, m))
+    s1 = ((nxt - nxt.T) / (2.0 * grid.h)).tocsr()
+    if grid.dim == 1:
+        return (s1,)
+    eye = sparse.identity(m, format="csr")
+    return (sparse.kron(s1, eye, format="csr"), sparse.kron(eye, s1, format="csr"))
+
+
+def _reference_matrix(row, ld, grid, eps, kind):
+    shift = _reference_shift_ops(grid)
+    d = grid.dim
+    a = ld.a[row]
+    total = None
+    for i in range(d):
+        inner = None
+        for j in range(d):
+            piece = sparse.diags(np.broadcast_to(a[..., i, j], grid.shape).ravel()) @ shift[j]
+            inner = piece if inner is None else inner + piece
+        term = shift[i] @ inner
+        total = term if total is None else total + term
+    if eps:
+        for i in range(d):
+            total = total + eps * (shift[i] @ shift[i])
+    if kind == KIND_BSPDE:
+        for i in range(d):
+            total = total - sparse.diags(
+                np.broadcast_to(ld.diva[row][..., i], grid.shape).ravel()
+            ) @ shift[i]
+    return total
+
+
+def _random_level_data(grid, rows, seed):
+    """Rows of symmetric, spatially varying a (entries of both signs in 2D)."""
+    d = grid.dim
+    a = np.empty((rows,) + grid.shape + (d, d))
+    k = 0
+    for r in range(rows):
+        for i in range(d):
+            for j in range(i, d):
+                field = random_smooth_field(grid, 3, seed + k)
+                a[r, ..., i, j] = a[r, ..., j, i] = field if i != j else 1.0 + field**2
+                k += 1
+    zeros = np.zeros((rows,) + grid.shape)
+    sigma = np.zeros((rows,) + grid.shape + (d, 1))
+    diva, divsigma = _divergences(a, sigma, grid)
+    return _LevelData(
+        t=0.0, a=a, b=zeros[..., None].repeat(d, -1), c=zeros, sigma=sigma,
+        nu=zeros[..., None], diva=diva, divsigma=divsigma, inv=None, f=zeros[:1],
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", [KIND_BSPDE, KIND_ADJOINT])
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_assembly_matches_sparse_products(d, kind, eps):
+    grid = SpatialGrid(dim=d, half_width=np.pi, points=16)
+    ld = _random_level_data(grid, rows=2, seed=40 + 10 * d)
+    pattern, data = _implicit_data(ld, grid, eps, kind)
+    assert data.shape == (2, pattern.indices.size)
+    m = grid.size
+    for row in range(2):
+        ours = sparse.csc_matrix((data[row], pattern.indices, pattern.indptr), shape=(m, m))
+        ref = _reference_matrix(row, ld, grid, eps, kind).toarray()
+        diff = np.abs(ours.toarray() - ref).max()
+        if d == 1 and not eps:
+            assert diff == 0.0
+        else:
+            assert diff <= 1e-14 * np.abs(ref).max()
+
+        rng = np.random.default_rng(row)
+        u = rng.standard_normal((3,) + grid.shape)
+        applied = (ours @ u.reshape(3, m).T).T.reshape(u.shape)
+        stencil = _second_order_part(u, row, ld, grid, eps, kind)
+        assert np.abs(applied - stencil).max() <= 1e-12 * np.abs(stencil).max()
+
+
+# -- factor lifetime ----------------------------------------------------------------
+
+
+def _varying_problem(n):
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
+    tree = build_tree(TimeGrid(0.2, n), 1, "recombining")
+
+    def a(t, w, g):
+        x = g.axis_coordinates()
+        return (0.4 + 0.2 * np.cos(x - w[0]) * np.exp(-t))[:, None, None]
+
+    def sigma(t, w, g):
+        x = g.axis_coordinates()
+        return (0.3 * (1 + 0.3 * np.sin(x + w[0])))[:, None, None]
+
+    coeffs = CoefficientSet(
+        dim=1, wiener_dim=1, a=a, sigma=sigma, w_dependent=True, time_dependent=True
+    )
+    x = grid.axis_coordinates()
+    return ProblemData(grid=grid, tree=tree, coefficients=coeffs, terminal=lambda w, g: np.cos(x))
+
+
+def test_varying_solve_factorises_each_level_row_once(monkeypatch):
+    n = 6
+    live = [0]
+    peak = [0]
+    calls = [0]
+    real_splu = solver.splu
+
+    class CountedFactor:
+        def __init__(self, factor):
+            self.factor = factor
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+
+        def __del__(self):
+            live[0] -= 1
+
+        def solve(self, rhs):
+            return self.factor.solve(rhs)
+
+    def counting_splu(matrix):
+        calls[0] += 1
+        return CountedFactor(real_splu(matrix))
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    problem = _varying_problem(n)
+    sol = solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT, corrector_iterations=3))
+    assert np.all(np.isfinite(sol.u[0]))
+    # a recombining level k holds k + 1 distinct Wiener states, one row each
+    assert calls[0] == sum(k + 1 for k in range(n))
+    assert peak[0] <= n
+    assert live[0] == 0
+
+
+# -- forcing without coefficient sampling ------------------------------------------
+
+
+class _CountingSampler:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __call__(self, t, w, grid):
+        self.calls += 1
+        return self.inner(t, w, grid)
+
+
+@pytest.mark.parametrize("mode", ["none", "sampler", "w_sampler", "forcing_level"])
+def test_level_forcing_samples_no_coefficient(mode):
+    base = _varying_problem(4)
+    grid, tree = base.grid, base.tree
+    x = grid.axis_coordinates()
+    a = _CountingSampler(base.coefficients.a)
+    sigma = _CountingSampler(base.coefficients.sigma)
+    b = _CountingSampler(constant_sampler(np.ones(1), (1,)))
+    coeffs = CoefficientSet(
+        dim=1, wiener_dim=1, a=a, b=b, sigma=sigma, w_dependent=True, time_dependent=True
+    )
+    forcing = {
+        "none": {},
+        "sampler": {"forcing": lambda t, w, g: np.sin(x) * (1 + t)},
+        "w_sampler": {"forcing": lambda t, w, g: np.cos(x + w[0]), "forcing_w_dependent": True},
+        "forcing_level": {
+            "forcing_level": lambda level: np.stack(
+                [np.sin(x + k) for k in range(tree.level_sizes[level])]
+            )
+        },
+    }[mode]
+    problem = ProblemData(grid=grid, tree=tree, coefficients=coeffs, terminal=base.terminal, **forcing)
+    for level in range(tree.n_steps):
+        f = level_forcing(problem, level)
+        assert a.calls == b.calls == sigma.calls == 0
+        expected = _build_level_data(problem, level).f
+        assert f.shape == expected.shape
+        assert np.array_equal(f, expected)
+        a.calls = b.calls = sigma.calls = 0
+
+
+# -- known limit: the Nyquist mode ------------------------------------------------------
+
+
+def test_nyquist_mode_is_not_damped():
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=64)
+    terminal = (-1.0) ** np.arange(grid.points)
+    oracle = heat_oracle(grid, horizon=0.5, terminal_field=terminal)
+    tree = build_tree(TimeGrid(0.5, 32), 1, "recombining")
+    sol = solve(problem_from_oracle(oracle, tree), SolverConfig(time_stepping=SEMI_IMPLICIT))
+    # the exact solution has decayed to about 7e-112; the centred D a D
+    # second-order part maps (-1)^i to zero, so the mode is carried unchanged
+    assert np.abs(oracle.u_exact(0.0, np.zeros(1))).max() < 1e-100
+    assert np.abs(sol.u[0]).max() == pytest.approx(1.0, abs=1e-12)
