@@ -49,16 +49,25 @@ def _laplace_symbol(grid: SpatialGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """Exact (u, q) pair plus the problem ingredients that generate it."""
+    """Exact (u, q) pair plus the problem ingredients that generate it.
+
+    `exact_fields(t, w_rows)` evaluates the pair for a batch of Wiener
+    states w_rows (U, d') at once: u (U, *grid) and q (U, *grid, d').
+    """
 
     name: str
     grid: SpatialGrid
     horizon: float
     coefficients: CoefficientSet
     terminal: TerminalMap
-    u_exact: Callable[[float, np.ndarray], np.ndarray]
-    q_exact: Callable[[float, np.ndarray], np.ndarray]
+    exact_fields: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
     forcing: Callable[[float, np.ndarray, SpatialGrid], np.ndarray] | None = None
+
+    def u_exact(self, t: float, w: np.ndarray) -> np.ndarray:
+        return np.array(self.exact_fields(t, np.asarray(w, dtype=np.float64).reshape(1, -1))[0][0])
+
+    def q_exact(self, t: float, w: np.ndarray) -> np.ndarray:
+        return np.array(self.exact_fields(t, np.asarray(w, dtype=np.float64).reshape(1, -1))[1][0])
 
 
 def heat_oracle(
@@ -86,11 +95,11 @@ def heat_oracle(
     phi_hat = np.fft.fftn(phi)
     T = float(horizon)
 
-    def u_exact(t: float, w: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(phi_hat * np.exp(-diffusion * sym * (T - t))).real
-
-    def q_exact(t: float, w: np.ndarray) -> np.ndarray:
-        return np.zeros(grid.shape + (wiener_dim,))
+    def exact_fields(t: float, w_rows: np.ndarray):
+        # one field for every Wiener state: noise never enters
+        rows = len(w_rows)
+        u = np.fft.ifftn(phi_hat * np.exp(-diffusion * sym * (T - t))).real
+        return np.broadcast_to(u, (rows,) + grid.shape), np.zeros((rows,) + grid.shape + (wiener_dim,))
 
     d = grid.dim
     eye = np.eye(d) * diffusion
@@ -113,8 +122,7 @@ def heat_oracle(
         horizon=T,
         coefficients=coeffs,
         terminal=terminal,
-        u_exact=u_exact,
-        q_exact=q_exact,
+        exact_fields=exact_fields,
     )
 
 
@@ -148,11 +156,9 @@ def wiener_linear_oracle(
     def m_field(t: float) -> np.ndarray:
         return np.fft.ifft(s * (T - t) * 1j * k * g_hat * np.exp(-a * k**2 * (T - t))).real
 
-    def u_exact(t: float, w: np.ndarray) -> np.ndarray:
-        return float(np.asarray(w).reshape(-1)[0]) * h_field(t) + m_field(t)
-
-    def q_exact(t: float, w: np.ndarray) -> np.ndarray:
-        return h_field(t)[..., None]
+    def exact_fields(t: float, w_rows: np.ndarray):
+        h = h_field(t)
+        return w_rows[:, :1] * h + m_field(t), np.broadcast_to(h[:, None], (len(w_rows),) + h.shape + (1,))
 
     coeffs = CoefficientSet(
         dim=1,
@@ -173,8 +179,7 @@ def wiener_linear_oracle(
         horizon=T,
         coefficients=coeffs,
         terminal=terminal,
-        u_exact=u_exact,
-        q_exact=q_exact,
+        exact_fields=exact_fields,
     )
 
 
@@ -186,14 +191,13 @@ def exact_level_fields(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Oracle u and q stacked over every node of a tree level.
 
-    Nodes sharing a Wiener state are evaluated once.
+    The oracle evaluates the level's distinct Wiener states in one batch.
     """
     t = tree.time_grid.time(level)
     w = tree.level_w(level)
     uniq, inverse = np.unique(w, axis=0, return_inverse=True)
     inverse = np.asarray(inverse).reshape(-1)
-    u_rows = np.stack([oracle.u_exact(t, row) for row in uniq])
-    q_rows = np.stack([oracle.q_exact(t, row) for row in uniq])
+    u_rows, q_rows = oracle.exact_fields(t, uniq)
     return u_rows[inverse], q_rows[inverse]
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -496,12 +496,52 @@ def _implicit_data(ld: _LevelData, grid: SpatialGrid, eps: float, kind: str):
     return pattern, data
 
 
-def _level_lu(cache: dict, problem: ProblemData, config: SolverConfig, ld: _LevelData, level: int):
-    """LU factors of I - dt A, one per coefficient row of the level.
+def _constant_a(ld: _LevelData, grid: SpatialGrid) -> np.ndarray | None:
+    """The level's a as (U, d, d) when every row is constant over the grid, else None."""
+    d = grid.dim
+    a = ld.a.reshape(ld.a.shape[0], -1, d, d)
+    return a[:, 0] if np.all(a == a[:, :1]) else None
 
-    Constant coefficients share one set (key -1) for the whole sweep.
-    Otherwise a new level drops the previous level's factors, so one
-    level's factors at most are alive.
+
+def _fourier_symbol(grid: SpatialGrid, a: np.ndarray, eps: float, dt: float) -> np.ndarray:
+    """rfftn symbol of I - dt A for constant rows a (U, d, d): shape (U, *spectrum).
+
+    S_j maps exp(i k.x) to i sin(k_j h) / h times itself, so S_i a_ij S_j has
+    symbol -a_ij sin(k_i h) sin(k_j h) / h^2; div a vanishes.
+    """
+    d = grid.dim
+    sines = []
+    for axis in range(d):
+        freq = np.fft.rfftfreq(grid.points) if axis == d - 1 else np.fft.fftfreq(grid.points)
+        shape = [1] * (1 + d)
+        shape[1 + axis] = freq.size
+        sines.append((np.sin(2.0 * np.pi * freq) / grid.h).reshape(shape))
+    a = (a + eps * np.eye(d)).reshape((-1,) + (1,) * d + (d, d))
+    symbol = sum(a[..., i, j] * sines[i] * sines[j] for i in range(d) for j in range(d))
+    return 1.0 + dt * symbol
+
+
+def _fourier_solve(symbol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    axes = tuple(range(1, rhs.ndim))
+    spectrum = np.fft.rfftn(rhs, axes=axes)
+    spectrum /= symbol
+    return np.fft.irfftn(spectrum, s=rhs.shape[1:], axes=axes)
+
+
+def _lu_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    block = rhs.reshape(rhs.shape[0], -1)
+    return factor.solve(block.T).T.reshape(rhs.shape)
+
+
+def _level_solvers(cache: dict, problem: ProblemData, config: SolverConfig, ld: _LevelData, level: int):
+    """Solvers of I - dt A, one per coefficient row: (nodes, *grid) -> (nodes, *grid).
+
+    In 2D with a constant over the grid on every row, I - dt A is circulant
+    and each row is solved by FFT.  Otherwise each row gets its LU factors;
+    in 1D the banded LU already costs O(M) per right-hand side.  Constant
+    coefficients share one set (key -1) for the whole sweep.  Otherwise a
+    new level drops the previous level's solvers, so one level's factors at
+    most are alive.
     """
     coeffs = problem.coefficients
     varying = (
@@ -514,31 +554,49 @@ def _level_lu(cache: dict, problem: ProblemData, config: SolverConfig, ld: _Leve
         cache.clear()
         grid = problem.grid
         dt = problem.tree.time_grid.dt
-        pattern, data = _implicit_data(ld, grid, config.viscosity, problem.operator_kind)
-        data *= -dt
-        data[:, pattern.diag] += 1.0
-        # one matrix, its data swapped per row: SuperLU copies what it
-        # factorises, and a matrix built per row re-validates the same pattern
-        shared = sparse.csc_matrix(
-            (data[0], pattern.indices, pattern.indptr), shape=(grid.size, grid.size)
-        )
-        factors = []
-        for row, row_data in enumerate(data):
-            shared.data = row_data
-            system = shared
-            if not row_data.all():
-                # store no zeros, as a sparse-product assembly would
-                system = shared.copy()
-                system.eliminate_zeros()
-            try:
-                factors.append(splu(system))
-            except RuntimeError as exc:
-                raise SingularOperatorError(
-                    f"implicit factorisation failed at level {level} (row {row}): {exc}; "
-                    f"dt = {dt}, viscosity = {config.viscosity}"
-                ) from exc
-        cache[key] = factors
+        a = _constant_a(ld, grid) if grid.dim == 2 else None
+        if a is not None:
+            symbols = _fourier_symbol(grid, a, config.viscosity, dt)
+            for row, symbol in enumerate(symbols):
+                if not np.all(np.isfinite(symbol) & (symbol != 0)):
+                    raise SingularOperatorError(
+                        f"implicit symbol vanishes or is not finite at level {level} (row {row}); "
+                        f"dt = {dt}, viscosity = {config.viscosity}"
+                    )
+            cache[key] = [partial(_fourier_solve, symbol) for symbol in symbols]
+        else:
+            cache[key] = [partial(_lu_solve, f) for f in _level_lu(problem, config, ld, level)]
     return cache[key]
+
+
+def _level_lu(problem: ProblemData, config: SolverConfig, ld: _LevelData, level: int) -> list:
+    """LU factors of I - dt A, one per coefficient row of the level."""
+    grid = problem.grid
+    dt = problem.tree.time_grid.dt
+    pattern, data = _implicit_data(ld, grid, config.viscosity, problem.operator_kind)
+    data *= -dt
+    data[:, pattern.diag] += 1.0
+    # one matrix, its data swapped per row: SuperLU copies what it
+    # factorises, and a matrix built per row re-validates the same pattern
+    shared = sparse.csc_matrix(
+        (data[0], pattern.indices, pattern.indptr), shape=(grid.size, grid.size)
+    )
+    factors = []
+    for row, row_data in enumerate(data):
+        shared.data = row_data
+        system = shared
+        if not row_data.all():
+            # store no zeros, as a sparse-product assembly would
+            system = shared.copy()
+            system.eliminate_zeros()
+        try:
+            factors.append(splu(system))
+        except RuntimeError as exc:
+            raise SingularOperatorError(
+                f"implicit factorisation failed at level {level} (row {row}): {exc}; "
+                f"dt = {dt}, viscosity = {config.viscosity}"
+            ) from exc
+    return factors
 
 
 def _advance_level(problem, config, ld: _LevelData, ubar, q, level, lu_cache):
@@ -549,7 +607,7 @@ def _advance_level(problem, config, ld: _LevelData, ubar, q, level, lu_cache):
     eps = config.viscosity
     semi = config.time_stepping == SEMI_IMPLICIT
     groups = ld.groups()
-    factors = _level_lu(lu_cache, problem, config, ld, level) if semi else None
+    solvers = _level_solvers(lu_cache, problem, config, ld, level) if semi else None
 
     qf = np.empty_like(ubar)
     for row, sel in groups:
@@ -572,9 +630,7 @@ def _advance_level(problem, config, ld: _LevelData, ubar, q, level, lu_cache):
         else:
             u_new = np.empty_like(ubar)
             for row, sel in groups:
-                block = rhs[sel].reshape(rhs[sel].shape[0], -1)
-                solved = factors[row].solve(block.T)
-                u_new[sel] = solved.T.reshape((-1,) + grid.shape)
+                u_new[sel] = solvers[row](rhs[sel])
             u_cur = u_new
     if not np.all(np.isfinite(u_cur)):
         raise SolverBlowupError(
@@ -1029,8 +1085,8 @@ def oracle_step_residual(
     dt = tree.time_grid.dt
     lu_cache: dict = {}
     worst = 0.0
-    for level in range(n_steps):
-        u_next, _ = exact_level_fields(oracle, tree, level + 1)
+    u_next, _ = exact_level_fields(oracle, tree, n_steps)
+    for level in range(n_steps - 1, -1, -1):
         ubar = level_conditional_expectation(tree, u_next, level)
         q = level_martingale_representation(tree, u_next, level)
         ld = _build_level_data(problem, level)
@@ -1039,6 +1095,7 @@ def oracle_step_residual(
         p = tree.level_probabilities(level)
         defect = math.sqrt(float(np.sum(p * level_norm_sq(u_step - u_ex, grid, 0))))
         worst = max(worst, defect / dt)
+        u_next = u_ex
     return OracleResidualReport(
         residual=worst, constant=worst / (dt + grid.h**2), dt=dt, h=grid.h
     )

@@ -9,7 +9,13 @@ Core claims:
       level of factors alive, across corrector iterations
     - level_forcing evaluates the forcing alone, sampling no coefficient
     - the centred second-order part annihilates the Nyquist mode, so the
-      scheme keeps it undamped (a known limit of the scheme)
+      scheme keeps it undamped (a known limit of the scheme), in 1D and on
+      the 2D FFT path
+    - in 2D with a constant over the grid, the FFT solve matches the LU
+      solve to 1e-12 relative and factorises nothing; 1D grids and varying a
+      keep one factorisation per (level, coefficient row)
+    - a vanishing FFT symbol raises SingularOperatorError naming the level
+      and the row
 """
 
 import numpy as np
@@ -25,7 +31,9 @@ from bspdelab.solver import (
     KIND_ADJOINT,
     KIND_BSPDE,
     SEMI_IMPLICIT,
+    LevelCoefficients,
     ProblemData,
+    SingularOperatorError,
     SolverConfig,
     _build_level_data,
     _divergences,
@@ -232,3 +240,128 @@ def test_nyquist_mode_is_not_damped():
     # second-order part maps (-1)^i to zero, so the mode is carried unchanged
     assert np.abs(oracle.u_exact(0.0, np.zeros(1))).max() < 1e-100
     assert np.abs(sol.u[0]).max() == pytest.approx(1.0, abs=1e-12)
+
+
+# -- the FFT path: 2D, a constant over the grid ------------------------------------------
+
+
+def _no_splu(matrix):
+    raise AssertionError("splu called on the FFT path")
+
+
+def _counting_splu(monkeypatch):
+    calls = [0]
+    real_splu = solver.splu
+
+    def counting(matrix):
+        calls[0] += 1
+        return real_splu(matrix)
+
+    monkeypatch.setattr(solver, "splu", counting)
+    return calls
+
+
+def _constant_a_problem(a, kind, w_dependent=False, d=2, n=4):
+    """Semi-implicit-ready problem with a constant in space (and in W unless w_dependent)."""
+    grid = SpatialGrid(dim=d, half_width=np.pi, points=16)
+    tree = build_tree(TimeGrid(0.3, n), 1, "recombining")
+    base = np.asarray(a, dtype=np.float64)
+
+    def a_sampler(t, w, g):
+        scale = 1.0 + 0.3 * np.cos(w[0]) if w_dependent else 1.0
+        return np.broadcast_to(scale * base, g.shape + (d, d)).copy()
+
+    coeffs = CoefficientSet(
+        dim=d,
+        wiener_dim=1,
+        a=a_sampler,
+        b=constant_sampler(0.2 * np.ones(d), (d,)),
+        sigma=constant_sampler(0.3 * np.eye(d)[:, :1], (d, 1)),
+        w_dependent=w_dependent,
+    )
+    terminal = random_smooth_field(grid, 3, 11)
+    return ProblemData(
+        grid=grid, tree=tree, coefficients=coeffs, terminal=lambda w, g: terminal * (1 + w[0]),
+        operator_kind=kind,
+    )
+
+
+_ISOTROPIC = [[0.5, 0.0], [0.0, 0.5]]
+_ANISOTROPIC = [[0.5, 0.2], [0.2, 0.3]]
+
+
+@pytest.mark.parametrize("a", [_ISOTROPIC, _ANISOTROPIC], ids=["isotropic", "anisotropic"])
+@pytest.mark.parametrize("kind", [KIND_BSPDE, KIND_ADJOINT])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("w_dependent", [False, True], ids=["shared", "per_row"])
+def test_fft_solve_matches_lu_solve(monkeypatch, a, kind, eps, w_dependent):
+    problem = _constant_a_problem(a, kind, w_dependent)
+    config = SolverConfig(time_stepping=SEMI_IMPLICIT, viscosity=eps)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "splu", _no_splu)
+        fft = solve(problem, config)
+    monkeypatch.setattr(solver, "_constant_a", lambda ld, grid: None)
+    calls = _counting_splu(monkeypatch)
+    lu = solve(problem, config)
+    assert calls[0] > 0
+    for level in range(problem.tree.n_steps + 1):
+        ref = lu.u[level]
+        assert np.abs(fft.u[level] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_splu_is_kept_for_1d_and_for_varying_a(monkeypatch):
+    n = 4
+    config = SolverConfig(time_stepping=SEMI_IMPLICIT)
+    calls = _counting_splu(monkeypatch)
+
+    # 1D, a constant in space but not in W: one factorisation per (level, row)
+    solve(_constant_a_problem([[0.5]], KIND_BSPDE, w_dependent=True, d=1, n=n), config)
+    assert calls[0] == sum(k + 1 for k in range(n))
+
+    # 2D, a varying in space and in t: one factorisation per level
+    calls[0] = 0
+    grid = SpatialGrid(dim=2, half_width=np.pi, points=16)
+
+    def a(t, w, g):
+        x = g.coordinates()
+        field = 0.4 + 0.1 * np.cos(x[0]) * np.exp(-t)
+        return field[..., None, None] * np.eye(2)
+
+    coeffs = CoefficientSet(dim=2, wiener_dim=1, a=a, time_dependent=True)
+    terminal = random_smooth_field(grid, 3, 5)
+    tree = build_tree(TimeGrid(0.3, n), 1, "recombining")
+    problem = ProblemData(grid=grid, tree=tree, coefficients=coeffs, terminal=lambda w, g: terminal)
+    solve(problem, config)
+    assert calls[0] == n
+
+
+def test_vanishing_fft_symbol_raises_singular_operator_error():
+    # h = 1, dt = 1/2 and a11 = -2: the symbol 1 - sin(k h)^2 is zero at k h = pi / 2
+    grid = SpatialGrid(dim=2, half_width=4.0, points=8)
+    tree = build_tree(TimeGrid(0.5, 1), 1, "recombining")
+    shape = (1,) + grid.shape
+    a = np.zeros(shape + (2, 2))
+    a[..., 0, 0] = -2.0
+    coeffs = CoefficientSet(dim=2, wiener_dim=1, a=constant_sampler(np.eye(2), (2, 2)))
+    lc = LevelCoefficients(
+        a=a, b=np.zeros(shape + (2,)), c=np.zeros(shape), sigma=np.zeros(shape + (2, 1)),
+        nu=np.zeros(shape + (1,)),
+    )
+    problem = ProblemData(
+        grid=grid, tree=tree, coefficients=coeffs, terminal=lambda w, g: np.ones(g.shape),
+        level_coefficients=lambda level: lc,
+    )
+    with pytest.raises(SingularOperatorError, match=r"symbol vanishes .* level 0 \(row 0\)"):
+        solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT))
+
+
+def test_nyquist_mode_is_not_damped_by_the_fft_solve(monkeypatch):
+    grid = SpatialGrid(dim=2, half_width=np.pi, points=32)
+    i, j = np.indices(grid.shape)
+    oracle = heat_oracle(grid, horizon=0.5, terminal_field=(-1.0) ** (i + j))
+    tree = build_tree(TimeGrid(0.5, 16), 1, "recombining")
+    monkeypatch.setattr(solver, "splu", _no_splu)
+    sol = solve(problem_from_oracle(oracle, tree), SolverConfig(time_stepping=SEMI_IMPLICIT))
+    # sin(k h) / h vanishes at the Nyquist wavenumber, as D a D does
+    assert np.abs(sol.u[0]).max() == pytest.approx(1.0, abs=1e-12)
+

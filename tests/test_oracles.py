@@ -11,7 +11,8 @@ Core claims:
       two-point quadrature, not the solver)
     - the wiener-linear q is the martingale coefficient of u in w
     - exact_level_fields evaluates per unique Wiener state and matches
-      direct evaluation at every node
+      direct evaluation at every node, bit for bit, with one field FFT per
+      level whatever the number of Wiener states
     - solution_error returns zero when fed the oracle's own fields
     - convergence_constant divides by dt + h^2
 """
@@ -142,6 +143,44 @@ def test_exact_level_fields_match_direct_evaluation():
         for i in range(tree.level_sizes[level]):
             assert u[i] == approx(oracle.u_exact(t, wlev[i]), abs=1e-13)
             assert q[i] == approx(oracle.q_exact(t, wlev[i]), abs=1e-13)
+
+
+def _oracle_cases():
+    grid = _grid(32)
+    grid2 = SpatialGrid(dim=2, half_width=np.pi, points=16)
+    # (oracle, Wiener dimension, field FFT name, FFT calls per level)
+    return {
+        "heat": (heat_oracle(grid, horizon=0.5), 1, "ifftn", 1),
+        "heat_2d": (heat_oracle(grid2, horizon=0.5, wiener_dim=2), 2, "ifftn", 1),
+        "wiener": (wiener_linear_oracle(grid, horizon=0.5), 1, "ifft", 2),
+    }
+
+
+@pytest.mark.parametrize(
+    "case, mode",
+    [("heat", "full"), ("heat", "recombining"), ("heat_2d", "full"),
+     ("wiener", "full"), ("wiener", "recombining")],
+)
+def test_exact_level_fields_batch_equals_per_row_calls(monkeypatch, case, mode):
+    oracle, wiener_dim, fft_name, per_level = _oracle_cases()[case]
+    tree = build_tree(TimeGrid(0.5, 4), wiener_dim, mode)
+    real_fft = getattr(np.fft, fft_name)
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real_fft(*args, **kwargs)
+
+    for level in range(tree.n_steps + 1):
+        calls[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, fft_name, counting)
+            u, q = exact_level_fields(oracle, tree, level)
+        assert calls[0] == per_level
+        t = tree.time_grid.time(level)
+        w = tree.level_w(level)
+        assert np.array_equal(u, np.stack([oracle.u_exact(t, row) for row in w]))
+        assert np.array_equal(q, np.stack([oracle.q_exact(t, row) for row in w]))
 
 
 def test_solution_error_zero_on_oracle_fields():

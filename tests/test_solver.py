@@ -16,6 +16,8 @@ Core claims:
     - viscosity_continuation validates its schedule, shrinks the
       consecutive gaps on a smooth problem, and records aborts
     - solve is deterministic
+    - oracle_step_residual evaluates the oracle once per level and keeps
+      its numbers bit for bit
 """
 
 import math
@@ -28,7 +30,8 @@ from pytest import approx
 from bspdelab.coefficients import CoefficientSet, constant_sampler
 from bspdelab.grid import SpatialGrid, batch_gradient
 from bspdelab.lattice import TimeGrid, build_tree
-from bspdelab.oracles import heat_oracle, wiener_linear_oracle
+from bspdelab import solver as solver_module
+from bspdelab.oracles import exact_level_fields, heat_oracle, wiener_linear_oracle
 from bspdelab.solver import (
     EXPLICIT,
     KIND_ADJOINT,
@@ -414,6 +417,31 @@ def test_oracle_step_residual_first_order():
     assert rep.residual > 0
     assert rep.constant == approx(rep.residual / (rep.dt + rep.h**2))
     assert rep.constant < 10.0
+
+
+@pytest.mark.parametrize(
+    "make, n_steps, residual, constant",
+    [
+        (lambda g: heat_oracle(g, horizon=0.3), 8, 0.1376482891216804, 1.8098961483356364),
+        (lambda g: wiener_linear_oracle(g, horizon=0.5), 8, 0.018412073478037402, 0.1822018898046656),
+    ],
+    ids=["heat", "wiener"],
+)
+def test_oracle_step_residual_evaluates_each_level_once(monkeypatch, make, n_steps, residual, constant):
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=32)
+    oracle = make(grid)
+    levels = []
+
+    def counting(oracle, tree, level):
+        levels.append(level)
+        return exact_level_fields(oracle, tree, level)
+
+    monkeypatch.setattr(solver_module, "exact_level_fields", counting)
+    rep = oracle_step_residual(oracle, n_steps, config=SolverConfig(time_stepping=SEMI_IMPLICIT))
+    assert sorted(levels) == list(range(n_steps + 1))
+    # the numbers of the version that evaluated interior levels twice, bit for bit
+    assert (rep.residual, rep.constant) == (residual, constant)
+    assert (rep.dt, rep.h) == (oracle.horizon / n_steps, grid.h)
 
 
 def test_problem_from_oracle_horizon_check():
