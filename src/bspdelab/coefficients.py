@@ -154,11 +154,6 @@ class DerivedCoefficients:
     b_tilde: np.ndarray
 
 
-def derive_at(coeffs: CoefficientSet, grid: SpatialGrid, t: float = 0.0, w=None) -> DerivedCoefficients:
-    smp = coeffs.sample(t, w, grid)
-    return derive_from_sample(smp)
-
-
 def derive_from_sample(smp: CoefficientSample) -> DerivedCoefficients:
     grid = smp.grid
     d = grid.dim
@@ -174,11 +169,6 @@ def derive_from_sample(smp: CoefficientSample) -> DerivedCoefficients:
         - np.einsum("...k,...ik->...i", smp.nu, smp.sigma)
     )
     return DerivedCoefficients(sample=smp, alpha=alpha, A=big_a, b_tilde=b_tilde)
-
-
-def derive(coeffs: CoefficientSet, grid: SpatialGrid, tree, node) -> DerivedCoefficients:
-    """derive_at evaluated at a tree node's (t, W) state."""
-    return derive_at(coeffs, grid, tree.time_grid.time(node.level), tree.w_at(node))
 
 
 # -- parabolicity -------------------------------------------------------------

@@ -41,7 +41,14 @@ from .coefficients import (
     ParabolicityError,
     constant_sampler,
 )
-from .grid import TOL_PSD, SpatialGrid, batch_divergence, batch_gradient, inner_product
+from .grid import (
+    TOL_PSD,
+    SpatialGrid,
+    batch_divergence,
+    batch_gradient,
+    component_dot,
+    inner_product,
+)
 from .lattice import (
     AdaptedGridField,
     BudgetExceededError,
@@ -252,14 +259,14 @@ def _validate_policy(problem: ControlProblem, policy: ControlPolicy) -> None:
 
 def _l_apply(xi, a, b, c, grid: SpatialGrid) -> np.ndarray:
     du = batch_gradient(xi, grid)
-    flux = np.einsum("...ij,...j->...i", a, du)
+    flux = component_dot(a, du[..., None, :])
     out = batch_divergence(flux, grid)
-    return out + np.einsum("...i,...i->...", b, du) + c * xi
+    return out + component_dot(b, du) + c * xi
 
 
 def _m_apply(xi, sigma, nu, grid: SpatialGrid) -> np.ndarray:
     du = batch_gradient(xi, grid)
-    return np.einsum("...ik,...i->...k", sigma, du) + nu * xi[..., None]
+    return component_dot(sigma, du[..., :, None], axis=-2) + nu * xi[..., None]
 
 
 def forward_cfl(problem: ControlProblem, cfl_safety: float = 0.9) -> CflReport:

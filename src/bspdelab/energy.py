@@ -33,8 +33,9 @@ from .coefficients import (
 from .grid import (
     MAX_DERIVATIVE_ORDER,
     SpatialGrid,
-    axis_derivative,
+    component_dot,
     diff,
+    level_derivatives,
     level_norm_sq,
     multi_indices,
 )
@@ -158,15 +159,13 @@ def theta(
     for i in range(d):
         for j in range(d):
             bracket += a2[..., i, j] * diff(u, _pair_index(d, i, j), grid)
-    bracket += np.einsum("...i,...i->...", derived.b_tilde, grad_u)
+    bracket += component_dot(derived.b_tilde, grad_u)
     bracket += smp.c * u
     for i in range(d):
-        bracket += np.einsum(
-            "...k,...k->...", smp.sigma[..., i, :], diff(r, _unit_index(d, i), grid)
-        )
-    bracket += np.einsum("...k,...k->...", smp.nu, r) + f
+        bracket += component_dot(smp.sigma[..., i, :], diff(r, _unit_index(d, i), grid))
+    bracket += component_dot(smp.nu, r) + f
 
-    mismatch = r - np.einsum("...ik,...i->...k", smp.sigma, grad_u)
+    mismatch = r - component_dot(smp.sigma, grad_u[..., :, None], axis=-2)
 
     psi = np.zeros(grid.shape)
     group1 = np.zeros(grid.shape)
@@ -350,17 +349,19 @@ def _entry(name: str, lhs: float, rhs: float) -> EstimateEntry:
     return EstimateEntry(name, lhs, rhs, math.nan, VERDICT_TRIVIAL)
 
 
-def _level_norm_p(arr: np.ndarray, grid: SpatialGrid, m: int, p: float) -> np.ndarray:
-    """Batched W^{m,p} norms raised to the p-th power, one value per node."""
-    arr = np.asarray(arr, dtype=np.float64)
-    reduce_axes = tuple(range(1, arr.ndim))
-    total = np.zeros(arr.shape[0])
-    for alpha in multi_indices(grid.dim, m):
-        d = arr
-        for axis, order in enumerate(alpha):
-            d = axis_derivative(d, order, 1 + axis, grid.h)
-        total += np.sum(np.abs(d) ** p, axis=reduce_axes)
-    return total * grid.cell_volume
+def _level_norms(arr: np.ndarray, grid: SpatialGrid, m: int, p: float):
+    """Batched squared W^{m,2} norms and W^{m,p} norms to the p-th power.
+
+    One pass over the derivatives feeds both sums; each equals its own
+    separate reduction (`level_norm_sq` for the first) bit for bit.
+    """
+    reduce_axes = tuple(range(1, np.ndim(arr)))
+    total_sq = np.zeros(np.shape(arr)[0])
+    total_p = np.zeros(np.shape(arr)[0])
+    for d in level_derivatives(arr, grid, m):
+        total_sq += np.sum(d * d, axis=reduce_axes)
+        total_p += np.sum(np.abs(d) ** p, axis=reduce_axes)
+    return total_sq * grid.cell_volume, total_p * grid.cell_volume
 
 
 def _expected_running_sup(tree, values: list[np.ndarray]) -> float:
@@ -412,7 +413,7 @@ def verify_main_estimates(
     n = tree.n_steps
     dt = tree.time_grid.dt
 
-    u_sq = [level_norm_sq(solution.u[level], grid, m1) for level in range(n + 1)]
+    u_sq, u_p = zip(*(_level_norms(solution.u[level], grid, m1, p) for level in range(n + 1)))
     lhs_sup_sq = _expected_running_sup(tree, u_sq)
     r_term = 0.0
     for level in range(n):
@@ -422,11 +423,10 @@ def verify_main_estimates(
     f_sq_term = 0.0
     f_p_term = 0.0
     for level in range(n):
-        fa = level_forcing(problem, level)
-        f_sq_term += dt * _expected(tree, level, level_norm_sq(fa, grid, m1))
-        f_p_term += dt * _expected(tree, level, _level_norm_p(fa, grid, m1, p))
+        f_sq, f_p = _level_norms(level_forcing(problem, level), grid, m1, p)
+        f_sq_term += dt * _expected(tree, level, f_sq)
+        f_p_term += dt * _expected(tree, level, f_p)
 
-    u_p = [_level_norm_p(solution.u[level], grid, m1, p) for level in range(n + 1)]
     lhs_p = _expected_running_sup(tree, u_p)
     phi_p = _expected(tree, n, u_p[n])
 

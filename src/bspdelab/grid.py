@@ -93,18 +93,34 @@ _STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
 
 
 def axis_derivative(field: np.ndarray, order: int, axis: int, h: float) -> np.ndarray:
-    """Apply the canonical per-axis stencil of the given order along `axis`."""
+    """Apply the canonical per-axis stencil of the given order along `axis`.
+
+    Each tap writes weight * field[i + off] into a fresh array as two slices,
+    the body and the periodically wrapped edge; the taps are then summed in
+    place in stencil order.
+    """
     if order == 0:
         return field
     if order not in _STENCILS:
         raise DerivativeCapError(
             f"per-axis derivative order {order} exceeds cap {MAX_DERIVATIVE_ORDER}"
         )
+    field = np.asarray(field)
+    axis = axis % field.ndim
+    m = field.shape[axis]
+    lead = (slice(None),) * axis
     acc = None
     for off, weight in _STENCILS[order]:
-        term = weight * np.roll(field, -off, axis=axis)
-        acc = term if acc is None else acc + term
-    return acc / h**order
+        s = off % m
+        term = np.empty(field.shape, dtype=np.result_type(weight, field))
+        np.multiply(weight, field[lead + (slice(s, None),)], out=term[lead + (slice(0, m - s),)])
+        np.multiply(weight, field[lead + (slice(0, s),)], out=term[lead + (slice(m - s, None),)])
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    acc /= h**order
+    return acc
 
 
 def check_multi_index(alpha: tuple[int, ...], dim: int) -> tuple[int, ...]:
@@ -172,6 +188,25 @@ def batch_gradient(field: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     )
 
 
+def component_dot(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """sum_k x[..., k, ...] * y[..., k, ...] over the short component `axis`.
+
+    `axis` is negative, counted from the end, since x and y broadcast against
+    each other over their leading (node and grid) axes.  The component axes
+    (d, d' <= 2) are far too short for einsum to pay off, so this loops over
+    them and accumulates in index order; the result is bitwise equal to the
+    matching einsum.  The three contractions in use:
+        m . v     component_dot(m, v[..., None, :])           ("...ij,...j->...i")
+        m^T . v   component_dot(m, v[..., :, None], axis=-2)  ("...ik,...i->...k")
+        x . y     component_dot(x, y)                         ("...i,...i->...")
+    """
+    tail = (slice(None),) * (-1 - axis)
+    out = x[(..., 0) + tail] * y[(..., 0) + tail]
+    for k in range(1, x.shape[axis]):
+        out += x[(..., k) + tail] * y[(..., k) + tail]
+    return out
+
+
 def batch_divergence(field: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Centred divergence over the trailing axis of a batched vector field."""
     out = axis_derivative(field[..., 0], 1, 1, grid.h)
@@ -180,21 +215,31 @@ def batch_divergence(field: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return out
 
 
+def level_derivatives(arr: np.ndarray, grid: SpatialGrid, m: int):
+    """Yield D^alpha arr for every |alpha| <= m, in `multi_indices` order.
+
+    `arr` has shape (batch, *grid.shape, ...): grid axes follow the leading
+    batch axis and trailing component axes are differentiated elementwise.
+    """
+    if m < 0 or m > MAX_DERIVATIVE_ORDER:
+        raise DerivativeCapError(f"m = {m} outside [0, {MAX_DERIVATIVE_ORDER}]")
+    arr = np.asarray(arr, dtype=np.float64)
+    for alpha in multi_indices(grid.dim, m):
+        d = arr
+        for axis, order in enumerate(alpha):
+            d = axis_derivative(d, order, 1 + axis, grid.h)
+        yield d
+
+
 def level_norm_sq(arr: np.ndarray, grid: SpatialGrid, m: int) -> np.ndarray:
     """Squared W^{m,2} norms over a batch: `arr` has shape (batch, *grid.shape, ...).
 
     Grid axes follow the leading batch axis; any trailing component axes are
     summed into the same norm.  Returns one squared norm per batch entry.
     """
-    if m < 0 or m > MAX_DERIVATIVE_ORDER:
-        raise DerivativeCapError(f"m = {m} outside [0, {MAX_DERIVATIVE_ORDER}]")
-    arr = np.asarray(arr, dtype=np.float64)
-    reduce_axes = tuple(range(1, arr.ndim))
-    total = np.zeros(arr.shape[0])
-    for alpha in multi_indices(grid.dim, m):
-        d = arr
-        for axis, order in enumerate(alpha):
-            d = axis_derivative(d, order, 1 + axis, grid.h)
+    reduce_axes = tuple(range(1, np.ndim(arr)))
+    total = np.zeros(np.shape(arr)[0])
+    for d in level_derivatives(arr, grid, m):
         total += np.sum(d * d, axis=reduce_axes)
     return total * grid.cell_volume
 

@@ -293,23 +293,3 @@ def tree_expectation(tree: PathTree, field_values: np.ndarray, level: int | None
     p = tree.level_probabilities(level)
     return np.tensordot(p, arr, axes=(0, 0))
 
-
-def leaf_conditional_means(tree: PathTree, leaf_field: np.ndarray) -> list[np.ndarray]:
-    """Conditional means at every node by direct descendant-leaf enumeration.
-
-    Brute-force cross-check of the recursive conditional expectation: no
-    level-by-level recursion, each node averages its own leaf slice directly.
-    Full mode only, and deliberately budget-capped (n_steps <= 8).
-    """
-    if tree.mode != "full":
-        raise UnsupportedModeError("leaf enumeration needs the full tree")
-    if tree.n_steps > 8:
-        raise BudgetExceededError("leaf enumeration capped at n_steps <= 8")
-    leaves = _check_level_field(tree, leaf_field, tree.n_steps)
-    k = tree.child_count
-    out = []
-    for n in range(tree.n_steps + 1):
-        span = k ** (tree.n_steps - n)
-        shaped = leaves.reshape((tree.level_sizes[n], span) + leaves.shape[1:])
-        out.append(shaped.mean(axis=1))
-    return out

@@ -54,6 +54,7 @@ from .grid import (
     axis_derivative,
     batch_divergence,
     batch_gradient,
+    component_dot,
     level_norm_sq,
 )
 from .lattice import (
@@ -388,31 +389,31 @@ def _laplace(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 def _second_order_part(u, row, ld: _LevelData, grid, eps, kind):
     """div(a grad u) [- (div a) . grad u for the primal kind] + eps Laplacian."""
     du = _grad(u, grid)
-    flux = np.einsum("...ij,...j->...i", ld.a[row], du)
+    flux = component_dot(ld.a[row], du[..., None, :])
     out = _div(flux, grid)
     if eps:
         out = out + eps * _laplace(u, grid)
     if kind == KIND_BSPDE:
-        out = out - np.einsum("...i,...i->...", ld.diva[row], du)
+        out = out - component_dot(ld.diva[row], du)
     return out
 
 
 def _first_order_part(u, row, ld: _LevelData, grid, kind):
     if kind == KIND_BSPDE:
-        out = np.einsum("...i,...i->...", ld.b[row], _grad(u, grid))
+        out = component_dot(ld.b[row], _grad(u, grid))
     else:
         out = -_div(ld.b[row] * u[..., None], grid)
     return out + ld.c[row] * u
 
 
 def _q_part(q, row, ld: _LevelData, grid, kind):
-    sflux = np.einsum("...ik,...k->...i", ld.sigma[row], q)
+    sflux = component_dot(ld.sigma[row], q[..., None, :])
     out = _div(sflux, grid)
     if kind == KIND_BSPDE:
-        out = out - np.einsum("...k,...k->...", ld.divsigma[row], q)
+        out = out - component_dot(ld.divsigma[row], q)
     else:
         out = -out
-    return out + np.einsum("...k,...k->...", ld.nu[row], q)
+    return out + component_dot(ld.nu[row], q)
 
 
 @dataclass(frozen=True)
@@ -649,8 +650,8 @@ def _btilde_arrays(ld: _LevelData, grid: SpatialGrid) -> np.ndarray:
     term = np.zeros_like(ld.b)
     for j in range(d):
         dsj = axis_derivative(ld.sigma, 1, 1 + j, h)
-        term += np.einsum("...ik,...k->...i", dsj, ld.sigma[..., j, :])
-    return ld.b - term - np.einsum("...k,...ik->...i", ld.nu, ld.sigma)
+        term += component_dot(dsj, ld.sigma[..., j, None, :])
+    return ld.b - term - component_dot(ld.sigma, ld.nu[..., None, :])
 
 
 def estimate_cfl(problem: ProblemData, config: SolverConfig | None = None) -> CflReport:
@@ -798,7 +799,7 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
         r = np.empty_like(q)
         for row, sel in ld.groups():
             du = _grad(u[sel], grid)
-            r[sel] = q[sel] + np.einsum("...ik,...i->...k", ld.sigma[row], du)
+            r[sel] = q[sel] + component_dot(ld.sigma[row], du[..., :, None], axis=-2)
         u_levels[level] = u
         q_levels[level] = q
         r_levels[level] = r
@@ -928,15 +929,15 @@ def weak_form_residual(
         low = np.empty_like(u_n)
         for row, sel in ld.groups():
             du_i = _grad(istar[sel], grid)
-            du_e = _grad(star[sel], grid)
-            flux[sel] = np.einsum("...ij,...j->...i", ld.a[row], du_i) + np.einsum(
-                "...ik,...k->...i", ld.sigma[row], q[sel]
+            du_e = du_i if istar is star else _grad(star[sel], grid)
+            flux[sel] = component_dot(ld.a[row], du_i[..., None, :]) + component_dot(
+                ld.sigma[row], q[sel][..., None, :]
             )
             low[sel] = (
-                np.einsum("...i,...i->...", ld.b[row], du_e)
+                component_dot(ld.b[row], du_e)
                 + ld.c[row] * star[sel]
-                - np.einsum("...i,...i->...", ld.diva[row], du_i)
-                + np.einsum("...k,...k->...", ld.nu[row] - ld.divsigma[row], q[sel])
+                - component_dot(ld.diva[row], du_i)
+                + component_dot(ld.nu[row] - ld.divsigma[row], q[sel])
             )
         if config.viscosity:
             flux = flux + config.viscosity * _grad(istar, grid)

@@ -191,8 +191,9 @@ def test_blowup_detection():
         terminal=lambda w, g: 1e306 * np.cos(x),
     )
     assert estimate_cfl(problem).satisfied
-    with pytest.raises(SolverBlowupError):
-        solve(problem)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(SolverBlowupError):
+            solve(problem)
 
 
 # -- solution structure ---------------------------------------------------------------
