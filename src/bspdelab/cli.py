@@ -563,6 +563,7 @@ def cmd_check(args) -> int:
         oleinik_constant,
     )
     from .grid import random_smooth_field
+    from .solver import parabolicity_probes
 
     parser, digest = load_config(args.config)
     grid = build_grid(parser)
@@ -571,15 +572,12 @@ def cmd_check(args) -> int:
     coeffs = oracle.coefficients if oracle is not None else build_coefficients(parser, grid, tree)
     data = _section(parser, "problem")
 
-    horizon = tree.time_grid.horizon
-    zero = np.zeros(tree.wiener_dim)
-    samples = [(0.0, zero), (0.5 * horizon, zero), (horizon, zero)]
-    para = check_parabolicity(coeffs, grid, samples=samples)
+    para = check_parabolicity(coeffs, grid, samples=parabolicity_probes(coeffs, tree))
     sym = check_symmetry(coeffs, grid)
 
     oleinik: dict | None = None
     try:
-        a_field = coeffs.sample(0.0, zero, grid).a
+        a_field = coeffs.sample(0.0, np.zeros(tree.wiener_dim), grid).a
         probes = [random_smooth_field(grid, max_mode=3, seed=s) for s in range(3)]
         mask = None if coeffs.periodic else _seam(grid)
         rep = oleinik_constant(a_field, grid, probes, mask=mask)
@@ -662,27 +660,6 @@ def _level_norms(solution, problem, m1: int):
     return rows
 
 
-def _oracle_error_columns(solution, problem, oracle, rows) -> None:
-    import numpy as np
-
-    from .grid import level_norm_sq
-    from .oracles import exact_level_fields
-
-    tree, grid = problem.tree, problem.grid
-    for level, row in enumerate(rows):
-        p = tree.level_probabilities(level)
-        u_ex, q_ex = exact_level_fields(oracle, tree, level)
-        row["oracle_u_l2"] = math.sqrt(
-            float(p @ level_norm_sq(solution.u[level] - u_ex, grid, 0))
-        )
-        if level < tree.n_steps:
-            row["oracle_q_l2"] = math.sqrt(
-                float(p @ level_norm_sq(solution.q[level] - q_ex, grid, 0))
-            )
-        else:
-            row["oracle_q_l2"] = ""
-
-
 def cmd_solve(args) -> int:
     """Solve, verify the solution estimates, and write deterministic artifacts."""
     from .energy import verify_main_estimates
@@ -708,7 +685,13 @@ def cmd_solve(args) -> int:
     reports = [verify_main_estimates(solution, problem, m1=m1, p=p) for p in p_list]
     rows = _level_norms(solution, problem, m1)
     if oracle is not None:
-        _oracle_error_columns(solution, problem, oracle, rows)
+        from .oracles import convergence_constant, solution_error
+
+        err = solution_error(solution.u, solution.q, tree, oracle)
+        q_errors = err["q_level_errors"] + [""]
+        for row, u_error, q_error in zip(rows, err["u_level_errors"], q_errors):
+            row["oracle_u_l2"] = u_error
+            row["oracle_q_l2"] = q_error
 
     columns = list(rows[0].keys()) + ["config_hash"]
     norms_path = out / "norms.csv"
@@ -762,9 +745,6 @@ def cmd_solve(args) -> int:
         "artifacts": sorted(artifacts),
     }
     if oracle is not None:
-        from .oracles import convergence_constant, solution_error
-
-        err = solution_error(solution.u, solution.q, tree, oracle)
         manifest["oracle"] = {
             "name": oracle.name,
             "u_sup_error": err["u_sup_error"],

@@ -27,7 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import TOL_DENOMINATOR, TOL_PSD, SpatialGrid, axis_derivative, check_multi_index, diff
+from .grid import (
+    TOL_DENOMINATOR,
+    TOL_PSD,
+    SpatialGrid,
+    axis_derivative,
+    check_multi_index,
+    component_dot,
+    diff,
+)
 
 Sampler = Callable[[float, np.ndarray, SpatialGrid], np.ndarray]
 
@@ -154,20 +162,24 @@ class DerivedCoefficients:
     b_tilde: np.ndarray
 
 
+def transformed_drift(b: np.ndarray, sigma: np.ndarray, nu: np.ndarray, h: float) -> np.ndarray:
+    """b_tilde^i = b^i - (D_j sigma^{ik}) sigma^{jk} - nu^k sigma^{ik}.
+
+    Arrays are (..., *grid, components): any leading batch axes pass
+    through, and grid axis j sits d + 2 - j axes from the end of sigma.
+    """
+    d = sigma.shape[-2]
+    term = np.zeros_like(b)
+    for j in range(d):
+        dsj = axis_derivative(sigma, 1, j - d - 2, h)
+        term += component_dot(dsj, sigma[..., j, None, :])
+    return b - term - component_dot(sigma, nu[..., None, :])
+
+
 def derive_from_sample(smp: CoefficientSample) -> DerivedCoefficients:
-    grid = smp.grid
-    d = grid.dim
     alpha = 0.5 * np.einsum("...ik,...jk->...ij", smp.sigma, smp.sigma)
     big_a = smp.a - alpha
-    # sigma_x[..., j, i, k] = d_j sigma^{ik}
-    sigma_x = np.stack(
-        [axis_derivative(smp.sigma, 1, axis=j, h=grid.h) for j in range(d)], axis=-3
-    )
-    b_tilde = (
-        smp.b
-        - np.einsum("...jik,...jk->...i", sigma_x, smp.sigma)
-        - np.einsum("...k,...ik->...i", smp.nu, smp.sigma)
-    )
+    b_tilde = transformed_drift(smp.b, smp.sigma, smp.nu, smp.grid.h)
     return DerivedCoefficients(sample=smp, alpha=alpha, A=big_a, b_tilde=b_tilde)
 
 

@@ -55,7 +55,9 @@ from .lattice import (
     NodeId,
     PathTree,
     UnsupportedModeError,
+    distinct_rows,
     level_conditional_expectation,
+    row_groups,
 )
 from .solver import (
     CflError,
@@ -254,54 +256,24 @@ def _validate_policy(problem: ControlProblem, policy: ControlPolicy) -> None:
             raise ValueError(f"policy level {level} indexes outside gamma")
 
 
-# batched generator applications; axis 0 = nodes, axes 1..d = grid
-
-
-def _l_apply(xi, a, b, c, grid: SpatialGrid) -> np.ndarray:
+def _generator_apply(xi, smp: ControlSample, grid: SpatialGrid):
+    """(L xi, M xi) for a batch xi (nodes, *grid) from one gradient of xi."""
     du = batch_gradient(xi, grid)
-    flux = component_dot(a, du[..., None, :])
-    out = batch_divergence(flux, grid)
-    return out + component_dot(b, du) + c * xi
-
-
-def _m_apply(xi, sigma, nu, grid: SpatialGrid) -> np.ndarray:
-    du = batch_gradient(xi, grid)
-    return component_dot(sigma, du[..., :, None], axis=-2) + nu * xi[..., None]
+    m_xi = component_dot(smp.sigma, du[..., :, None], axis=-2) + smp.nu * xi[..., None]
+    # in place: exhaustive_policy_search applies this to every policy at once
+    l_xi = batch_divergence(component_dot(smp.a, du[..., None, :]), grid)
+    l_xi += component_dot(smp.b, du)
+    l_xi += smp.c * xi
+    return l_xi, m_xi
 
 
 def forward_cfl(problem: ControlProblem, cfl_safety: float = 0.9) -> CflReport:
     """Explicit step bounds for the forward scheme, maximized over gamma."""
-    tree, grid = problem.tree, problem.grid
-    dt, h = tree.time_grid.dt, grid.h
-    horizon = tree.time_grid.horizon
-    max_a = max_b = max_sigma = 0.0
-    for v in problem.gamma:
-        for t in (0.0, 0.5 * horizon, horizon):
-            smp = problem.sample_all(t, v)
-            max_a = max(max_a, float(np.abs(smp.a).sum(axis=-1).max()))
-            max_b = max(max_b, float(np.sqrt((smp.b**2).sum(axis=-1)).max()))
-            max_sigma = max(
-                max_sigma, float(np.sqrt((smp.sigma**2).sum(axis=(-2, -1))).max())
-            )
-    denom = 2.0 * grid.dim * max_a
-    dt_parabolic = cfl_safety * h * h / denom if denom > 0 else math.inf
-    dt_transport = cfl_safety * h / max_b if max_b > 0 else math.inf
-    allowed = min(dt_parabolic, dt_transport)
-    satisfied = dt <= allowed * (1.0 + 1e-12)
-    suggested = tree.n_steps
-    if not satisfied and math.isfinite(allowed) and allowed > 0:
-        suggested = max(tree.n_steps, int(math.ceil(horizon / allowed)))
-    return CflReport(
-        dt=dt,
-        dt_parabolic=dt_parabolic,
-        dt_transport=dt_transport,
-        max_a=max_a,
-        max_drift=max_b,
-        max_sigma=max_sigma,
-        coupling_indicator=dt * max_sigma**2 / (h * h),
-        satisfied=satisfied,
-        suggested_n_steps=suggested,
-    )
+    time_grid = problem.tree.time_grid
+    horizon = time_grid.horizon
+    smps = (problem.sample_all(t, v) for v in problem.gamma for t in (0.0, 0.5 * horizon, horizon))
+    samples = ((smp.a, smp.b, smp.sigma) for smp in smps)
+    return CflReport.from_samples(samples, time_grid, problem.grid, 0.0, cfl_safety)
 
 
 @dataclass
@@ -325,12 +297,12 @@ def _forward_level_terms(problem, policy, level, xi):
     idx = policy.indices[level]
     drift = np.empty_like(xi)
     mart = np.empty(xi.shape + (problem.tree.wiener_dim,))
-    for gi in np.unique(idx):
-        smp = problem.sample_all(t, problem.gamma[int(gi)])
-        sel = np.flatnonzero(idx == gi)
-        sub = xi[sel]
-        drift[sel] = _l_apply(sub, smp.a, smp.b, smp.c, grid) + smp.big_f
-        mart[sel] = _m_apply(sub, smp.sigma, smp.nu, grid) + smp.big_g
+    controls, inv = distinct_rows(idx)
+    for row, sel in row_groups(inv, len(controls)):
+        smp = problem.sample_all(t, problem.gamma[int(controls[row])])
+        l_xi, m_xi = _generator_apply(xi[sel], smp, grid)
+        drift[sel] = l_xi + smp.big_f
+        mart[sel] = m_xi + smp.big_g
     return drift, mart
 
 
@@ -400,14 +372,11 @@ def _mean_levels(forward) -> AdaptedGridField:
 def _policy_field(problem, policy, level, name) -> np.ndarray:
     """Per-node sample of one field under the policy: (nodes, ...) or (1, ...)."""
     t = problem.tree.time_grid.time(level)
-    idx = policy.indices[level]
-    uniq, inv = np.unique(idx, return_inverse=True)
+    controls, inv = distinct_rows(policy.indices[level])
     rows = np.stack(
-        [problem.sample_field(name, t, problem.gamma[int(g)]) for g in uniq]
+        [problem.sample_field(name, t, problem.gamma[int(g)]) for g in controls]
     )
-    if len(uniq) == 1:
-        return rows
-    return rows[np.asarray(inv).reshape(-1)]
+    return rows if inv is None else rows[inv]
 
 
 def cost(problem: ControlProblem, policy: ControlPolicy, forward) -> float:
@@ -469,9 +438,8 @@ def solve_adjoint(
 
     def level_coeffs(level: int) -> LevelCoefficients:
         t = tree.time_grid.time(level)
-        idx = policy.indices[level]
-        uniq, inv = np.unique(idx, return_inverse=True)
-        smps = [problem.sample_all(t, problem.gamma[int(g)]) for g in uniq]
+        controls, inv = distinct_rows(policy.indices[level])
+        smps = [problem.sample_all(t, problem.gamma[int(g)]) for g in controls]
 
         def stack(attr):
             return np.stack([getattr(s, attr) for s in smps])
@@ -482,7 +450,7 @@ def solve_adjoint(
             c=stack("c"),
             sigma=stack("sigma"),
             nu=stack("nu"),
-            inv=None if len(uniq) == 1 else np.asarray(inv).reshape(-1),
+            inv=inv,
         )
 
     adjoint_data = ProblemData(
@@ -507,8 +475,7 @@ def _level_hamiltonians(problem, level, xi_level, u_level, q_level) -> np.ndarra
     out = np.empty((xi_level.shape[0], len(problem.gamma)))
     for gi, v in enumerate(problem.gamma):
         smp = problem.sample_all(t, v)
-        lxi = _l_apply(xi_level, smp.a, smp.b, smp.c, grid)
-        mxi = _m_apply(xi_level, smp.sigma, smp.nu, grid)
+        lxi, mxi = _generator_apply(xi_level, smp, grid)
         out[:, gi] = -(
             np.sum(lxi * u_level, axis=gax)
             + np.sum(smp.big_f * u_level, axis=gax)
@@ -532,12 +499,11 @@ def hamiltonian(
     grid = problem.grid
     t = problem.tree.time_grid.time(node.level)
     smp = problem.sample_all(t, v)
-    lxi = _l_apply(xi_state[None], smp.a, smp.b, smp.c, grid)[0]
-    mxi = _m_apply(xi_state[None], smp.sigma, smp.nu, grid)[0]
+    lxi, mxi = _generator_apply(xi_state[None], smp, grid)
     value = (
-        inner_product(lxi, u, grid)
+        inner_product(lxi[0], u, grid)
         + inner_product(smp.big_f, u, grid)
-        + float(np.sum((mxi + smp.big_g) * q)) * grid.cell_volume
+        + float(np.sum((mxi[0] + smp.big_g) * q)) * grid.cell_volume
         + inner_product(smp.cost_f, xi_state, grid)
     )
     return -value
@@ -765,26 +731,6 @@ def policy_iteration(
     )
 
 
-def improve_policy(
-    problem: ControlProblem,
-    policy: ControlPolicy,
-    adjoint: AdjointPair | None = None,
-    forward: ForwardState | None = None,
-    max_iters: int = 20,
-    solver_config: SolverConfig | None = None,
-) -> ControlPolicy:
-    """Successive per-node Hamiltonian maximization; ties pick gamma's first."""
-    record = policy_iteration(
-        problem,
-        policy,
-        max_iters=max_iters,
-        solver_config=solver_config,
-        forward=forward,
-        adjoint=adjoint,
-    )
-    return record.final_policy
-
-
 @dataclass(frozen=True)
 class ExhaustiveResult:
     """Brute-force optimum over every node -> gamma assignment."""
@@ -852,15 +798,12 @@ def exhaustive_policy_search(
         flat = xi.reshape((-1,) + grid.shape)
         for gi, v in enumerate(problem.gamma):
             smp = problem.sample_all(t, v)
-            dr = (_l_apply(flat, smp.a, smp.b, smp.c, grid) + smp.big_f).reshape(
-                xi.shape
-            )
-            mt = (_m_apply(flat, smp.sigma, smp.nu, grid) + smp.big_g).reshape(
-                xi.shape + (tree.wiener_dim,)
-            )
+            dr, mt = _generator_apply(flat, smp, grid)
+            dr += smp.big_f
+            mt += smp.big_g
             mask = (pol == gi).reshape(mask_shape)
-            drift += np.where(mask, dr, 0.0)
-            mart += np.where(mask[..., None], mt, 0.0)
+            drift += np.where(mask, dr.reshape(xi.shape), 0.0)
+            mart += np.where(mask[..., None], mt.reshape(xi.shape + (tree.wiener_dim,)), 0.0)
             f_vals += np.where(pol == gi, np.sum(smp.cost_f * xi, axis=gax) * vol, 0.0)
         costs += dt * (f_vals @ tree.level_probabilities(level))
         kick = np.einsum("pm...k,ck->pmc...", mart, incr)

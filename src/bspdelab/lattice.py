@@ -211,6 +211,25 @@ class AdaptedGridField:
         return self.levels[node.level][node.index]
 
 
+def distinct_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sorted distinct rows of `states` along axis 0 and the node -> row map.
+
+    The map is None when a single row is shared by every node.  Callers
+    evaluate once per distinct row and expand with rows[inv].
+    """
+    rows, inv = np.unique(states, axis=0, return_inverse=True)
+    if len(rows) == 1:
+        return rows, None
+    return rows, np.asarray(inv).reshape(-1)
+
+
+def row_groups(inv: np.ndarray | None, n_rows: int) -> list:
+    """(row, node selection) pairs of a node -> row map; None selects every node."""
+    if inv is None:
+        return [(0, slice(None))]
+    return [(r, np.flatnonzero(inv == r)) for r in range(n_rows)]
+
+
 def _check_level_field(tree: PathTree, field_values: np.ndarray, level: int) -> np.ndarray:
     arr = np.asarray(field_values, dtype=np.float64)
     expected = tree.level_sizes[level]

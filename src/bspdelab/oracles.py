@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, constant_sampler
 from .grid import SpatialGrid
-from .lattice import PathTree
+from .lattice import PathTree, distinct_rows
 
 TerminalMap = Callable[[np.ndarray, SpatialGrid], np.ndarray]
 
@@ -194,11 +194,11 @@ def exact_level_fields(
     The oracle evaluates the level's distinct Wiener states in one batch.
     """
     t = tree.time_grid.time(level)
-    w = tree.level_w(level)
-    uniq, inverse = np.unique(w, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).reshape(-1)
-    u_rows, q_rows = oracle.exact_fields(t, uniq)
-    return u_rows[inverse], q_rows[inverse]
+    states, inv = distinct_rows(tree.level_w(level))
+    u_rows, q_rows = oracle.exact_fields(t, states)
+    if inv is None:
+        return u_rows, q_rows
+    return u_rows[inv], q_rows[inv]
 
 
 def solution_error(u_levels, q_levels, tree: PathTree, oracle: OracleSolution) -> dict:
@@ -206,6 +206,9 @@ def solution_error(u_levels, q_levels, tree: PathTree, oracle: OracleSolution) -
 
     Returns u_sup_error = max_n sqrt(E ||u_n - u*_n||_{L2}^2), the analogous
     q_sup_error, and q_integrated_error = sqrt(sum_n dt E ||q_n - q*_n||^2).
+    u_level_errors and q_level_errors list the per-level terms
+    sqrt(E ||u_n - u*_n||_{L2}^2) and sqrt(E ||q_n - q*_n||_{L2}^2), one per
+    level of u_levels and of q_levels.
     """
     grid = oracle.grid
     vol = grid.cell_volume
@@ -214,22 +217,28 @@ def solution_error(u_levels, q_levels, tree: PathTree, oracle: OracleSolution) -
     u_sup = 0.0
     q_sup = 0.0
     q_int = 0.0
+    u_level_errors = []
+    q_level_errors = []
     for level in range(tree.n_steps + 1):
         p = tree.level_probabilities(level)
         u_ex, q_ex = exact_level_fields(oracle, tree, level)
         du = np.asarray(u_levels[level]) - u_ex
         dq = np.asarray(q_levels[level]) - q_ex if level < len(q_levels) else None
         u_ms = float(np.sum(p * np.sum(du**2, axis=comp_axes_u) * vol))
+        u_level_errors.append(float(np.sqrt(u_ms)))
         u_sup = max(u_sup, np.sqrt(u_ms))
         if dq is not None:
             q_axes = comp_axes_u + (1 + grid.dim,)
             q_ms = float(np.sum(p * np.sum(dq**2, axis=q_axes) * vol))
+            q_level_errors.append(float(np.sqrt(q_ms)))
             q_sup = max(q_sup, np.sqrt(q_ms))
             q_int += dt * q_ms
     return {
         "u_sup_error": u_sup,
         "q_sup_error": q_sup,
         "q_integrated_error": float(np.sqrt(q_int)),
+        "u_level_errors": u_level_errors,
+        "q_level_errors": q_level_errors,
     }
 
 

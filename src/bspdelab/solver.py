@@ -48,6 +48,7 @@ from .coefficients import (
     CoefficientSet,
     ParabolicityError,
     check_parabolicity,
+    transformed_drift,
 )
 from .grid import (
     SpatialGrid,
@@ -62,8 +63,10 @@ from .lattice import (
     PathTree,
     TimeGrid,
     build_tree,
+    distinct_rows,
     level_conditional_expectation,
     level_martingale_representation,
+    row_groups,
 )
 from .oracles import OracleSolution, exact_level_fields
 
@@ -211,6 +214,45 @@ class CflReport:
     satisfied: bool
     suggested_n_steps: int
 
+    @classmethod
+    def from_samples(
+        cls, samples, time_grid: TimeGrid, grid: SpatialGrid, viscosity: float, cfl_safety: float
+    ) -> "CflReport":
+        """Bounds from the coefficient maxima over (a, drift, sigma) samples.
+
+        The parabolic bound is cfl_safety * h^2 / (2 d (viscosity + max|a|)),
+        the advective bound cfl_safety * h / max|drift|, and
+        coupling_indicator = dt * max|sigma|^2 / h^2.  suggested_n_steps is
+        n_steps when the bound holds or is infinite, otherwise the smallest
+        step count at or above n_steps that meets it.
+        """
+        max_a = max_drift = max_sigma = 0.0
+        for a, drift, sigma in samples:
+            max_a = max(max_a, float(np.abs(a).sum(axis=-1).max()))
+            max_drift = max(max_drift, float(np.sqrt((drift**2).sum(axis=-1)).max()))
+            max_sigma = max(max_sigma, float(np.sqrt((sigma**2).sum(axis=(-2, -1))).max()))
+        dt, h, n = time_grid.dt, grid.h, time_grid.n_steps
+        denom = 2.0 * grid.dim * (viscosity + max_a)
+        dt_parabolic = cfl_safety * h * h / denom if denom > 0 else math.inf
+        dt_transport = cfl_safety * h / max_drift if max_drift > 0 else math.inf
+        allowed = min(dt_parabolic, dt_transport)
+        satisfied = dt <= allowed * (1.0 + 1e-12)
+        if satisfied or math.isinf(allowed):
+            suggested = n
+        else:
+            suggested = max(n, math.ceil(time_grid.horizon / allowed))
+        return cls(
+            dt=dt,
+            dt_parabolic=dt_parabolic,
+            dt_transport=dt_transport,
+            max_a=max_a,
+            max_drift=max_drift,
+            max_sigma=max_sigma,
+            coupling_indicator=dt * max_sigma**2 / (h * h),
+            satisfied=satisfied,
+            suggested_n_steps=suggested,
+        )
+
 
 @dataclass(frozen=True)
 class WeakFormReport:
@@ -275,9 +317,7 @@ class _LevelData:
     f: np.ndarray
 
     def groups(self):
-        if self.inv is None:
-            return [(0, slice(None))]
-        return [(r, np.flatnonzero(self.inv == r)) for r in range(self.a.shape[0])]
+        return row_groups(self.inv, self.a.shape[0])
 
 
 def _divergences(a: np.ndarray, sigma: np.ndarray, grid: SpatialGrid):
@@ -317,22 +357,16 @@ def _build_level_data(problem: ProblemData, level: int) -> _LevelData:
                 raise ValueError(f"level {level}: inv references a missing row")
         elif rows != 1:
             raise ValueError(f"level {level}: {rows} rows but no inv map")
-    elif coeffs.w_dependent:
-        w = tree.level_w(level)
-        uniq, inv = np.unique(w, axis=0, return_inverse=True)
-        inv = np.asarray(inv).reshape(-1)
-        smps = [coeffs.sample(t, row, grid) for row in uniq]
+    else:
+        # W-free coefficients are the one-row case, sampled at W = 0
+        w = tree.level_w(level) if coeffs.w_dependent else np.zeros((1, tree.wiener_dim))
+        states, inv = distinct_rows(w)
+        smps = [coeffs.sample(t, row, grid) for row in states]
         a = np.stack([s.a for s in smps])
         b = np.stack([s.b for s in smps])
         c = np.stack([s.c for s in smps])
         sig = np.stack([s.sigma for s in smps])
         nu = np.stack([s.nu for s in smps])
-        if len(smps) == 1:
-            inv = None
-    else:
-        s = coeffs.sample(t, np.zeros(tree.wiener_dim), grid)
-        a, b, c, sig, nu = s.a[None], s.b[None], s.c[None], s.sigma[None], s.nu[None]
-        inv = None
 
     diva, divsigma = _divergences(a, sig, grid)
     f = _forcing_array(problem, level)
@@ -354,14 +388,12 @@ def _forcing_array(problem: ProblemData, level: int) -> np.ndarray:
             )
     elif problem.forcing is None:
         f = np.zeros((1,) + grid.shape)
-    elif problem.forcing_w_dependent:
-        w = tree.level_w(level)
-        uniq_f, inv_f = np.unique(w, axis=0, return_inverse=True)
-        inv_f = np.asarray(inv_f).reshape(-1)
-        rows_f = np.stack([np.asarray(problem.forcing(t, row, grid), dtype=np.float64) for row in uniq_f])
-        f = rows_f[inv_f]
     else:
-        f = np.asarray(problem.forcing(t, np.zeros(tree.wiener_dim), grid), dtype=np.float64)[None]
+        w = tree.level_w(level) if problem.forcing_w_dependent else np.zeros((1, tree.wiener_dim))
+        states, inv = distinct_rows(w)
+        f = np.stack([np.asarray(problem.forcing(t, row, grid), dtype=np.float64) for row in states])
+        if inv is not None:
+            f = f[inv]
     if f.shape[1:] != grid.shape:
         raise ValueError(f"level {level}: forcing grid shape {f.shape[1:]} != {grid.shape}")
     if not np.all(np.isfinite(f)):
@@ -377,30 +409,27 @@ _grad = batch_gradient
 _div = batch_divergence
 
 
-def _laplace(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    # composition of centred first differences, matching the sparse operator
-    out = None
-    for i in range(grid.dim):
-        term = axis_derivative(axis_derivative(u, 1, 1 + i, grid.h), 1, 1 + i, grid.h)
-        out = term if out is None else out + term
-    return out
+def _second_order_part(u, row, ld: _LevelData, grid, eps, kind, du=None):
+    """div(a grad u) [- (div a) . grad u for the primal kind] + eps Laplacian.
 
-
-def _second_order_part(u, row, ld: _LevelData, grid, eps, kind):
-    """div(a grad u) [- (div a) . grad u for the primal kind] + eps Laplacian."""
-    du = _grad(u, grid)
+    du is grad u when the caller has it already.  The Laplacian is div grad,
+    the composition of centred first differences the sparse operator uses.
+    """
+    if du is None:
+        du = _grad(u, grid)
     flux = component_dot(ld.a[row], du[..., None, :])
     out = _div(flux, grid)
     if eps:
-        out = out + eps * _laplace(u, grid)
+        out = out + eps * _div(du, grid)
     if kind == KIND_BSPDE:
         out = out - component_dot(ld.diva[row], du)
     return out
 
 
-def _first_order_part(u, row, ld: _LevelData, grid, kind):
+def _first_order_part(u, row, ld: _LevelData, grid, kind, du):
+    """b . grad u + c u for the primal kind (du = grad u), -div(b u) + c u for the adjoint."""
     if kind == KIND_BSPDE:
-        out = component_dot(ld.b[row], _grad(u, grid))
+        out = component_dot(ld.b[row], du)
     else:
         out = -_div(ld.b[row] * u[..., None], grid)
     return out + ld.c[row] * u
@@ -621,9 +650,12 @@ def _advance_level(problem, config, ld: _LevelData, ubar, q, level, lu_cache):
         star = u_cur
         expl = np.empty_like(ubar)
         for row, sel in groups:
-            part = _first_order_part(star[sel], row, ld, grid, kind)
+            u = star[sel]
+            # one gradient serves both parts; the adjoint first-order part takes none
+            du = _grad(u, grid) if kind == KIND_BSPDE or not semi else None
+            part = _first_order_part(u, row, ld, grid, kind, du)
             if not semi:
-                part = part + _second_order_part(star[sel], row, ld, grid, eps, kind)
+                part = part + _second_order_part(u, row, ld, grid, eps, kind, du)
             expl[sel] = part
         rhs = ubar + dt * (expl + qf)
         if not semi:
@@ -644,60 +676,27 @@ def _advance_level(problem, config, ld: _LevelData, ubar, q, level, lu_cache):
 # -- step-size analysis ----------------------------------------------------------
 
 
-def _btilde_arrays(ld: _LevelData, grid: SpatialGrid) -> np.ndarray:
-    """Transformed drift b - (D_j sigma^{ik}) sigma^{jk} - nu^k sigma^{ik}."""
-    d, h = grid.dim, grid.h
-    term = np.zeros_like(ld.b)
-    for j in range(d):
-        dsj = axis_derivative(ld.sigma, 1, 1 + j, h)
-        term += component_dot(dsj, ld.sigma[..., j, None, :])
-    return ld.b - term - component_dot(ld.sigma, ld.nu[..., None, :])
-
-
 def estimate_cfl(problem: ProblemData, config: SolverConfig | None = None) -> CflReport:
     """Parabolic and advective step bounds from coefficient maxima.
 
     Coefficients are probed at the first, middle and last step levels.  The
-    parabolic bound is cfl_safety * h^2 / (2 d (eps + max|a|)); the advective
-    bound cfl_safety * h / max|drift| uses the transformed drift for the
-    primal kind and b itself for the adjoint.  coupling_indicator is
-    dt * max|sigma|^2 / h^2, the growth number of the explicit sigma grad q
-    coupling.
+    advective bound uses the transformed drift for the primal kind and b
+    itself for the adjoint; CflReport.from_samples states the bounds.
     """
     config = config or SolverConfig()
     tree, grid = problem.tree, problem.grid
     n = tree.n_steps
-    dt = tree.time_grid.dt
-    h, d = grid.h, grid.dim
 
-    max_a = max_drift = max_sigma = 0.0
-    for level in sorted({0, n // 2, max(n - 1, 0)}):
-        ld = _build_level_data(problem, level)
-        max_a = max(max_a, float(np.abs(ld.a).sum(axis=-1).max()))
-        max_sigma = max(max_sigma, float(np.sqrt((ld.sigma**2).sum(axis=(-2, -1))).max()))
-        drift = ld.b if problem.operator_kind == KIND_ADJOINT else _btilde_arrays(ld, grid)
-        max_drift = max(max_drift, float(np.sqrt((drift**2).sum(axis=-1)).max()))
+    def samples():
+        for level in sorted({0, n // 2, max(n - 1, 0)}):
+            ld = _build_level_data(problem, level)
+            if problem.operator_kind == KIND_ADJOINT:
+                drift = ld.b
+            else:
+                drift = transformed_drift(ld.b, ld.sigma, ld.nu, grid.h)
+            yield ld.a, drift, ld.sigma
 
-    denom = 2.0 * d * (config.viscosity + max_a)
-    dt_parabolic = config.cfl_safety * h * h / denom if denom > 0 else math.inf
-    dt_transport = config.cfl_safety * h / max_drift if max_drift > 0 else math.inf
-    allowed = min(dt_parabolic, dt_transport)
-    satisfied = dt <= allowed * (1.0 + 1e-12)
-    if math.isinf(allowed):
-        suggested = n
-    else:
-        suggested = max(n, int(math.ceil(tree.time_grid.horizon / allowed)))
-    return CflReport(
-        dt=dt,
-        dt_parabolic=dt_parabolic,
-        dt_transport=dt_transport,
-        max_a=max_a,
-        max_drift=max_drift,
-        max_sigma=max_sigma,
-        coupling_indicator=dt * max_sigma**2 / (h * h),
-        satisfied=satisfied,
-        suggested_n_steps=suggested,
-    )
+    return CflReport.from_samples(samples(), tree.time_grid, grid, config.viscosity, config.cfl_safety)
 
 
 # -- the backward sweep ----------------------------------------------------------
@@ -713,27 +712,35 @@ def _terminal_values(problem: ProblemData) -> np.ndarray:
                 f"terminal_level shape {arr.shape}, expected {(n_leaves,) + grid.shape}"
             )
         return arr
-    w = tree.level_w(tree.n_steps)
-    uniq, inv = np.unique(w, axis=0, return_inverse=True)
-    inv = np.asarray(inv).reshape(-1)
+    states, inv = distinct_rows(tree.level_w(tree.n_steps))
     rows = []
-    for wrow in uniq:
+    for wrow in states:
         val = np.asarray(problem.terminal(wrow, grid), dtype=np.float64)
         if val.shape != grid.shape:
             raise ValueError(f"terminal sample shape {val.shape} != {grid.shape}")
         rows.append(val)
-    return np.stack(rows)[inv]
+    rows = np.stack(rows)
+    return rows if inv is None else rows[inv]
 
 
-def _parabolicity_precheck(problem: ProblemData, config: SolverConfig):
-    tree, grid = problem.tree, problem.grid
+def parabolicity_probes(coefficients: CoefficientSet, tree: PathTree) -> list:
+    """The (t, W) states a solve checks 2a - sigma sigma^T on before sweeping.
+
+    W = 0 at t = 0, T/2 and T; when the coefficients read W, also the first
+    and last leaf states at T/2.
+    """
     horizon = tree.time_grid.horizon
     zero = np.zeros(tree.wiener_dim)
     samples = [(0.0, zero), (0.5 * horizon, zero), (horizon, zero)]
-    if problem.coefficients.w_dependent:
+    if coefficients.w_dependent:
         leaf_w = tree.level_w(tree.n_steps)
         samples += [(0.5 * horizon, leaf_w[0]), (0.5 * horizon, leaf_w[-1])]
-    report = check_parabolicity(problem.coefficients, grid, samples=samples)
+    return samples
+
+
+def _parabolicity_precheck(problem: ProblemData, config: SolverConfig):
+    samples = parabolicity_probes(problem.coefficients, problem.tree)
+    report = check_parabolicity(problem.coefficients, problem.grid, samples=samples)
     if report.verdict == VERDICT_VIOLATED:
         raise ParabolicityError(
             f"2a - sigma sigma^T has eigenvalue {report.min_eigenvalue:.3e} "

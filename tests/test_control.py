@@ -41,7 +41,6 @@ from bspdelab.control import (
     duality_check,
     exhaustive_policy_search,
     hamiltonian,
-    improve_policy,
     policies_equal,
     policy_iteration,
     solve_adjoint,
@@ -353,7 +352,7 @@ def test_duality_defect_first_order_in_dt():
 
 def test_max_principle_certifies_improved_policy():
     problem = _steering_problem(M=16, T=0.1, n=4, mode="full")
-    policy = improve_policy(problem, constant_policy(problem.tree, 0))
+    policy = policy_iteration(problem, constant_policy(problem.tree, 0)).final_policy
     fwd = solve_forward(problem, policy)
     adj = solve_adjoint(problem, policy)
     rep = check_max_principle(problem, policy, fwd, adj)
@@ -415,7 +414,7 @@ def test_exhaustive_matches_plain_cost_path():
     fwd = solve_forward(problem, res.policy)
     assert cost(problem, res.policy, fwd) == approx(res.j, abs=1e-12)
     # no enumerated policy beats the improved one by more than rounding
-    improved = improve_policy(problem, constant_policy(problem.tree, 0))
+    improved = policy_iteration(problem, constant_policy(problem.tree, 0)).final_policy
     fwd_i = solve_forward(problem, improved)
     assert cost(problem, improved, fwd_i) >= res.j - 1e-12
 

@@ -1,0 +1,372 @@
+"""One implementation per piece of generator bookkeeping.
+
+Core claims:
+    - forward_cfl and estimate_cfl on an adjoint-kind problem with the same
+      constant a, b and sigma return equal reports, field by field, whether
+      the bound holds or fails
+    - derive_from_sample's b_tilde equals the einsum formula it replaced to
+      1e-14 relative, and equals bit for bit the drift estimate_cfl reduces
+    - the control generator takes one gradient per (level, control) in
+      solve_forward and exhaustive_policy_search, and (L xi, M xi) equals
+      the two separate applications it replaced exactly
+    - a backward step takes at most one gradient per coefficient row and
+      corrector pass: one for the primal kind and for explicit adjoint
+      steps, none for semi-implicit adjoint steps
+    - bspdelab solve evaluates the oracle once per level, and its
+      oracle_u_l2 / oracle_q_l2 columns are solution_error's per-level terms
+    - bspdelab check probes the same (t, W) states as bspdelab solve, so a
+      violation at a leaf state fails both
+"""
+
+import csv
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bspdelab import control, oracles, solver
+from bspdelab.cli import main
+from bspdelab.coefficients import (
+    CoefficientSet,
+    builtin_counterexamples,
+    constant_sampler,
+    derive_from_sample,
+)
+from bspdelab.control import (
+    ControlProblem,
+    ControlPolicy,
+    exhaustive_policy_search,
+    forward_cfl,
+    solve_forward,
+)
+from bspdelab.grid import (
+    SpatialGrid,
+    axis_derivative,
+    batch_divergence,
+    batch_gradient,
+    component_dot,
+)
+from bspdelab.lattice import TimeGrid, build_tree
+from bspdelab.solver import (
+    KIND_ADJOINT,
+    KIND_BSPDE,
+    ProblemData,
+    SolverConfig,
+    estimate_cfl,
+)
+
+PI = "3.141592653589793"
+
+
+def _grid(d=1, M=32):
+    return SpatialGrid(dim=d, half_width=np.pi, points=M)
+
+
+# -- step bounds -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_steps", [2, 4])
+def test_forward_and_backward_cfl_reports_agree(n_steps):
+    grid = _grid()
+    tree = build_tree(TimeGrid(0.1, n_steps), 1, "full")
+    a, b, s = 0.5, 1.5, 0.8
+    x = grid.axis_coordinates()
+    forward = ControlProblem(
+        grid=grid,
+        tree=tree,
+        gamma=(0.0,),
+        terminal_phi=np.cos(x),
+        xi0=np.ones(grid.shape),
+        a=lambda t, v, g: a * np.eye(1),
+        b=lambda t, v, g: np.array([b]),
+        sigma=lambda t, v, g: s * np.ones((1, 1)),
+    )
+    backward = ProblemData(
+        grid=grid,
+        tree=tree,
+        coefficients=CoefficientSet(
+            dim=1,
+            wiener_dim=1,
+            a=constant_sampler([[a]], (1, 1)),
+            b=constant_sampler([b], (1,)),
+            sigma=constant_sampler([[s]], (1, 1)),
+        ),
+        terminal=lambda w, g: np.cos(x),
+        operator_kind=KIND_ADJOINT,
+    )
+    fwd = forward_cfl(forward)
+    bwd = estimate_cfl(backward)
+    assert dataclasses.asdict(fwd) == dataclasses.asdict(bwd)
+    # n = 2 breaks the parabolic bound (dt 0.05 > 0.0347), n = 4 keeps it
+    assert fwd.satisfied == (n_steps == 4)
+    assert fwd.suggested_n_steps == (3 if n_steps == 2 else n_steps)
+
+
+# -- transformed drift -----------------------------------------------------------
+
+
+def _einsum_btilde(smp):
+    """b_tilde as derive_from_sample once computed it, with two einsums."""
+    grid = smp.grid
+    sigma_x = np.stack(
+        [axis_derivative(smp.sigma, 1, axis=j, h=grid.h) for j in range(grid.dim)], axis=-3
+    )
+    return (
+        smp.b
+        - np.einsum("...jik,...jk->...i", sigma_x, smp.sigma)
+        - np.einsum("...k,...ik->...i", smp.nu, smp.sigma)
+    )
+
+
+def _counterexample_with_drift():
+    cx1 = builtin_counterexamples()[0]
+    return dataclasses.replace(
+        cx1,
+        b=constant_sampler([0.3, -0.2], (2,)),
+        nu=constant_sampler([0.1, 0.05], (2,)),
+    )
+
+
+def test_btilde_matches_einsum_formula():
+    grid = _grid(d=2, M=16)
+    smp = _counterexample_with_drift().sample(0.0, np.zeros(2), grid)
+    got = derive_from_sample(smp).b_tilde
+    want = _einsum_btilde(smp)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_btilde_is_the_drift_estimate_cfl_reduces(monkeypatch):
+    grid = _grid(d=2, M=16)
+    coeffs = _counterexample_with_drift()
+    tree = build_tree(TimeGrid(0.02, 2), 2, "full")
+    problem = ProblemData(
+        grid=grid, tree=tree, coefficients=coeffs, terminal=lambda w, g: np.zeros(g.shape)
+    )
+    seen = []
+    original = solver.CflReport.from_samples.__func__
+
+    def capturing(cls, samples, *args):
+        samples = list(samples)
+        seen.extend(samples)
+        return original(cls, samples, *args)
+
+    monkeypatch.setattr(solver.CflReport, "from_samples", classmethod(capturing))
+    estimate_cfl(problem)
+    drift_level0 = seen[0][1]
+    b_tilde = derive_from_sample(coeffs.sample(0.0, np.zeros(2), grid)).b_tilde
+    assert drift_level0.shape == (1,) + b_tilde.shape
+    assert np.array_equal(drift_level0[0], b_tilde)
+
+
+# -- one gradient per control generator application -------------------------------------
+
+
+def _control_problem(M=16, n=3):
+    grid = _grid(M=M)
+    tree = build_tree(TimeGrid(0.1, n), 1, "full")
+    x = grid.axis_coordinates()
+    return ControlProblem(
+        grid=grid,
+        tree=tree,
+        gamma=(-1.0, 1.0),
+        terminal_phi=np.cos(x),
+        xi0=np.exp(np.cos(x)),
+        a=lambda t, v, g: 0.25 * np.eye(1),
+        b=lambda t, v, g: np.array([0.3 * v]),
+        c=lambda t, v, g: 0.1 * v * np.sin(x),
+        sigma=lambda t, v, g: 0.5 * np.ones((1, 1)),
+        nu=lambda t, v, g: np.array([0.2 * v]),
+        big_f=lambda t, v, g: v * np.sin(x),
+        cost_f=lambda t, v, g: 0.1 * v * np.cos(x),
+    )
+
+
+def _count_gradients(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(field, grid):
+        calls.append(field.shape)
+        return original(field, grid)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_control_takes_one_gradient_per_level_and_control(monkeypatch):
+    problem = _control_problem()
+    tree = problem.tree
+    # level 0 plays one control, levels 1 and 2 play both
+    policy = ControlPolicy(
+        (np.array([1]), np.array([0, 1]), np.array([1, 0, 0, 1]))
+    )
+    calls = _count_gradients(monkeypatch, control, "batch_gradient")
+    solve_forward(problem, policy)
+    assert len(calls) == 1 + 2 + 2
+    calls.clear()
+    exhaustive_policy_search(problem)
+    assert len(calls) == tree.n_steps * len(problem.gamma)
+
+
+def _l_apply(xi, a, b, c, grid):
+    """L xi as control once applied it, with its own gradient."""
+    du = batch_gradient(xi, grid)
+    flux = component_dot(a, du[..., None, :])
+    out = batch_divergence(flux, grid)
+    return out + component_dot(b, du) + c * xi
+
+
+def _m_apply(xi, sigma, nu, grid):
+    """M xi as control once applied it, with its own gradient."""
+    du = batch_gradient(xi, grid)
+    return component_dot(sigma, du[..., :, None], axis=-2) + nu * xi[..., None]
+
+
+def test_generator_apply_equals_separate_applications():
+    problem = _control_problem()
+    grid = problem.grid
+    xi = np.random.default_rng(5).normal(size=(3,) + grid.shape)
+    smp = problem.sample_all(0.05, 1.0)
+    l_xi, m_xi = control._generator_apply(xi, smp, grid)
+    assert np.array_equal(l_xi, _l_apply(xi, smp.a, smp.b, smp.c, grid))
+    assert np.array_equal(m_xi, _m_apply(xi, smp.sigma, smp.nu, grid))
+
+
+# -- one gradient per backward step -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, stepping, per_row",
+    [
+        (KIND_BSPDE, solver.EXPLICIT, 1),
+        (KIND_BSPDE, solver.SEMI_IMPLICIT, 1),
+        (KIND_ADJOINT, solver.EXPLICIT, 1),
+        (KIND_ADJOINT, solver.SEMI_IMPLICIT, 0),
+    ],
+)
+def test_backward_step_takes_one_gradient_per_row_and_pass(monkeypatch, kind, stepping, per_row):
+    grid = _grid(M=16)
+    tree = build_tree(TimeGrid(0.1, 4), 1, "recombining")
+    coeffs = CoefficientSet(
+        dim=1,
+        wiener_dim=1,
+        a=lambda t, w, g: np.full(g.shape + (1, 1), 0.5 + 0.1 * w[0] ** 2),
+        b=lambda t, w, g: np.full(g.shape + (1,), 0.2 + 0.1 * w[0]),
+        c=constant_sampler(0.1, ()),
+        sigma=constant_sampler([[0.4]], (1, 1)),
+        nu=constant_sampler([0.1], (1,)),
+        w_dependent=True,
+    )
+    problem = ProblemData(
+        grid=grid,
+        tree=tree,
+        coefficients=coeffs,
+        terminal=lambda w, g: np.zeros(g.shape),
+        operator_kind=kind,
+    )
+    config = SolverConfig(time_stepping=stepping, corrector_iterations=2)
+    level = 2
+    ld = solver._build_level_data(problem, level)
+    rows = ld.a.shape[0]
+    assert rows == 3
+    rng = np.random.default_rng(7)
+    ubar = rng.normal(size=(3,) + grid.shape)
+    q = rng.normal(size=(3,) + grid.shape + (1,))
+    calls = _count_gradients(monkeypatch, solver, "_grad")
+    solver._advance_level(problem, config, ld, ubar, q, level, {})
+    assert len(calls) == per_row * rows * config.corrector_iterations
+
+
+# -- CLI ------------------------------------------------------------------------------------
+
+
+def _write(tmp_path: Path, text: str) -> str:
+    path = tmp_path / "exp.ini"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+HEAT_CONFIG = f"""
+[grid]
+d = 1
+R = {PI}
+M = 32
+
+[tree]
+T = 0.05
+n_steps = 10
+dprime = 1
+mode = recombining
+
+[problem]
+oracle = heat
+"""
+
+
+def test_solve_scores_each_level_against_the_oracle_once(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, HEAT_CONFIG)
+    out = tmp_path / "run"
+    evaluations = []
+    errors = []
+    exact, score = oracles.exact_level_fields, oracles.solution_error
+
+    def counting(oracle, tree, level):
+        evaluations.append(level)
+        return exact(oracle, tree, level)
+
+    def recording(*args):
+        errors.append(score(*args))
+        return errors[-1]
+
+    monkeypatch.setattr(oracles, "exact_level_fields", counting)
+    monkeypatch.setattr(oracles, "solution_error", recording)
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(evaluations) == list(range(11))
+    assert len(errors) == 1
+
+    with open(out / "norms.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["oracle_u_l2"]) for r in rows] == errors[0]["u_level_errors"]
+    assert [float(r["oracle_q_l2"]) for r in rows[:-1]] == errors[0]["q_level_errors"]
+    assert rows[-1]["oracle_q_l2"] == ""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["oracle"]["u_sup_error"] == max(errors[0]["u_level_errors"])
+
+
+LEAF_VIOLATION_CONFIG = f"""
+[grid]
+d = 1
+R = {PI}
+M = 16
+
+[tree]
+T = 0.5
+n_steps = 8
+dprime = 1
+mode = recombining
+
+[problem]
+a11 = 0.5
+sigma11 = 1 + w1
+phi = cos(x1)
+assert_parabolicity = dp
+"""
+
+
+def test_check_probes_the_states_solve_probes(tmp_path, capsys):
+    # 2a - sigma^2 = 1 - (1 + w)^2 is 0 at W = 0 and -8 at the leaf W = 2
+    cfg = _write(tmp_path, LEAF_VIOLATION_CONFIG)
+    code = main(["check", "--config", cfg])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["parabolicity"]["verdict"] == "violated"
+    assert report["parabolicity"]["min_eigenvalue"] == -8.0
+
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "run")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "ParabolicityError"
