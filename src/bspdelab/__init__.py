@@ -39,7 +39,6 @@ from .control import (
     duality_check,
     exhaustive_policy_search,
     forward_cfl,
-    hamiltonian,
     policies_equal,
     policy_iteration,
     solve_adjoint,
@@ -52,12 +51,10 @@ from .energy import (
     EstimateEntry,
     EstimateReport,
     PowerG,
-    ScanCurve,
     SweepTable,
     check_basic_estimate,
     constant_sweep,
     energy_fields,
-    minimal_constant_scan,
     theta,
     verify_main_estimates,
 )
@@ -73,7 +70,6 @@ from .expr import (
 from .grid import (
     MAX_DERIVATIVE_ORDER,
     DerivativeCapError,
-    MollifierResolutionWarning,
     SpatialGrid,
     axis_derivative,
     batch_divergence,
@@ -81,7 +77,6 @@ from .grid import (
     diff,
     inner_product,
     level_norm_sq,
-    mollify,
     multi_indices,
     random_smooth_field,
     read_field_binary,
@@ -101,10 +96,8 @@ from .lattice import (
     UnsupportedModeError,
     build_tree,
     child_values,
-    conditional_expectation,
     level_conditional_expectation,
     level_martingale_representation,
-    martingale_representation,
     tree_expectation,
 )
 from .oracles import (

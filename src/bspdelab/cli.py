@@ -18,12 +18,46 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
-# numpy and the numeric modules are imported inside functions: BLAS thread
-# pools read the environment once at import time, so --threads must win first
+import numpy as np
+
+from .coefficients import (
+    CoefficientSet,
+    ParabolicityError,
+    _seam_mask,
+    builtin_counterexamples,
+    check_parabolicity,
+    check_symmetry,
+    constant_sampler,
+    oleinik_constant,
+)
+from .control import ControlProblem, constant_policy, control_report
+from .energy import SWEEP_COLUMNS, SWEEP_VISCOSITY, constant_sweep, verify_main_estimates
+from .expr import ExprParseError, evaluate, expression_variables, parse
+from .grid import (
+    SpatialGrid,
+    level_norm_sq,
+    random_smooth_field,
+    sobolev_norm,
+    write_field_binary,
+    write_field_csv,
+)
+from .lattice import BudgetExceededError, TimeGrid, UnsupportedModeError
+from .lattice import build_tree as build_path_tree
+from .oracles import convergence_constant, heat_oracle, solution_error, wiener_linear_oracle
+from .solver import (
+    ProblemData,
+    SolverConfig,
+    default_test_functions,
+    oracle_step_residual,
+    parabolicity_probes,
+    problem_from_oracle,
+    solve,
+    viscosity_continuation,
+    weak_form_residual,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,8 +190,6 @@ def _float_list(text: str) -> list[float]:
 
 
 def build_grid(parser):
-    from .grid import SpatialGrid
-
     data = _section(parser, "grid")
     _check_keys("grid", data, _GRID_KEYS)
     try:
@@ -171,8 +203,6 @@ def build_grid(parser):
 
 
 def build_tree(parser):
-    from .lattice import BudgetExceededError, TimeGrid, UnsupportedModeError, build_tree
-
     data = _section(parser, "tree")
     _check_keys("tree", data, _TREE_KEYS)
     try:
@@ -180,7 +210,7 @@ def build_tree(parser):
             horizon=_get(data, "tree", "T", float),
             n_steps=_get(data, "tree", "n_steps", int),
         )
-        return build_tree(
+        return build_path_tree(
             time_grid,
             wiener_dim=_get(data, "tree", "dprime", int, default=1),
             mode=_get(data, "tree", "mode", str, default="recombining"),
@@ -190,8 +220,6 @@ def build_tree(parser):
 
 
 def _compile_entry(source: str, allowed: set, where: str):
-    from .expr import ExprParseError, expression_variables, parse
-
     try:
         node = parse(source)
     except ExprParseError as exc:
@@ -222,10 +250,6 @@ class _ExpressionField:
             self.variables |= used
 
     def __call__(self, t, w, grid, v=None):
-        import numpy as np
-
-        from .expr import evaluate
-
         env = {"t": t}
         for axis, coord in enumerate(grid.coordinates()):
             env[f"x{axis + 1}"] = coord
@@ -284,8 +308,6 @@ def _problem_allowed_vars(grid, tree) -> set:
 
 def build_coefficients(parser, grid, tree):
     """CoefficientSet from [problem]: builtin name or per-entry expressions."""
-    from .coefficients import CoefficientSet, builtin_counterexamples
-
     data = _section(parser, "problem")
     d, dprime = grid.dim, tree.wiener_dim
     allowed_keys = _PROBLEM_STATIC_KEYS | _coefficient_keys(d, dprime)
@@ -327,22 +349,14 @@ def build_coefficients(parser, grid, tree):
         if f is not None:
             used |= f.variables
 
-    def sampler(name):
-        f = fields[name]
-        if f is None:
-            return None
-        return lambda t, w, g: f(t, w, g)
-
-    from .coefficients import constant_sampler
-
     return CoefficientSet(
         dim=d,
         wiener_dim=dprime,
-        a=sampler("a") or constant_sampler(0.0, (d, d)),
-        b=sampler("b"),
-        c=sampler("c"),
-        sigma=sampler("sigma"),
-        nu=sampler("nu"),
+        a=fields["a"] or constant_sampler(0.0, (d, d)),
+        b=fields["b"],
+        c=fields["c"],
+        sigma=fields["sigma"],
+        nu=fields["nu"],
         w_dependent=any(v.startswith("w") for v in used),
         time_dependent="t" in used,
         periodic=False,
@@ -358,10 +372,6 @@ def _resolve_seed(data: dict, args) -> int:
 
 def build_terminal(parser, grid, tree, args):
     """Terminal field sampler phi(w) -> grid array, plus a description dict."""
-    import numpy as np
-
-    from .grid import random_smooth_field, sobolev_norm
-
     data = _section(parser, "problem")
     has_expr = "phi" in data
     has_random = "phi_random_modes" in data
@@ -399,12 +409,10 @@ def build_forcing(parser, grid, tree):
     allowed = _problem_allowed_vars(grid, tree)
     f = _expression_field(data, "problem", "f", (), allowed)
     w_dep = any(v.startswith("w") for v in f.variables)
-    return (lambda t, w, g: f(t, w, g)), w_dep
+    return f, w_dep
 
 
 def build_solver_config(parser):
-    from .solver import SolverConfig
-
     data = _section(parser, "problem", required=False)
     try:
         return SolverConfig(
@@ -422,8 +430,6 @@ def build_oracle(parser, grid, tree):
     kind = data.get("oracle", "none").strip()
     if kind == "none":
         return None
-    from .oracles import heat_oracle, wiener_linear_oracle
-
     horizon = tree.time_grid.horizon
     if kind == "heat":
         return heat_oracle(grid, horizon, wiener_dim=tree.wiener_dim)
@@ -436,8 +442,6 @@ def build_oracle(parser, grid, tree):
 
 def build_problem(parser, grid, tree, args):
     """ProblemData from the [problem] section; oracle configs delegate."""
-    from .solver import ProblemData, problem_from_oracle
-
     oracle = build_oracle(parser, grid, tree)
     if oracle is not None:
         data = _section(parser, "problem")
@@ -460,8 +464,6 @@ def build_problem(parser, grid, tree, args):
 
 
 def build_control_problem(parser, grid, tree):
-    from .control import ControlProblem
-
     data = _section(parser, "control")
     d, dprime = grid.dim, tree.wiener_dim
     allowed_keys = (
@@ -484,8 +486,6 @@ def build_control_problem(parser, grid, tree):
         f = _expression_field(data, "control", base, (), spatial_vars)
         if f is None:
             raise ConfigError(f"[control] is missing required key {base!r}")
-        import numpy as np
-
         return np.broadcast_to(f(0.0, None, grid), grid.shape)
 
     try:
@@ -534,8 +534,6 @@ def _print_json(payload: dict) -> None:
 
 
 def _jsonable(value):
-    import numpy as np
-
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -554,17 +552,6 @@ def _jsonable(value):
 
 def cmd_check(args) -> int:
     """Run every coefficient checker; exit 2 only on asserted violations."""
-    import numpy as np
-
-    from .coefficients import (
-        ParabolicityError,
-        check_parabolicity,
-        check_symmetry,
-        oleinik_constant,
-    )
-    from .grid import random_smooth_field
-    from .solver import parabolicity_probes
-
     parser, digest = load_config(args.config)
     grid = build_grid(parser)
     tree = build_tree(parser)
@@ -579,7 +566,7 @@ def cmd_check(args) -> int:
     try:
         a_field = coeffs.sample(0.0, np.zeros(tree.wiener_dim), grid).a
         probes = [random_smooth_field(grid, max_mode=3, seed=s) for s in range(3)]
-        mask = None if coeffs.periodic else _seam(grid)
+        mask = None if coeffs.periodic else _seam_mask(grid)
         rep = oleinik_constant(a_field, grid, probes, mask=mask)
         oleinik = {
             "c_prime": rep.c_prime,
@@ -628,18 +615,8 @@ def cmd_check(args) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def _seam(grid):
-    from .coefficients import _seam_mask
-
-    return _seam_mask(grid)
-
-
 def _level_norms(solution, problem, m1: int):
     """Per-level expected norms: sqrt(E ||u||^2_{0,2} / _{m1,2}) and r rows."""
-    import numpy as np
-
-    from .grid import level_norm_sq
-
     tree, grid = problem.tree, problem.grid
     rows = []
     for level in range(tree.n_steps + 1):
@@ -662,9 +639,6 @@ def _level_norms(solution, problem, m1: int):
 
 def cmd_solve(args) -> int:
     """Solve, verify the solution estimates, and write deterministic artifacts."""
-    from .energy import verify_main_estimates
-    from .solver import default_test_functions, solve, weak_form_residual
-
     parser, digest = load_config(args.config)
     grid = build_grid(parser)
     tree = build_tree(parser)
@@ -685,8 +659,6 @@ def cmd_solve(args) -> int:
     reports = [verify_main_estimates(solution, problem, m1=m1, p=p) for p in p_list]
     rows = _level_norms(solution, problem, m1)
     if oracle is not None:
-        from .oracles import convergence_constant, solution_error
-
         err = solution_error(solution.u, solution.q, tree, oracle)
         q_errors = err["q_level_errors"] + [""]
         for row, u_error, q_error in zip(rows, err["u_level_errors"], q_errors):
@@ -768,8 +740,6 @@ def cmd_solve(args) -> int:
 
 
 def _dump_fields(out: Path, solution, problem, dump: str, formats: str) -> list[str]:
-    from .grid import write_field_binary, write_field_csv
-
     if dump == "none":
         return []
     grid, tree = problem.grid, problem.tree
@@ -796,9 +766,6 @@ def _dump_fields(out: Path, solution, problem, dump: str, formats: str) -> list[
 
 def cmd_sweep(args) -> int:
     """Viscosity or exponent sweep of the fitted estimate constant."""
-    from .energy import SWEEP_COLUMNS, SWEEP_VISCOSITY, constant_sweep
-    from .solver import viscosity_continuation
-
     parser, digest = load_config(args.config)
     grid = build_grid(parser)
     tree = build_tree(parser)
@@ -856,8 +823,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_control(args) -> int:
     """Policy iteration with max-principle certification and duality defect."""
-    from .control import constant_policy, control_report
-
     parser, digest = load_config(args.config)
     grid = build_grid(parser)
     tree = build_tree(parser)
@@ -896,9 +861,6 @@ def cmd_control(args) -> int:
 
 def cmd_oracle_test(args) -> int:
     """Single-step residuals and full-solve errors for the built-in oracles."""
-    from .oracles import heat_oracle, solution_error, wiener_linear_oracle
-    from .solver import oracle_step_residual, problem_from_oracle, solve
-
     parser, digest = load_config(args.config)
     grid = build_grid(parser)
     tree = build_tree(parser)
@@ -929,18 +891,9 @@ def cmd_oracle_test(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
-def _pin_threads(n: int | None) -> None:
-    if n is None:
-        return
-    if n < 1:
+def _check_threads(n: int | None) -> None:
+    if n is not None and n < 1:
         raise ConfigError(f"--threads must be >= 1, got {n}")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(n)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -961,7 +914,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="experiment config path")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--threads", type=int, default=None, help="BLAS thread cap")
+        sp.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="checked to be >= 1 but otherwise ignored: the BLAS pools are sized "
+            "before the command runs, so set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS "
+            "in the environment instead",
+        )
         sp.add_argument("--seed", type=int, default=None, help="seed override (u64)")
         sp.set_defaults(func=func)
     return parser
@@ -970,7 +930,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        _pin_threads(args.threads)
+        _check_threads(args.threads)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

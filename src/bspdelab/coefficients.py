@@ -32,7 +32,6 @@ from .grid import (
     TOL_PSD,
     SpatialGrid,
     axis_derivative,
-    check_multi_index,
     component_dot,
     diff,
 )
@@ -189,6 +188,9 @@ VERDICT_VIOLATED = "violated"
 VERDICT_DEGENERATE = "degenerate-ok"
 VERDICT_SUPER = "super-parabolic"
 
+# a minimum eigenvalue at or above this floor counts as super-parabolic
+DELTA_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class ParabolicityReport:
@@ -198,8 +200,6 @@ class ParabolicityReport:
     delta: float
     verdict: str
     witness: dict | None
-    tol_psd: float
-    delta_floor: float
     n_samples: int
 
     def passes(self, mode: str) -> bool:
@@ -214,13 +214,11 @@ def check_parabolicity(
     coeffs: CoefficientSet,
     grid: SpatialGrid,
     samples: list[tuple[float, np.ndarray]] | None = None,
-    tol_psd: float = TOL_PSD,
-    delta_floor: float = 1e-8,
 ) -> ParabolicityReport:
     """Eigenvalue scan of 2a - sigma sigma^T over grid points and (t, W) samples.
 
-    Verdicts: 'violated' below -tol_psd, 'super-parabolic' when the minimum
-    eigenvalue clears delta_floor (then delta is that minimum), otherwise
+    Verdicts: 'violated' below -TOL_PSD, 'super-parabolic' when the minimum
+    eigenvalue clears DELTA_FLOOR (then delta is that minimum), otherwise
     'degenerate-ok'.
     """
     if samples is None:
@@ -244,9 +242,9 @@ def check_parabolicity(
                 "x": [float(c[idx]) for c in coords],
                 "eigenvalue": val,
             }
-    if min_eig < -tol_psd:
+    if min_eig < -TOL_PSD:
         verdict = VERDICT_VIOLATED
-    elif min_eig >= delta_floor:
+    elif min_eig >= DELTA_FLOOR:
         verdict = VERDICT_SUPER
     else:
         verdict = VERDICT_DEGENERATE
@@ -256,8 +254,6 @@ def check_parabolicity(
         delta=float(delta),
         verdict=verdict,
         witness=witness,
-        tol_psd=tol_psd,
-        delta_floor=delta_floor,
         n_samples=len(samples),
     )
 
@@ -330,22 +326,19 @@ class OleinikReport:
     c_prime: float
     witness: dict | None
     skipped_fraction: float
-    tol_denominator: float
 
 
 def oleinik_constant(
     a_field: np.ndarray,
     grid: SpatialGrid,
     probes: list[np.ndarray],
-    tol_denominator: float = TOL_DENOMINATOR,
-    tol_psd: float = TOL_PSD,
     mask: np.ndarray | None = None,
 ) -> OleinikReport:
     """Max over probes, points and rho of
     (A^{ij}_{x^rho} v_{x^i x^j})^2 / (A^{ij} v_{x^i x^k} v_{x^j x^k}).
 
     A must be pointwise positive semidefinite.  Points where the denominator
-    is below tol_denominator are skipped; `mask` restricts the scan (e.g. to
+    is below TOL_DENOMINATOR are skipped; `mask` restricts the scan (e.g. to
     keep a non-periodic A away from the wrap seam).
     """
     d = grid.dim
@@ -356,7 +349,7 @@ def oleinik_constant(
         raise ValueError("at least one probe field is required")
     eigs = np.linalg.eigvalsh(a_field).min(axis=-1)
     scan_mask = np.ones(grid.shape, dtype=bool) if mask is None else np.asarray(mask, bool)
-    if float(eigs[scan_mask].min()) < -tol_psd:
+    if float(eigs[scan_mask].min()) < -TOL_PSD:
         idx = np.unravel_index(np.argmin(np.where(scan_mask, eigs, np.inf)), grid.shape)
         raise ParabolicityError(
             f"A is not positive semidefinite at grid index {tuple(int(i) for i in idx)} "
@@ -378,12 +371,12 @@ def oleinik_constant(
                 hess[..., i, j] = diff(v, tuple(alpha), grid)
         num = np.einsum("...rij,...ij->...r", a_x, hess) ** 2
         den = np.einsum("...ij,...ik,...jk->...", a_field, hess, hess)
-        valid = scan_mask & (den >= tol_denominator)
+        valid = scan_mask & (den >= TOL_DENOMINATOR)
         total += int(scan_mask.sum()) * d
         skipped += int(scan_mask.sum()) * d - int(valid.sum()) * d
         if not valid.any():
             continue
-        ratio = np.where(valid[..., None], num / np.maximum(den, tol_denominator)[..., None], -np.inf)
+        ratio = np.where(valid[..., None], num / np.maximum(den, TOL_DENOMINATOR)[..., None], -np.inf)
         idx = np.unravel_index(np.argmax(ratio), ratio.shape)
         val = float(ratio[idx])
         if val > best:
@@ -403,7 +396,6 @@ def oleinik_constant(
         c_prime=float(best),
         witness=witness,
         skipped_fraction=skipped / max(total, 1),
-        tol_denominator=tol_denominator,
     )
 
 

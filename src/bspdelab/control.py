@@ -52,7 +52,6 @@ from .grid import (
 from .lattice import (
     AdaptedGridField,
     BudgetExceededError,
-    NodeId,
     PathTree,
     UnsupportedModeError,
     distinct_rows,
@@ -209,9 +208,6 @@ class ControlPolicy:
             "indices",
             tuple(np.asarray(arr, dtype=np.int64) for arr in self.indices),
         )
-
-    def value_index(self, node: NodeId) -> int:
-        return int(self.indices[node.level][node.index])
 
     def dump(self, gamma: tuple) -> list:
         """Node -> control listing, JSON-shaped."""
@@ -397,16 +393,6 @@ def cost(problem: ControlProblem, policy: ControlPolicy, forward) -> float:
     return total + float(p @ terminal)
 
 
-def _frozen_sampler(problem: ControlProblem, name: str, v):
-    if getattr(problem, name) is None:
-        return None
-
-    def sampler(t, w, grid):
-        return problem.sample_field(name, t, v)
-
-    return sampler
-
-
 def solve_adjoint(
     problem: ControlProblem,
     policy: ControlPolicy,
@@ -422,18 +408,10 @@ def solve_adjoint(
     """
     _validate_policy(problem, policy)
     grid, tree = problem.grid, problem.tree
-    g0 = problem.gamma[0]
     d = grid.dim
-    representative = CoefficientSet(
-        dim=d,
-        wiener_dim=tree.wiener_dim,
-        a=_frozen_sampler(problem, "a", g0) or constant_sampler(0.0, (d, d)),
-        b=_frozen_sampler(problem, "b", g0),
-        c=_frozen_sampler(problem, "c", g0),
-        sigma=_frozen_sampler(problem, "sigma", g0),
-        nu=_frozen_sampler(problem, "nu", g0),
-        time_dependent=True,
-        name=f"policy-frozen:{problem.name or 'control'}",
+    # level_coeffs supplies every coefficient; this set only fixes the dimensions
+    dimensions = CoefficientSet(
+        dim=d, wiener_dim=tree.wiener_dim, a=constant_sampler(0.0, (d, d))
     )
 
     def level_coeffs(level: int) -> LevelCoefficients:
@@ -456,7 +434,7 @@ def solve_adjoint(
     adjoint_data = ProblemData(
         grid=grid,
         tree=tree,
-        coefficients=representative,
+        coefficients=dimensions,
         terminal=lambda w, g: problem.terminal_phi,
         forcing_level=lambda level: _policy_field(problem, policy, level, "cost_f"),
         level_coefficients=level_coeffs,
@@ -466,7 +444,10 @@ def solve_adjoint(
 
 
 def _level_hamiltonians(problem, level, xi_level, u_level, q_level) -> np.ndarray:
-    """H(node, v) for every node at a level and every v: shape (nodes, |gamma|)."""
+    """H(node, v) for every node at a level and every v: shape (nodes, |gamma|).
+
+    H = -<L xi, u> - <F, u> - <M^k xi, q^k> - <G^k, q^k> - <f, xi>.
+    """
     grid = problem.grid
     vol = grid.cell_volume
     gax = tuple(range(1, 1 + grid.dim))
@@ -483,30 +464,6 @@ def _level_hamiltonians(problem, level, xi_level, u_level, q_level) -> np.ndarra
             + np.sum(smp.cost_f * xi_level, axis=gax)
         ) * vol
     return out
-
-
-def hamiltonian(
-    problem: ControlProblem,
-    node: NodeId,
-    xi_state: np.ndarray,
-    v,
-    u: np.ndarray,
-    q: np.ndarray,
-) -> float:
-    """H = -<L xi, u> - <F, u> - <M^k xi, q^k> - <G^k, q^k> - <f, xi> at a node."""
-    if not (0 <= node.level < problem.tree.n_steps):
-        raise ValueError(f"level {node.level} is not a non-leaf level")
-    grid = problem.grid
-    t = problem.tree.time_grid.time(node.level)
-    smp = problem.sample_all(t, v)
-    lxi, mxi = _generator_apply(xi_state[None], smp, grid)
-    value = (
-        inner_product(lxi[0], u, grid)
-        + inner_product(smp.big_f, u, grid)
-        + float(np.sum((mxi[0] + smp.big_g) * q)) * grid.cell_volume
-        + inner_product(smp.cost_f, xi_state, grid)
-    )
-    return -value
 
 
 @dataclass(frozen=True)
@@ -664,16 +621,13 @@ def policy_iteration(
     policy: ControlPolicy | None = None,
     max_iters: int = 20,
     solver_config: SolverConfig | None = None,
-    forward: ForwardState | None = None,
-    adjoint: AdjointPair | None = None,
     tol: float | None = None,
     diagnostics: bool = False,
 ) -> PolicyIterationRecord:
     """Iterate per-node argmax of H until a fixed point, a cycle, or max_iters.
 
     A period-2 cycle returns the best-cost iterate with a warning; exhausting
-    max_iters also falls back to the best-cost iterate.  Warm-start forward
-    and adjoint inputs, when given, must correspond to the starting policy.
+    max_iters also falls back to the best-cost iterate.
     """
     if policy is None:
         policy = constant_policy(problem.tree)
@@ -685,12 +639,8 @@ def policy_iteration(
     best_policy = policy
     converged = oscillated = False
     for it in range(max_iters):
-        fwd = forward if (it == 0 and forward is not None) else solve_forward(
-            problem, policy
-        )
-        adj = adjoint if (it == 0 and adjoint is not None) else solve_adjoint(
-            problem, policy, solver_config
-        )
+        fwd = solve_forward(problem, policy)
+        adj = solve_adjoint(problem, policy, solver_config)
         j = cost(problem, policy, fwd)
         js.append(j)
         if diagnostics:

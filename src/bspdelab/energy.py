@@ -213,25 +213,23 @@ def check_basic_estimate(
     config: EnergyConfig,
     eps_lemma: float,
     c_fit: float | None = None,
-    t: float = 0.0,
-    w: np.ndarray | None = None,
 ) -> BasicEstimateReport:
     """Measure the basic energy inequality on explicit fields.
 
-    Degenerate parabolicity of the coefficients is a precondition and is
-    checked at the sampling state.  When c_fit is omitted the verdict uses
-    the minimal constant, so it holds by construction and the report's
-    value is the constant itself.
+    The coefficients are sampled at t = 0, W = 0, where degenerate
+    parabolicity is checked as a precondition.  When c_fit is omitted the
+    verdict uses the minimal constant, so it holds by construction and the
+    report's value is the constant itself.
     """
     if not (0 < eps_lemma < 1):
         raise ValueError(f"eps_lemma must lie in (0, 1), got {eps_lemma}")
-    para = check_parabolicity(coeffs, grid, samples=[(t, w if w is not None else np.zeros(coeffs.wiener_dim))])
+    para = check_parabolicity(coeffs, grid)
     if para.verdict == VERDICT_VIOLATED:
         raise ParabolicityError(
             f"coefficients violate degenerate parabolicity: min eigenvalue "
             f"{para.min_eigenvalue:.3e}, witness {para.witness}"
         )
-    smp = coeffs.sample(t, w, grid)
+    smp = coeffs.sample(0.0, None, grid)
     derived = derive_from_sample(smp)
     vol = grid.cell_volume
 
@@ -268,39 +266,6 @@ def check_basic_estimate(
         f_integral=f_integral,
         eps_lemma=eps_lemma,
     )
-
-
-@dataclass(frozen=True)
-class ScanCurve:
-    """Minimal constants over an eps_lemma grid.
-
-    `minimal` is the constant at each value alone; `scanned` is the running
-    minimum over the grid scanned so far (the best trade-off available up to
-    that point), which is nonincreasing by construction.
-    """
-
-    eps_values: tuple
-    minimal: tuple
-    scanned: tuple
-
-
-def minimal_constant_scan(
-    u, r, f, coeffs, grid, config: EnergyConfig, eps_values
-) -> ScanCurve:
-    values = [float(e) for e in eps_values]
-    if not values:
-        raise ValueError("eps_values is empty")
-    raw = []
-    for eps in values:
-        raw.append(
-            check_basic_estimate(u, r, f, coeffs, grid, config, eps_lemma=eps).minimal_c
-        )
-    scanned = []
-    best = math.inf
-    for val in raw:
-        best = min(best, val)
-        scanned.append(best)
-    return ScanCurve(eps_values=tuple(values), minimal=tuple(raw), scanned=tuple(scanned))
 
 
 # -- solution-level estimates -----------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import struct
-import warnings
 from dataclasses import dataclass
 from itertools import product
 
@@ -34,10 +33,6 @@ TOL_DENOMINATOR = 1e-12
 
 class DerivativeCapError(ValueError):
     """Multi-index beyond the supported stencil order."""
-
-
-class MollifierResolutionWarning(UserWarning):
-    """Mollifier width under two grid cells: kernel barely resolved."""
 
 
 @dataclass(frozen=True)
@@ -242,62 +237,6 @@ def level_norm_sq(arr: np.ndarray, grid: SpatialGrid, m: int) -> np.ndarray:
     for d in level_derivatives(arr, grid, m):
         total += np.sum(d * d, axis=reduce_axes)
     return total * grid.cell_volume
-
-
-def _bump(s2: np.ndarray) -> np.ndarray:
-    """exp(1 / (s^2 - 1)) on s^2 < 1, zero outside; s2 = s^2."""
-    out = np.zeros_like(s2)
-    inside = s2 < 1.0
-    out[inside] = np.exp(1.0 / (s2[inside] - 1.0))
-    return out
-
-
-def mollifier_kernel(grid: SpatialGrid, eps: float) -> dict[tuple[int, ...], float]:
-    """Discrete bump kernel of radius eps as {offset: weight}, weights sum to 1.
-
-    Offsets are folded periodically onto the grid, so widths up to and beyond
-    the box size stay well defined.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    h = grid.h
-    rad = int(np.floor(eps / h))
-    offs = range(-rad, rad + 1)
-    weights: dict[tuple[int, ...], float] = {}
-    for off in product(offs, repeat=grid.dim):
-        dist2 = sum((o * h) ** 2 for o in off) / eps**2
-        w = float(_bump(np.array([dist2]))[0])
-        if w > 0.0:
-            key = tuple(o % grid.points for o in off)
-            weights[key] = weights.get(key, 0.0) + w
-    total = sum(weights.values())
-    return {k: v / total for k, v in weights.items()}
-
-
-def mollify(field: np.ndarray, grid: SpatialGrid, eps: float) -> np.ndarray:
-    """Periodic convolution with the normalised bump kernel of radius eps.
-
-    The kernel is a convex combination, so constants are preserved and the
-    L2 norm never increases.  Widths below two cells are allowed but warned
-    about: the kernel degenerates towards the identity.
-    """
-    if eps < 2.0 * grid.h:
-        warnings.warn(
-            f"mollifier width {eps:.3g} is under two grid cells (h = {grid.h:.3g}); "
-            "proceeding with a barely-resolved kernel",
-            MollifierResolutionWarning,
-            stacklevel=2,
-        )
-    kernel = mollifier_kernel(grid, eps)
-    arr = np.asarray(field, dtype=np.float64)
-    out = np.zeros_like(arr)
-    for off, w in kernel.items():
-        shifted = arr
-        for axis, o in enumerate(off):
-            if o:
-                shifted = np.roll(shifted, -o, axis=axis)
-        out += w * shifted
-    return out
 
 
 def random_smooth_field(

@@ -207,9 +207,6 @@ class AdaptedGridField:
     def __len__(self) -> int:
         return len(self.levels)
 
-    def value_at(self, node: NodeId) -> np.ndarray:
-        return self.levels[node.level][node.index]
-
 
 def distinct_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Sorted distinct rows of `states` along axis 0 and the node -> row map.
@@ -250,29 +247,8 @@ def child_values(tree: PathTree, field_next: np.ndarray, node: NodeId) -> np.nda
     return arr[base : base + k]
 
 
-def conditional_expectation(tree: PathTree, field_next: np.ndarray, node: NodeId) -> np.ndarray:
-    """E[field(t_{n+1}) | node]: equal-weight average over the node's children."""
-    tree.validate_node(node)
-    vals = child_values(tree, field_next, node)
-    return vals.mean(axis=0)
-
-
-def martingale_representation(tree: PathTree, field_next: np.ndarray, node: NodeId) -> np.ndarray:
-    """E[field(t_{n+1}) dW^k | node] / dt for each k; trailing axis of length wiener_dim.
-
-    For scalar noise this reproduces the field differences across the children
-    exactly: field = E + q dW on both children.  For wiener_dim >= 2 the
-    residual field - E - q dW is orthogonal to the increments but nonzero.
-    """
-    tree.validate_node(node)
-    vals = child_values(tree, field_next, node)
-    dt = tree.time_grid.dt
-    scale = 1.0 / (tree.child_count * math.sqrt(dt))
-    return np.einsum("c...,ck->...k", vals, tree.sign_table) * scale
-
-
 def level_conditional_expectation(tree: PathTree, field_next: np.ndarray, level: int) -> np.ndarray:
-    """Vectorised conditional_expectation for every node at `level` at once."""
+    """E[field(t_{n+1}) | node] for every node at `level`: the equal-weight child average."""
     arr = _check_level_field(tree, field_next, level + 1)
     if tree.mode == "full":
         k = tree.child_count
@@ -282,7 +258,12 @@ def level_conditional_expectation(tree: PathTree, field_next: np.ndarray, level:
 
 
 def level_martingale_representation(tree: PathTree, field_next: np.ndarray, level: int) -> np.ndarray:
-    """Vectorised martingale_representation for every node at `level` at once."""
+    """E[field(t_{n+1}) dW^k | node] / dt for every node at `level`; trailing axis k.
+
+    For scalar noise this reproduces the field differences across the children
+    exactly: field = E + q dW on both children.  For wiener_dim >= 2 the
+    residual field - E - q dW is orthogonal to the increments but nonzero.
+    """
     arr = _check_level_field(tree, field_next, level + 1)
     dt = tree.time_grid.dt
     if tree.mode == "full":

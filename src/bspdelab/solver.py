@@ -129,12 +129,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LevelCoefficients:
-    """Pre-sampled coefficient arrays for one tree level.
+    """Coefficient arrays (a, b, c, sigma, nu) for one tree level.
 
     Each array has a leading axis of U coefficient rows; `inv` maps node
-    index to row (None means U = 1, shared by every node).  Used by callers
-    whose coefficients depend on per-node state the samplers cannot see,
-    e.g. a control policy.
+    index to row (None means U = 1, shared by every node).  The sweep builds
+    one per level from the samplers; callers whose coefficients depend on
+    per-node state the samplers cannot see, e.g. a control policy, pass
+    their own through ProblemData.level_coefficients.
     """
 
     a: np.ndarray
@@ -149,18 +150,17 @@ class LevelCoefficients:
 class ProblemData:
     """Everything a backward solve needs: geometry, tree, data, operator kind.
 
-    Terminal data comes either from `terminal(w, grid)` per leaf state or a
-    precomputed `terminal_level` array (leaves, *grid).  Forcing likewise:
-    a sampler `forcing(t, w, grid)`, or `forcing_level(level) -> (nodes, *grid)`
-    or `(1, *grid)`.  `level_coefficients` overrides the coefficient sampling
-    per level; parabolicity checking is then the caller's responsibility.
+    Terminal data comes from `terminal(w, grid)` per leaf state.  Forcing
+    comes from a sampler `forcing(t, w, grid)`, or from
+    `forcing_level(level) -> (nodes, *grid)` or `(1, *grid)`.
+    `level_coefficients` overrides the coefficient sampling per level;
+    parabolicity checking is then the caller's responsibility.
     """
 
     grid: SpatialGrid
     tree: PathTree
     coefficients: CoefficientSet
     terminal: Callable[[np.ndarray, SpatialGrid], np.ndarray] | None = None
-    terminal_level: np.ndarray | None = None
     forcing: Callable[[float, np.ndarray, SpatialGrid], np.ndarray] | None = None
     forcing_w_dependent: bool = False
     forcing_level: Callable[[int], np.ndarray] | None = None
@@ -177,8 +177,8 @@ class ProblemData:
                 f"coefficient wiener_dim {self.coefficients.wiener_dim} "
                 f"!= tree wiener_dim {self.tree.wiener_dim}"
             )
-        if self.terminal is None and self.terminal_level is None:
-            raise ValueError("need terminal sampler or terminal_level array")
+        if self.terminal is None:
+            raise ValueError("need a terminal sampler")
         if self.operator_kind not in OPERATOR_KINDS:
             raise ValueError(
                 f"operator_kind must be one of {OPERATOR_KINDS}, got {self.operator_kind!r}"
@@ -303,21 +303,15 @@ class OracleResidualReport:
 
 @dataclass
 class _LevelData:
-    """Sampled coefficients (U unique rows + node->row map) and forcing."""
+    """A level's coefficient rows with their divergences, and its forcing."""
 
-    t: float
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    sigma: np.ndarray
-    nu: np.ndarray
+    coeffs: LevelCoefficients
     diva: np.ndarray
     divsigma: np.ndarray
-    inv: np.ndarray | None
     f: np.ndarray
 
     def groups(self):
-        return row_groups(self.inv, self.a.shape[0])
+        return row_groups(self.coeffs.inv, self.coeffs.a.shape[0])
 
 
 def _divergences(a: np.ndarray, sigma: np.ndarray, grid: SpatialGrid):
@@ -335,47 +329,56 @@ def _divergences(a: np.ndarray, sigma: np.ndarray, grid: SpatialGrid):
     return diva, divsigma
 
 
-def _build_level_data(problem: ProblemData, level: int) -> _LevelData:
-    tree, grid = problem.tree, problem.grid
-    coeffs = problem.coefficients
-    t = float(tree.time_grid.time(level))
-    n_nodes = tree.level_sizes[level]
+def _given_level_coefficients(problem: ProblemData, level: int) -> LevelCoefficients:
+    """The caller's `level_coefficients(level)`, as float arrays, checked against the tree."""
+    lc = problem.level_coefficients(level)
+    a, b, c, sig, nu = (np.asarray(x, dtype=np.float64) for x in (lc.a, lc.b, lc.c, lc.sigma, lc.nu))
+    inv = None if lc.inv is None else np.asarray(lc.inv, dtype=np.intp)
+    rows = a.shape[0]
+    if any(arr.shape[0] != rows for arr in (b, c, sig, nu)):
+        raise ValueError(f"level {level}: coefficient row counts disagree")
+    if inv is not None:
+        n_nodes = problem.tree.level_sizes[level]
+        if inv.shape != (n_nodes,):
+            raise ValueError(f"level {level}: inv has shape {inv.shape}, expected ({n_nodes},)")
+        if inv.min() < 0 or inv.max() >= rows:
+            raise ValueError(f"level {level}: inv references a missing row")
+    elif rows != 1:
+        raise ValueError(f"level {level}: {rows} rows but no inv map")
+    return LevelCoefficients(a=a, b=b, c=c, sigma=sig, nu=nu, inv=inv)
 
+
+def _level_coefficients(problem: ProblemData, level: int) -> LevelCoefficients:
+    """The caller's override if set, else one sampled row per distinct Wiener state."""
     if problem.level_coefficients is not None:
-        lc = problem.level_coefficients(level)
-        a, b, c, sig, nu = (np.asarray(x, dtype=np.float64) for x in (lc.a, lc.b, lc.c, lc.sigma, lc.nu))
-        inv = None if lc.inv is None else np.asarray(lc.inv, dtype=np.intp)
-        rows = a.shape[0]
-        if any(arr.shape[0] != rows for arr in (b, c, sig, nu)):
-            raise ValueError(f"level {level}: coefficient row counts disagree")
-        if inv is not None:
-            if inv.shape != (n_nodes,):
-                raise ValueError(
-                    f"level {level}: inv has shape {inv.shape}, expected ({n_nodes},)"
-                )
-            if inv.min() < 0 or inv.max() >= rows:
-                raise ValueError(f"level {level}: inv references a missing row")
-        elif rows != 1:
-            raise ValueError(f"level {level}: {rows} rows but no inv map")
-    else:
-        # W-free coefficients are the one-row case, sampled at W = 0
-        w = tree.level_w(level) if coeffs.w_dependent else np.zeros((1, tree.wiener_dim))
-        states, inv = distinct_rows(w)
-        smps = [coeffs.sample(t, row, grid) for row in states]
-        a = np.stack([s.a for s in smps])
-        b = np.stack([s.b for s in smps])
-        c = np.stack([s.c for s in smps])
-        sig = np.stack([s.sigma for s in smps])
-        nu = np.stack([s.nu for s in smps])
-
-    diva, divsigma = _divergences(a, sig, grid)
-    f = _forcing_array(problem, level)
-
-    return _LevelData(t=t, a=a, b=b, c=c, sigma=sig, nu=nu, diva=diva, divsigma=divsigma, inv=inv, f=f)
+        return _given_level_coefficients(problem, level)
+    tree, coeffs = problem.tree, problem.coefficients
+    t = float(tree.time_grid.time(level))
+    # W-free coefficients are the one-row case, sampled at W = 0
+    w = tree.level_w(level) if coeffs.w_dependent else np.zeros((1, tree.wiener_dim))
+    states, inv = distinct_rows(w)
+    smps = [coeffs.sample(t, row, problem.grid) for row in states]
+    return LevelCoefficients(
+        a=np.stack([s.a for s in smps]),
+        b=np.stack([s.b for s in smps]),
+        c=np.stack([s.c for s in smps]),
+        sigma=np.stack([s.sigma for s in smps]),
+        nu=np.stack([s.nu for s in smps]),
+        inv=inv,
+    )
 
 
-def _forcing_array(problem: ProblemData, level: int) -> np.ndarray:
-    """The level's forcing, (nodes, *grid) or (1, *grid); samples no coefficient."""
+def _build_level_data(problem: ProblemData, level: int) -> _LevelData:
+    lc = _level_coefficients(problem, level)
+    diva, divsigma = _divergences(lc.a, lc.sigma, problem.grid)
+    return _LevelData(coeffs=lc, diva=diva, divsigma=divsigma, f=level_forcing(problem, level))
+
+
+def level_forcing(problem: ProblemData, level: int) -> np.ndarray:
+    """The forcing array the sweep uses at a level: (nodes, *grid) or (1, *grid).
+
+    Samples no coefficient.
+    """
     tree, grid = problem.tree, problem.grid
     t = float(tree.time_grid.time(level))
     n_nodes = tree.level_sizes[level]
@@ -417,7 +420,7 @@ def _second_order_part(u, row, ld: _LevelData, grid, eps, kind, du=None):
     """
     if du is None:
         du = _grad(u, grid)
-    flux = component_dot(ld.a[row], du[..., None, :])
+    flux = component_dot(ld.coeffs.a[row], du[..., None, :])
     out = _div(flux, grid)
     if eps:
         out = out + eps * _div(du, grid)
@@ -428,21 +431,22 @@ def _second_order_part(u, row, ld: _LevelData, grid, eps, kind, du=None):
 
 def _first_order_part(u, row, ld: _LevelData, grid, kind, du):
     """b . grad u + c u for the primal kind (du = grad u), -div(b u) + c u for the adjoint."""
+    lc = ld.coeffs
     if kind == KIND_BSPDE:
-        out = component_dot(ld.b[row], du)
+        out = component_dot(lc.b[row], du)
     else:
-        out = -_div(ld.b[row] * u[..., None], grid)
-    return out + ld.c[row] * u
+        out = -_div(lc.b[row] * u[..., None], grid)
+    return out + lc.c[row] * u
 
 
 def _q_part(q, row, ld: _LevelData, grid, kind):
-    sflux = component_dot(ld.sigma[row], q[..., None, :])
+    sflux = component_dot(ld.coeffs.sigma[row], q[..., None, :])
     out = _div(sflux, grid)
     if kind == KIND_BSPDE:
         out = out - component_dot(ld.divsigma[row], q)
     else:
         out = -out
-    return out + component_dot(ld.nu[row], q)
+    return out + component_dot(ld.coeffs.nu[row], q)
 
 
 @dataclass(frozen=True)
@@ -512,8 +516,8 @@ def _implicit_data(ld: _LevelData, grid: SpatialGrid, eps: float, kind: str):
     """
     pattern = _implicit_pattern(grid, kind)
     d, m = grid.dim, grid.size
-    rows = ld.a.shape[0]
-    a = np.broadcast_to(ld.a, (rows,) + grid.shape + (d, d))
+    rows = ld.coeffs.a.shape[0]
+    a = np.broadcast_to(ld.coeffs.a, (rows,) + grid.shape + (d, d))
     if eps:
         a = a + eps * np.eye(d)
     fields = [a.reshape(rows, m, d * d)]
@@ -529,7 +533,7 @@ def _implicit_data(ld: _LevelData, grid: SpatialGrid, eps: float, kind: str):
 def _constant_a(ld: _LevelData, grid: SpatialGrid) -> np.ndarray | None:
     """The level's a as (U, d, d) when every row is constant over the grid, else None."""
     d = grid.dim
-    a = ld.a.reshape(ld.a.shape[0], -1, d, d)
+    a = ld.coeffs.a.reshape(ld.coeffs.a.shape[0], -1, d, d)
     return a[:, 0] if np.all(a == a[:, :1]) else None
 
 
@@ -679,9 +683,10 @@ def _advance_level(problem, config, ld: _LevelData, ubar, q, level, lu_cache):
 def estimate_cfl(problem: ProblemData, config: SolverConfig | None = None) -> CflReport:
     """Parabolic and advective step bounds from coefficient maxima.
 
-    Coefficients are probed at the first, middle and last step levels.  The
-    advective bound uses the transformed drift for the primal kind and b
-    itself for the adjoint; CflReport.from_samples states the bounds.
+    Coefficients are probed at the first, middle and last step levels; no
+    divergence or forcing is computed.  The advective bound uses the
+    transformed drift for the primal kind and b itself for the adjoint;
+    CflReport.from_samples states the bounds.
     """
     config = config or SolverConfig()
     tree, grid = problem.tree, problem.grid
@@ -689,12 +694,12 @@ def estimate_cfl(problem: ProblemData, config: SolverConfig | None = None) -> Cf
 
     def samples():
         for level in sorted({0, n // 2, max(n - 1, 0)}):
-            ld = _build_level_data(problem, level)
+            lc = _level_coefficients(problem, level)
             if problem.operator_kind == KIND_ADJOINT:
-                drift = ld.b
+                drift = lc.b
             else:
-                drift = transformed_drift(ld.b, ld.sigma, ld.nu, grid.h)
-            yield ld.a, drift, ld.sigma
+                drift = transformed_drift(lc.b, lc.sigma, lc.nu, grid.h)
+            yield lc.a, drift, lc.sigma
 
     return CflReport.from_samples(samples(), tree.time_grid, grid, config.viscosity, config.cfl_safety)
 
@@ -704,14 +709,6 @@ def estimate_cfl(problem: ProblemData, config: SolverConfig | None = None) -> Cf
 
 def _terminal_values(problem: ProblemData) -> np.ndarray:
     tree, grid = problem.tree, problem.grid
-    n_leaves = tree.level_sizes[tree.n_steps]
-    if problem.terminal_level is not None:
-        arr = np.asarray(problem.terminal_level, dtype=np.float64)
-        if arr.shape != (n_leaves,) + grid.shape:
-            raise ValueError(
-                f"terminal_level shape {arr.shape}, expected {(n_leaves,) + grid.shape}"
-            )
-        return arr
     states, inv = distinct_rows(tree.level_w(tree.n_steps))
     rows = []
     for wrow in states:
@@ -806,7 +803,7 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
         r = np.empty_like(q)
         for row, sel in ld.groups():
             du = _grad(u[sel], grid)
-            r[sel] = q[sel] + component_dot(ld.sigma[row], du[..., :, None], axis=-2)
+            r[sel] = q[sel] + component_dot(ld.coeffs.sigma[row], du[..., :, None], axis=-2)
         u_levels[level] = u
         q_levels[level] = q
         r_levels[level] = r
@@ -934,17 +931,18 @@ def weak_form_residual(
 
         flux = np.empty(u_n.shape + (d,))
         low = np.empty_like(u_n)
+        lc = ld.coeffs
         for row, sel in ld.groups():
             du_i = _grad(istar[sel], grid)
             du_e = du_i if istar is star else _grad(star[sel], grid)
-            flux[sel] = component_dot(ld.a[row], du_i[..., None, :]) + component_dot(
-                ld.sigma[row], q[sel][..., None, :]
+            flux[sel] = component_dot(lc.a[row], du_i[..., None, :]) + component_dot(
+                lc.sigma[row], q[sel][..., None, :]
             )
             low[sel] = (
-                component_dot(ld.b[row], du_e)
-                + ld.c[row] * star[sel]
+                component_dot(lc.b[row], du_e)
+                + lc.c[row] * star[sel]
                 - component_dot(ld.diva[row], du_i)
-                + component_dot(ld.nu[row] - ld.divsigma[row], q[sel])
+                + component_dot(lc.nu[row] - ld.divsigma[row], q[sel])
             )
         if config.viscosity:
             flux = flux + config.viscosity * _grad(istar, grid)
@@ -1050,11 +1048,6 @@ def viscosity_continuation(
         aborted_at=aborted_at,
         failure=failure,
     )
-
-
-def level_forcing(problem: ProblemData, level: int) -> np.ndarray:
-    """The forcing array the sweep uses at a level: (nodes, *grid) or (1, *grid)."""
-    return _forcing_array(problem, level)
 
 
 # -- oracle hooks -------------------------------------------------------------------

@@ -3,6 +3,8 @@
 Core claims:
     - exit code 0 on success, 1 on config/usage errors, 2 on asserted
       violations and compute failures
+    - --threads is validated but writes no thread variable to the
+      environment
     - solve writes norms.csv with oracle error columns plus the config
       hash, and a manifest whose artifact list matches the files written
     - reruns of one config produce byte-identical artifacts
@@ -18,6 +20,7 @@ Core claims:
 """
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +306,17 @@ def test_bad_threads_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "threads" in stderr
+
+
+def test_threads_flag_leaves_the_environment_alone(tmp_path, capsys, monkeypatch):
+    # the BLAS pools are sized at import, so writing these now would change nothing
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    cfg = _write(tmp_path, _heat_config())
+    code, _, _ = _run(capsys, ["check", "--config", cfg, "--threads", "2"])
+    assert code == 0
+    assert dict(os.environ) == before
 
 
 # -- sweep ---------------------------------------------------------------

@@ -11,7 +11,8 @@ Core claims:
       state under zero dynamics, and its recombining conditional means
       match the full-tree pathwise states grouped by Wiener value
     - cost is exact on trivial dynamics: J = T <f, xi0> + <phi, xi0>
-    - hamiltonian reduces to -<F, u> - <f, xi> when the generators vanish
+    - the batched Hamiltonian reduces to -<F, u> - <f, xi> when the
+      generators vanish
     - the adjoint pair carries phi at the leaves and satisfies exact
       predictor duality; the u-form defect is small and first order
     - check_max_principle certifies an improved policy at 100 percent and
@@ -34,13 +35,13 @@ from bspdelab.coefficients import CoefficientDataError, ParabolicityError
 from bspdelab.control import (
     ControlPolicy,
     ControlProblem,
+    _level_hamiltonians,
     check_max_principle,
     constant_policy,
     control_report,
     cost,
     duality_check,
     exhaustive_policy_search,
-    hamiltonian,
     policies_equal,
     policy_iteration,
     solve_adjoint,
@@ -49,7 +50,6 @@ from bspdelab.control import (
 from bspdelab.grid import SpatialGrid, inner_product
 from bspdelab.lattice import (
     BudgetExceededError,
-    NodeId,
     TimeGrid,
     UnsupportedModeError,
     build_tree,
@@ -185,7 +185,6 @@ def test_constant_policy_and_equality():
     p1 = constant_policy(tree, 1)
     assert len(p0.indices) == 3
     assert [arr.shape[0] for arr in p0.indices] == [1, 2, 4]
-    assert p0.value_index(NodeId(2, 3)) == 0
     assert policies_equal(p0, constant_policy(tree, 0))
     assert not policies_equal(p0, p1)
     rows = p1.dump((-1.0, 1.0))
@@ -311,15 +310,14 @@ def test_hamiltonian_closed_form_without_generators():
     xi = 1.0 + 0.2 * np.cos(x)
     u = np.sin(x) + 0.1
     q = np.zeros(grid.shape + (1,))
-    for v in (-1.0, 1.0):
-        got = hamiltonian(problem, NodeId(0, 0), xi, v, u, q)
+    got = _level_hamiltonians(problem, 0, xi[None], u[None], q[None])
+    assert got.shape == (1, 2)
+    for gi, v in enumerate((-1.0, 1.0)):
         want = -(
             inner_product(v * np.sin(x), u, grid)
             + inner_product(v * np.cos(x), xi, grid)
         )
-        assert got == approx(want, rel=1e-13)
-    with pytest.raises(ValueError, match="level"):
-        hamiltonian(problem, NodeId(2, 0), xi, 1.0, u, q)
+        assert got[0, gi] == approx(want, rel=1e-13)
 
 
 def test_adjoint_terminal_and_duality():

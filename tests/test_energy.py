@@ -12,7 +12,6 @@ Core claims:
     - check_basic_estimate holds by construction at its own minimal
       constant, holds at larger constants, fails below the minimum, and
       rejects bad eps_lemma or non-parabolic coefficients
-    - minimal_constant_scan's running minimum is nonincreasing
     - verify_main_estimates fits finite constants on a real solve, flags
       zero-data-zero-solution as trivial, and flags a positive left side
       over a zero right side as violated
@@ -38,7 +37,6 @@ from bspdelab.energy import (
     check_basic_estimate,
     constant_sweep,
     energy_fields,
-    minimal_constant_scan,
     theta,
     verify_main_estimates,
 )
@@ -259,22 +257,6 @@ def test_basic_estimate_on_degenerate_counterexample():
     assert rep.holds
     assert rep.minimal_c >= 0.0
     assert np.isfinite(rep.lhs)
-
-
-def test_minimal_constant_scan_running_min():
-    grid, u, r, f, coeffs = _random_instance(13)
-    cfg = EnergyConfig(m=1)
-    curve = minimal_constant_scan(
-        u, r, f, coeffs, grid, cfg, eps_values=[0.9, 0.7, 0.5, 0.3, 0.1]
-    )
-    assert len(curve.minimal) == 5
-    assert len(curve.scanned) == 5
-    assert curve.scanned[0] == curve.minimal[0]
-    for prev, cur in zip(curve.scanned, curve.scanned[1:]):
-        assert cur <= prev + 1e-15
-    assert all(s <= m + 1e-15 for s, m in zip(curve.scanned, curve.minimal))
-    with pytest.raises(ValueError, match="empty"):
-        minimal_constant_scan(u, r, f, coeffs, grid, cfg, eps_values=[])
 
 
 # -- solution estimates ---------------------------------------------------------------

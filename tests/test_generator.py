@@ -6,6 +6,8 @@ Core claims:
       the bound holds or fails
     - derive_from_sample's b_tilde equals the einsum formula it replaced to
       1e-14 relative, and equals bit for bit the drift estimate_cfl reduces
+    - estimate_cfl reads the level coefficients alone: on counterexample-1
+      it takes the 6 stencils of b_tilde and samples no forcing
     - the control generator takes one gradient per (level, control) in
       solve_forward and exhaustive_policy_search, and (L xi, M xi) equals
       the two separate applications it replaced exactly
@@ -26,7 +28,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bspdelab import control, oracles, solver
+from bspdelab import cli, coefficients, control, oracles, solver
+from bspdelab import grid as grid_module
 from bspdelab.cli import main
 from bspdelab.coefficients import (
     CoefficientSet,
@@ -161,6 +164,36 @@ def test_btilde_is_the_drift_estimate_cfl_reduces(monkeypatch):
     assert np.array_equal(drift_level0[0], b_tilde)
 
 
+def test_estimate_cfl_reads_coefficients_only(monkeypatch):
+    grid = _grid(d=2, M=64)
+    tree = build_tree(TimeGrid(0.02, 5), 2, "full")
+    forcing_calls = []
+
+    def forcing(t, w, g):
+        forcing_calls.append(t)
+        return np.zeros(g.shape)
+
+    problem = ProblemData(
+        grid=grid,
+        tree=tree,
+        coefficients=builtin_counterexamples()[0],
+        terminal=lambda w, g: np.zeros(g.shape),
+        forcing=forcing,
+    )
+    stencils = []
+
+    def counting(*args, **kwargs):
+        stencils.append(args[1:3])
+        return axis_derivative(*args, **kwargs)
+
+    for module in (solver, coefficients, grid_module):
+        monkeypatch.setattr(module, "axis_derivative", counting)
+    estimate_cfl(problem)
+    # b_tilde differentiates sigma once per grid axis at each of the 3 probe levels
+    assert len(stencils) == 6
+    assert forcing_calls == []
+
+
 # -- one gradient per control generator application -------------------------------------
 
 
@@ -270,7 +303,7 @@ def test_backward_step_takes_one_gradient_per_row_and_pass(monkeypatch, kind, st
     config = SolverConfig(time_stepping=stepping, corrector_iterations=2)
     level = 2
     ld = solver._build_level_data(problem, level)
-    rows = ld.a.shape[0]
+    rows = ld.coeffs.a.shape[0]
     assert rows == 3
     rng = np.random.default_rng(7)
     ubar = rng.normal(size=(3,) + grid.shape)
@@ -322,7 +355,7 @@ def test_solve_scores_each_level_against_the_oracle_once(tmp_path, capsys, monke
         return errors[-1]
 
     monkeypatch.setattr(oracles, "exact_level_fields", counting)
-    monkeypatch.setattr(oracles, "solution_error", recording)
+    monkeypatch.setattr(cli, "solution_error", recording)
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     assert sorted(evaluations) == list(range(11))

@@ -9,7 +9,6 @@ Core claims:
     - summation by parts: <Df, g> = -<f, Dg> to machine precision
     - sobolev_norm reproduces hand-computed values on single modes
     - level_norm_sq broadcasts over a leading batch axis
-    - mollification preserves the mean and damps high modes monotonically
     - random_smooth_field is bit-reproducible and seed-sensitive
     - binary and csv field dumps round-trip exactly
     - multi_indices enumerates the full simplex of orders <= m
@@ -25,7 +24,6 @@ from bspdelab.grid import (
     check_multi_index,
     MAX_DERIVATIVE_ORDER,
     DerivativeCapError,
-    MollifierResolutionWarning,
     SpatialGrid,
     axis_derivative,
     batch_divergence,
@@ -33,7 +31,6 @@ from bspdelab.grid import (
     diff,
     inner_product,
     level_norm_sq,
-    mollify,
     multi_indices,
     random_smooth_field,
     read_field_binary,
@@ -191,30 +188,6 @@ def test_level_norm_sq_batches():
     single = level_norm_sq(batch[2][None], grid, 1)[0]
     assert out[2] == approx(single, rel=1e-14)
     assert out[2] == approx(sobolev_norm(batch[2], grid, 1, 2.0) ** 2, rel=1e-12)
-
-
-# -- mollifier ---------------------------------------------------------------
-
-
-def test_mollify_preserves_mean_and_damps():
-    grid = _grid1(64)
-    x = grid.axis_coordinates()
-    f = 1.5 + np.sin(x) + 0.5 * np.sin(8 * x)
-    for eps in (0.25, 0.5):
-        smooth = mollify(f, grid, eps)
-        assert np.mean(smooth) == approx(np.mean(f), rel=1e-12)
-    # stronger mollification damps the high mode more
-    e1 = np.abs(np.fft.fft(mollify(f, grid, 0.25)))[8]
-    e2 = np.abs(np.fft.fft(mollify(f, grid, 0.5)))[8]
-    raw = np.abs(np.fft.fft(f))[8]
-    assert e2 < e1 < raw
-
-
-def test_mollify_warns_below_resolution():
-    grid = _grid1(16)
-    f = np.sin(grid.axis_coordinates())
-    with pytest.warns(MollifierResolutionWarning):
-        mollify(f, grid, 0.1 * grid.h)
 
 
 # -- random fields and io ---------------------------------------------------------------

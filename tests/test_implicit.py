@@ -63,7 +63,7 @@ def _reference_shift_ops(grid):
 def _reference_matrix(row, ld, grid, eps, kind):
     shift = _reference_shift_ops(grid)
     d = grid.dim
-    a = ld.a[row]
+    a = ld.coeffs.a[row]
     total = None
     for i in range(d):
         inner = None
@@ -97,10 +97,10 @@ def _random_level_data(grid, rows, seed):
     zeros = np.zeros((rows,) + grid.shape)
     sigma = np.zeros((rows,) + grid.shape + (d, 1))
     diva, divsigma = _divergences(a, sigma, grid)
-    return _LevelData(
-        t=0.0, a=a, b=zeros[..., None].repeat(d, -1), c=zeros, sigma=sigma,
-        nu=zeros[..., None], diva=diva, divsigma=divsigma, inv=None, f=zeros[:1],
+    lc = LevelCoefficients(
+        a=a, b=zeros[..., None].repeat(d, -1), c=zeros, sigma=sigma, nu=zeros[..., None]
     )
+    return _LevelData(coeffs=lc, diva=diva, divsigma=divsigma, f=zeros[:1])
 
 
 @pytest.mark.parametrize("d", [1, 2])

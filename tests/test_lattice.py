@@ -33,7 +33,6 @@ from bspdelab.lattice import (
     UnsupportedModeError,
     build_tree,
     child_values,
-    conditional_expectation,
     level_conditional_expectation,
     level_martingale_representation,
     tree_expectation,
@@ -163,8 +162,7 @@ def test_conditional_expectation_averages_children():
     ce = level_conditional_expectation(tree, vals, 1)
     assert ce[0] == approx(2.0)
     assert ce[1] == approx(2.0)
-    single = conditional_expectation(tree, vals, NodeId(1, 1))
-    assert single == approx(2.0)
+    assert ce[1] == child_values(tree, vals, NodeId(1, 1)).mean(axis=0)
 
 
 @pytest.mark.parametrize("mode,dprime", [("full", 2), ("full", 1), ("recombining", 1)])
@@ -240,7 +238,6 @@ def test_adapted_field_access():
     field = AdaptedGridField(tuple(levels))
     assert len(field) == 4
     assert field[2].shape == (3, 4)
-    assert field.value_at(NodeId(1, 0)).shape == (4,)
 
 
 def test_wrong_level_size_is_refused():

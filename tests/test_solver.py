@@ -1,7 +1,8 @@
 """Backward sweep tests.
 
 Core claims:
-    - SolverConfig and ProblemData reject malformed inputs up front
+    - SolverConfig and ProblemData reject malformed inputs up front, and
+      level_coefficients rows that do not fit the level are refused
     - estimate_cfl reproduces the closed-form parabolic and advective
       bounds for constant coefficients
     - explicit stepping refuses an oversized dt with a CflError whose
@@ -12,7 +13,8 @@ Core claims:
     - the solved fields satisfy the summation-by-parts weak form to
       machine precision on both tree modes and both stepping modes
     - r = q + sigma^T grad u holds node by node
-    - terminal data is sampled per unique leaf state
+    - terminal data is sampled per unique leaf state, and a sample of the
+      wrong shape is refused
     - viscosity_continuation validates its schedule, shrinks the
       consecutive gaps on a smooth problem, and records aborts
     - solve is deterministic
@@ -37,6 +39,7 @@ from bspdelab.solver import (
     KIND_ADJOINT,
     SEMI_IMPLICIT,
     CflError,
+    LevelCoefficients,
     ProblemData,
     SolverBlowupError,
     SolverConfig,
@@ -237,23 +240,66 @@ def test_terminal_sampled_per_leaf_state():
         assert sol.u[3][j] == approx(w_leaves[j] * np.cos(x), abs=1e-12)
 
 
-def test_terminal_level_array_and_shape_check():
+def test_terminal_sample_shape_check():
     grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
     tree = build_tree(TimeGrid(0.05, 3), 1, "recombining")
-    term = np.ones((4, 16))
     problem = ProblemData(
-        grid=grid, tree=tree, coefficients=_const_coeffs(), terminal_level=term
+        grid=grid, tree=tree, coefficients=_const_coeffs(), terminal=lambda w, g: np.ones(16)
     )
     sol = solve(problem)
-    assert sol.u[3] == approx(term)
+    assert sol.u[3] == approx(np.ones((4, 16)))
     bad = ProblemData(
         grid=grid,
         tree=tree,
         coefficients=_const_coeffs(),
-        terminal_level=np.ones((3, 16)),
+        terminal=lambda w, g: np.ones(15),
     )
-    with pytest.raises(ValueError, match="terminal_level"):
+    with pytest.raises(ValueError, match="terminal sample shape"):
         solve(bad)
+
+
+@pytest.mark.parametrize(
+    "case,match",
+    [
+        ("rows", "row counts disagree"),
+        ("inv_shape", "inv has shape"),
+        ("inv_range", "missing row"),
+        ("no_inv", "no inv map"),
+    ],
+)
+def test_level_coefficients_must_fit_the_level(case, match):
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
+    tree = build_tree(TimeGrid(0.05, 2), 1, "recombining")
+    shape = (2,) + grid.shape
+    two_rows = dict(
+        a=np.full(shape + (1, 1), 0.5),
+        b=np.zeros(shape + (1,)),
+        c=np.zeros(shape),
+        sigma=np.zeros(shape + (1, 1)),
+        nu=np.zeros(shape + (1,)),
+    )
+
+    def level_coefficients(level):
+        nodes = tree.level_sizes[level]
+        if case == "rows":
+            return LevelCoefficients(
+                **{**two_rows, "c": np.zeros(grid.shape)[None]}, inv=np.zeros(nodes, dtype=int)
+            )
+        if case == "inv_shape":
+            return LevelCoefficients(**two_rows, inv=np.zeros(nodes + 1, dtype=int))
+        if case == "inv_range":
+            return LevelCoefficients(**two_rows, inv=np.full(nodes, 2))
+        return LevelCoefficients(**two_rows)
+
+    problem = ProblemData(
+        grid=grid,
+        tree=tree,
+        coefficients=_const_coeffs(),
+        terminal=lambda w, g: np.zeros(g.shape),
+        level_coefficients=level_coefficients,
+    )
+    with pytest.raises(ValueError, match=match):
+        solve(problem)
 
 
 def test_meta_records_scheme_and_margin():
