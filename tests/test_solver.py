@@ -240,7 +240,7 @@ def test_terminal_sampled_per_leaf_state():
         assert sol.u[3][j] == approx(w_leaves[j] * np.cos(x), abs=1e-12)
 
 
-def test_terminal_sample_shape_check():
+def test_terminal_level_array_and_shape_check():
     grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
     tree = build_tree(TimeGrid(0.05, 3), 1, "recombining")
     problem = ProblemData(
