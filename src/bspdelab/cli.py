@@ -37,6 +37,7 @@ from .control import ControlProblem, constant_policy, control_report
 from .energy import SWEEP_COLUMNS, SWEEP_VISCOSITY, constant_sweep, verify_main_estimates
 from .expr import ExprParseError, evaluate, expression_variables, parse
 from .grid import (
+    MAX_DERIVATIVE_ORDER,
     SpatialGrid,
     level_norm_sq,
     random_smooth_field,
@@ -82,7 +83,7 @@ _PROBLEM_STATIC_KEYS = {
     "assert_parabolicity",
     "assert_symmetry",
 }
-_ENERGY_KEYS = {"m", "m1", "p", "g_exponent", "eps_lemma"}
+_ENERGY_KEYS = {"m1", "p"}
 _SWEEP_KEYS = {"kind", "values"}
 _CONTROL_STATIC_KEYS = {
     "gamma",
@@ -187,6 +188,10 @@ def _float_list(text: str) -> list[float]:
     if not vals:
         raise ValueError("empty list")
     return vals
+
+
+def _float_or_auto(text: str) -> float | None:
+    return None if text.strip() == "auto" else float(text)
 
 
 def build_grid(parser):
@@ -510,6 +515,19 @@ def build_control_problem(parser, grid, tree):
     return problem, data
 
 
+def _energy_settings(parser) -> tuple[int, list[float]]:
+    """[energy] m1 (default 0) and the estimate exponents p (default 2)."""
+    data = _section(parser, "energy", required=False)
+    _check_keys("energy", data, _ENERGY_KEYS)
+    m1 = _get(data, "energy", "m1", int, default=0)
+    p_list = _get(data, "energy", "p", _float_list, default=[2.0])
+    if not 0 <= m1 <= MAX_DERIVATIVE_ORDER:
+        raise ConfigError(f"[energy] m1 = {m1} outside [0, {MAX_DERIVATIVE_ORDER}]")
+    if not all(p >= 2 for p in p_list):
+        raise ConfigError(f"[energy] p = {data['p']!r}: every exponent must be >= 2")
+    return m1, p_list
+
+
 def _output_settings(parser, args) -> tuple[Path, str, str]:
     data = _section(parser, "output", required=False)
     _check_keys("output", data, _OUTPUT_KEYS)
@@ -644,12 +662,8 @@ def cmd_solve(args) -> int:
     tree = build_tree(parser)
     problem, oracle, origin = build_problem(parser, grid, tree, args)
     config = build_solver_config(parser)
+    m1, p_list = _energy_settings(parser)
     out, dump, formats = _output_settings(parser, args)
-
-    energy = _section(parser, "energy", required=False)
-    _check_keys("energy", energy, _ENERGY_KEYS)
-    m1 = _get(energy, "energy", "m1", int, default=0)
-    p_list = _get(energy, "energy", "p", _float_list, default=[2.0])
 
     solution = solve(problem, config)
     weak = None
@@ -771,11 +785,8 @@ def cmd_sweep(args) -> int:
     tree = build_tree(parser)
     problem, _, _ = build_problem(parser, grid, tree, args)
     config = build_solver_config(parser)
+    m1, _ = _energy_settings(parser)
     out, _, _ = _output_settings(parser, args)
-
-    energy = _section(parser, "energy", required=False)
-    _check_keys("energy", energy, _ENERGY_KEYS)
-    m1 = _get(energy, "energy", "m1", int, default=0)
 
     data = _section(parser, "sweep")
     _check_keys("sweep", data, _SWEEP_KEYS)
@@ -830,8 +841,7 @@ def cmd_control(args) -> int:
     out, _, _ = _output_settings(parser, args)
 
     max_iters = _get(data, "control", "max_iters", int, default=20)
-    tol_text = data.get("tol", "auto").strip()
-    tol = None if tol_text == "auto" else float(tol_text)
+    tol = _get({"tol": "auto", **data}, "control", "tol", _float_or_auto)
     policy0 = _get(data, "control", "policy0", int, default=0)
     if not (0 <= policy0 < len(problem.gamma)):
         raise ConfigError(f"policy0 = {policy0} outside gamma of size {len(problem.gamma)}")

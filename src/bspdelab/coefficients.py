@@ -79,8 +79,10 @@ class CoefficientSet:
         a: G + (d, d) symmetric   b: G + (d,)   c: G
         sigma: G + (d, d')        nu: G + (d',)
 
-    `w_dependent` marks whether any sampler actually reads the Wiener state;
-    solvers use it to sample once per time level instead of once per node.
+    `time_dependent=False` and `w_dependent=False` promise that the samplers
+    ignore t and W.  A backward sweep relies on both: it samples the
+    coefficients once for the whole sweep when neither is set, otherwise
+    once per level and, when W is read, once per distinct Wiener state.
     `periodic` marks whether the sampled fields wrap smoothly across the box
     seam; the symmetry checker masks a two-cell band at the seam when not.
     """

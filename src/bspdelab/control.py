@@ -50,6 +50,7 @@ from .grid import (
     inner_product,
 )
 from .lattice import (
+    WORKSPACE_BYTE_BUDGET,
     AdaptedGridField,
     BudgetExceededError,
     PathTree,
@@ -694,7 +695,7 @@ class ExhaustiveResult:
 def exhaustive_policy_search(
     problem: ControlProblem,
     budget: int = 2**20,
-    workspace_bytes: int = 2**31,
+    workspace_bytes: int = WORKSPACE_BYTE_BUDGET,
 ) -> ExhaustiveResult:
     """Evaluate J for all |gamma|^nodes policies at once, batched per level.
 

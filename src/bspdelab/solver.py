@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
 from typing import Callable
 
@@ -59,7 +59,9 @@ from .grid import (
     level_norm_sq,
 )
 from .lattice import (
+    WORKSPACE_BYTE_BUDGET,
     AdaptedGridField,
+    BudgetExceededError,
     PathTree,
     TimeGrid,
     build_tree,
@@ -301,34 +303,6 @@ class OracleResidualReport:
 # -- per-level coefficient data ------------------------------------------------
 
 
-@dataclass
-class _LevelData:
-    """A level's coefficient rows with their divergences, and its forcing."""
-
-    coeffs: LevelCoefficients
-    diva: np.ndarray
-    divsigma: np.ndarray
-    f: np.ndarray
-
-    def groups(self):
-        return row_groups(self.coeffs.inv, self.coeffs.a.shape[0])
-
-
-def _divergences(a: np.ndarray, sigma: np.ndarray, grid: SpatialGrid):
-    """(div a)_i = sum_j D_j a^{ij} and (div sigma)_k = sum_i D_i sigma^{ik}.
-
-    Arrays carry a leading batch axis, so grid axes start at 1.
-    """
-    d, h = grid.dim, grid.h
-    diva = np.zeros(a.shape[:-1])
-    for j in range(d):
-        diva += axis_derivative(a[..., j], 1, 1 + j, h)
-    divsigma = np.zeros(sigma.shape[:-2] + sigma.shape[-1:])
-    for i in range(d):
-        divsigma += axis_derivative(sigma[..., i, :], 1, 1 + i, h)
-    return diva, divsigma
-
-
 def _given_level_coefficients(problem: ProblemData, level: int) -> LevelCoefficients:
     """The caller's `level_coefficients(level)`, as float arrays, checked against the tree."""
     lc = problem.level_coefficients(level)
@@ -368,12 +342,6 @@ def _level_coefficients(problem: ProblemData, level: int) -> LevelCoefficients:
     )
 
 
-def _build_level_data(problem: ProblemData, level: int) -> _LevelData:
-    lc = _level_coefficients(problem, level)
-    diva, divsigma = _divergences(lc.a, lc.sigma, problem.grid)
-    return _LevelData(coeffs=lc, diva=diva, divsigma=divsigma, f=level_forcing(problem, level))
-
-
 def level_forcing(problem: ProblemData, level: int) -> np.ndarray:
     """The forcing array the sweep uses at a level: (nodes, *grid) or (1, *grid).
 
@@ -404,49 +372,7 @@ def level_forcing(problem: ProblemData, level: int) -> np.ndarray:
     return f
 
 
-# -- differential pieces ---------------------------------------------------------
-
-# batched fields: axis 0 = nodes, axes 1..d = grid, trailing axes = components
-
-_grad = batch_gradient
-_div = batch_divergence
-
-
-def _second_order_part(u, row, ld: _LevelData, grid, eps, kind, du=None):
-    """div(a grad u) [- (div a) . grad u for the primal kind] + eps Laplacian.
-
-    du is grad u when the caller has it already.  The Laplacian is div grad,
-    the composition of centred first differences the sparse operator uses.
-    """
-    if du is None:
-        du = _grad(u, grid)
-    flux = component_dot(ld.coeffs.a[row], du[..., None, :])
-    out = _div(flux, grid)
-    if eps:
-        out = out + eps * _div(du, grid)
-    if kind == KIND_BSPDE:
-        out = out - component_dot(ld.diva[row], du)
-    return out
-
-
-def _first_order_part(u, row, ld: _LevelData, grid, kind, du):
-    """b . grad u + c u for the primal kind (du = grad u), -div(b u) + c u for the adjoint."""
-    lc = ld.coeffs
-    if kind == KIND_BSPDE:
-        out = component_dot(lc.b[row], du)
-    else:
-        out = -_div(lc.b[row] * u[..., None], grid)
-    return out + lc.c[row] * u
-
-
-def _q_part(q, row, ld: _LevelData, grid, kind):
-    sflux = component_dot(ld.coeffs.sigma[row], q[..., None, :])
-    out = _div(sflux, grid)
-    if kind == KIND_BSPDE:
-        out = out - component_dot(ld.divsigma[row], q)
-    else:
-        out = -out
-    return out + component_dot(ld.coeffs.nu[row], q)
+# -- the implicit operator ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -509,31 +435,10 @@ def _implicit_pattern(grid: SpatialGrid, kind: str) -> _ImplicitPattern:
     )
 
 
-def _implicit_data(ld: _LevelData, grid: SpatialGrid, eps: float, kind: str):
-    """Pattern and CSC data of A for every coefficient row: data has shape (U, nnz).
-
-    The eps Laplacian enters as eps added to the diagonal of a.
-    """
-    pattern = _implicit_pattern(grid, kind)
-    d, m = grid.dim, grid.size
-    rows = ld.coeffs.a.shape[0]
-    a = np.broadcast_to(ld.coeffs.a, (rows,) + grid.shape + (d, d))
-    if eps:
-        a = a + eps * np.eye(d)
-    fields = [a.reshape(rows, m, d * d)]
-    if kind == KIND_BSPDE:
-        fields.append(np.broadcast_to(ld.diva, (rows,) + grid.shape + (d,)).reshape(rows, m, d))
-    coef = np.concatenate(fields, axis=2).transpose(0, 2, 1)
-    data = np.zeros((rows, pattern.indices.size))
-    for (field, at, inner, outer), slots in zip(pattern.blocks, pattern.slots):
-        data[:, slots] += outer * (coef[:, field, at] * inner)
-    return pattern, data
-
-
-def _constant_a(ld: _LevelData, grid: SpatialGrid) -> np.ndarray | None:
-    """The level's a as (U, d, d) when every row is constant over the grid, else None."""
+def _constant_a(op: "_LevelOperator", grid: SpatialGrid) -> np.ndarray | None:
+    """The operator's a as (U, d, d) when every row is constant over the grid, else None."""
     d = grid.dim
-    a = ld.coeffs.a.reshape(ld.coeffs.a.shape[0], -1, d, d)
+    a = op.coeffs.a.reshape(op.coeffs.a.shape[0], -1, d, d)
     return a[:, 0] if np.all(a == a[:, :1]) else None
 
 
@@ -567,114 +472,197 @@ def _lu_solve(factor, rhs: np.ndarray) -> np.ndarray:
     return factor.solve(block.T).T.reshape(rhs.shape)
 
 
-def _level_solvers(cache: dict, problem: ProblemData, config: SolverConfig, ld: _LevelData, level: int):
-    """Solvers of I - dt A, one per coefficient row: (nodes, *grid) -> (nodes, *grid).
+# -- the level operator ------------------------------------------------------------
 
-    In 2D with a constant over the grid on every row, I - dt A is circulant
-    and each row is solved by FFT.  Otherwise each row gets its LU factors;
-    in 1D the banded LU already costs O(M) per right-hand side.  Constant
-    coefficients share one set (key -1) for the whole sweep.  Otherwise a
-    new level drops the previous level's solvers, so one level's factors at
-    most are alive.
+# batched fields: axis 0 = nodes, axes 1..d = grid, trailing axes = components
+
+_grad = batch_gradient
+_div = batch_divergence
+
+
+class _LevelOperator:
+    """The generator (a, b, c, sigma, nu) of one coefficient state.
+
+    Holds the state's LevelCoefficients with div a and div sigma, and
+    applies the backward Euler step and the r-transform at every level
+    _level_operators gives it.  The solvers of I - dt A are built on the
+    first semi-implicit step.
     """
-    coeffs = problem.coefficients
-    varying = (
-        coeffs.time_dependent
-        or coeffs.w_dependent
-        or problem.level_coefficients is not None
-    )
-    key = level if varying else -1
-    if key not in cache:
-        cache.clear()
-        grid = problem.grid
-        dt = problem.tree.time_grid.dt
-        a = _constant_a(ld, grid) if grid.dim == 2 else None
+
+    def __init__(self, problem: ProblemData, config: SolverConfig, level: int):
+        self.grid = grid = problem.grid
+        self.dt = problem.tree.time_grid.dt
+        self.kind = problem.operator_kind
+        self.config = config
+        self.coeffs = lc = _level_coefficients(problem, level)
+        # (div a)_i = sum_j D_j a^{ij} and (div sigma)_k = sum_i D_i sigma^{ik};
+        # arrays carry a leading row axis, so grid axes start at 1
+        self.diva = np.zeros(lc.a.shape[:-1])
+        self.divsigma = np.zeros(lc.sigma.shape[:-2] + lc.sigma.shape[-1:])
+        for i in range(grid.dim):
+            self.diva += axis_derivative(lc.a[..., i], 1, 1 + i, grid.h)
+            self.divsigma += axis_derivative(lc.sigma[..., i, :], 1, 1 + i, grid.h)
+        self.groups = row_groups(lc.inv, lc.a.shape[0])
+        self._solvers = None
+
+    def _second_order_part(self, u, row, du):
+        """div(a grad u) [- (div a) . grad u for the primal kind] + eps Laplacian.
+
+        du is grad u.  The Laplacian is div grad, the composition of centred
+        first differences the sparse operator uses.
+        """
+        out = _div(component_dot(self.coeffs.a[row], du[..., None, :]), self.grid)
+        if self.config.viscosity:
+            out = out + self.config.viscosity * _div(du, self.grid)
+        if self.kind == KIND_BSPDE:
+            out = out - component_dot(self.diva[row], du)
+        return out
+
+    def _first_order_part(self, u, row, du):
+        """b . grad u + c u for the primal kind (du = grad u), -div(b u) + c u for the adjoint."""
+        lc = self.coeffs
+        if self.kind == KIND_BSPDE:
+            out = component_dot(lc.b[row], du)
+        else:
+            out = -_div(lc.b[row] * u[..., None], self.grid)
+        return out + lc.c[row] * u
+
+    def _q_part(self, q, row):
+        out = _div(component_dot(self.coeffs.sigma[row], q[..., None, :]), self.grid)
+        if self.kind == KIND_BSPDE:
+            out = out - component_dot(self.divsigma[row], q)
+        else:
+            out = -out
+        return out + component_dot(self.coeffs.nu[row], q)
+
+    def _implicit_data(self):
+        """Pattern and CSC data of A for every coefficient row: data has shape (U, nnz).
+
+        The eps Laplacian enters as eps added to the diagonal of a.
+        """
+        grid, eps = self.grid, self.config.viscosity
+        pattern = _implicit_pattern(grid, self.kind)
+        d, m = grid.dim, grid.size
+        rows = self.coeffs.a.shape[0]
+        a = np.broadcast_to(self.coeffs.a, (rows,) + grid.shape + (d, d))
+        if eps:
+            a = a + eps * np.eye(d)
+        stacked = [a.reshape(rows, m, d * d)]
+        if self.kind == KIND_BSPDE:
+            diva = np.broadcast_to(self.diva, (rows,) + grid.shape + (d,))
+            stacked.append(diva.reshape(rows, m, d))
+        coef = np.concatenate(stacked, axis=2).transpose(0, 2, 1)
+        data = np.zeros((rows, pattern.indices.size))
+        for (field, at, inner, outer), slots in zip(pattern.blocks, pattern.slots):
+            data[:, slots] += outer * (coef[:, field, at] * inner)
+        return pattern, data
+
+    def _build_solvers(self, level: int) -> list:
+        """Solvers of I - dt A, one per coefficient row: (nodes, *grid) -> (nodes, *grid).
+
+        In 2D with a constant over the grid on every row, I - dt A is
+        circulant and each row is solved by FFT.  Otherwise each row gets
+        its LU factors; in 1D the banded LU already costs O(M) per
+        right-hand side.
+        """
+        grid, dt, eps = self.grid, self.dt, self.config.viscosity
+        a = _constant_a(self, grid) if grid.dim == 2 else None
         if a is not None:
-            symbols = _fourier_symbol(grid, a, config.viscosity, dt)
+            symbols = _fourier_symbol(grid, a, eps, dt)
             for row, symbol in enumerate(symbols):
                 if not np.all(np.isfinite(symbol) & (symbol != 0)):
                     raise SingularOperatorError(
                         f"implicit symbol vanishes or is not finite at level {level} (row {row}); "
-                        f"dt = {dt}, viscosity = {config.viscosity}"
+                        f"dt = {dt}, viscosity = {eps}"
                     )
-            cache[key] = [partial(_fourier_solve, symbol) for symbol in symbols]
-        else:
-            cache[key] = [partial(_lu_solve, f) for f in _level_lu(problem, config, ld, level)]
-    return cache[key]
-
-
-def _level_lu(problem: ProblemData, config: SolverConfig, ld: _LevelData, level: int) -> list:
-    """LU factors of I - dt A, one per coefficient row of the level."""
-    grid = problem.grid
-    dt = problem.tree.time_grid.dt
-    pattern, data = _implicit_data(ld, grid, config.viscosity, problem.operator_kind)
-    data *= -dt
-    data[:, pattern.diag] += 1.0
-    # one matrix, its data swapped per row: SuperLU copies what it
-    # factorises, and a matrix built per row re-validates the same pattern
-    shared = sparse.csc_matrix(
-        (data[0], pattern.indices, pattern.indptr), shape=(grid.size, grid.size)
-    )
-    factors = []
-    for row, row_data in enumerate(data):
-        shared.data = row_data
-        system = shared
-        if not row_data.all():
-            # store no zeros, as a sparse-product assembly would
-            system = shared.copy()
-            system.eliminate_zeros()
-        try:
-            factors.append(splu(system))
-        except RuntimeError as exc:
-            raise SingularOperatorError(
-                f"implicit factorisation failed at level {level} (row {row}): {exc}; "
-                f"dt = {dt}, viscosity = {config.viscosity}"
-            ) from exc
-    return factors
-
-
-def _advance_level(problem, config, ld: _LevelData, ubar, q, level, lu_cache):
-    """One backward Euler application; returns (u_n, last explicit-part field)."""
-    grid = problem.grid
-    dt = problem.tree.time_grid.dt
-    kind = problem.operator_kind
-    eps = config.viscosity
-    semi = config.time_stepping == SEMI_IMPLICIT
-    groups = ld.groups()
-    solvers = _level_solvers(lu_cache, problem, config, ld, level) if semi else None
-
-    qf = np.empty_like(ubar)
-    for row, sel in groups:
-        qf[sel] = _q_part(q[sel], row, ld, grid, kind)
-    qf = qf + ld.f
-
-    u_cur = ubar
-    star = ubar
-    for _ in range(config.corrector_iterations):
-        star = u_cur
-        expl = np.empty_like(ubar)
-        for row, sel in groups:
-            u = star[sel]
-            # one gradient serves both parts; the adjoint first-order part takes none
-            du = _grad(u, grid) if kind == KIND_BSPDE or not semi else None
-            part = _first_order_part(u, row, ld, grid, kind, du)
-            if not semi:
-                part = part + _second_order_part(u, row, ld, grid, eps, kind, du)
-            expl[sel] = part
-        rhs = ubar + dt * (expl + qf)
-        if not semi:
-            u_cur = rhs
-        else:
-            u_new = np.empty_like(ubar)
-            for row, sel in groups:
-                u_new[sel] = solvers[row](rhs[sel])
-            u_cur = u_new
-    if not np.all(np.isfinite(u_cur)):
-        raise SolverBlowupError(
-            f"non-finite values after the step at level {level}; "
-            "check the CFL report and the stochastic coupling indicator"
+            return [partial(_fourier_solve, symbol) for symbol in symbols]
+        pattern, data = self._implicit_data()
+        data *= -dt
+        data[:, pattern.diag] += 1.0
+        # one matrix, its data swapped per row: SuperLU copies what it
+        # factorises, and a matrix built per row re-validates the same pattern
+        shared = sparse.csc_matrix(
+            (data[0], pattern.indices, pattern.indptr), shape=(grid.size, grid.size)
         )
-    return u_cur, star
+        solvers = []
+        for row, row_data in enumerate(data):
+            shared.data = row_data
+            system = shared
+            if not row_data.all():
+                # store no zeros, as a sparse-product assembly would
+                system = shared.copy()
+                system.eliminate_zeros()
+            try:
+                solvers.append(partial(_lu_solve, splu(system)))
+            except RuntimeError as exc:
+                raise SingularOperatorError(
+                    f"implicit factorisation failed at level {level} (row {row}): {exc}; "
+                    f"dt = {dt}, viscosity = {eps}"
+                ) from exc
+        return solvers
+
+    def step(self, ubar, q, f, level):
+        """One backward Euler step with forcing f; returns (u_n, last explicit-part field)."""
+        semi = self.config.time_stepping == SEMI_IMPLICIT
+        if semi and self._solvers is None:
+            self._solvers = self._build_solvers(level)
+
+        qf = np.empty_like(ubar)
+        for row, sel in self.groups:
+            qf[sel] = self._q_part(q[sel], row)
+        qf = qf + f
+
+        u_cur = ubar
+        star = ubar
+        for _ in range(self.config.corrector_iterations):
+            star = u_cur
+            expl = np.empty_like(ubar)
+            for row, sel in self.groups:
+                u = star[sel]
+                # one gradient serves both parts; the adjoint first-order part takes none
+                du = _grad(u, self.grid) if self.kind == KIND_BSPDE or not semi else None
+                part = self._first_order_part(u, row, du)
+                if not semi:
+                    part = part + self._second_order_part(u, row, du)
+                expl[sel] = part
+            rhs = ubar + self.dt * (expl + qf)
+            if not semi:
+                u_cur = rhs
+            else:
+                u_cur = np.empty_like(ubar)
+                for row, sel in self.groups:
+                    u_cur[sel] = self._solvers[row](rhs[sel])
+        if not np.all(np.isfinite(u_cur)):
+            raise SolverBlowupError(
+                f"non-finite values after the step at level {level}; "
+                "check the CFL report and the stochastic coupling indicator"
+            )
+        return u_cur, star
+
+    def r_transform(self, u, q):
+        """r = q + (grad u) sigma node by node (r^k = q^k + sigma^{ik} D_i u)."""
+        r = np.empty_like(q)
+        for row, sel in self.groups:
+            du = _grad(u[sel], self.grid)
+            r[sel] = q[sel] + component_dot(self.coeffs.sigma[row], du[..., :, None], axis=-2)
+        return r
+
+
+def _level_operators(problem: ProblemData, config: SolverConfig):
+    """(level, operator) pairs for levels n-1 ... 0 of a backward sweep.
+
+    Coefficients that are neither time_dependent nor w_dependent, with no
+    level_coefficients override, are one state: one operator serves every
+    level.  Otherwise each level gets a fresh one; it factorises only after
+    the caller drops the previous one, so one level of factors is alive.
+    """
+    coeffs = problem.coefficients
+    varying = coeffs.time_dependent or coeffs.w_dependent or problem.level_coefficients is not None
+    op = None
+    for level in range(problem.tree.n_steps - 1, -1, -1):
+        if op is None or varying:
+            op = _LevelOperator(problem, config, level)
+        yield level, op
 
 
 # -- step-size analysis ----------------------------------------------------------
@@ -749,16 +737,25 @@ def _parabolicity_precheck(problem: ProblemData, config: SolverConfig):
 def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionPair:
     """Full backward sweep from the leaves to the root.
 
-    Preconditions: degenerate parabolicity of the sampled coefficients
-    (skipped when level_coefficients overrides sampling), and the explicit
-    CFL bounds when stepping explicitly.  Superparabolicity with margin
-    2 * viscosity comes for free from the added eps Laplacian, and the
-    effective margin is recorded in meta.
+    Preconditions: the stored u, q and r fit WORKSPACE_BYTE_BUDGET (checked
+    before anything is sampled), degenerate parabolicity of the sampled
+    coefficients (skipped when level_coefficients overrides sampling), and
+    the explicit CFL bounds when stepping explicitly.  Superparabolicity
+    with margin 2 * viscosity comes for free from the added eps Laplacian,
+    and the effective margin is recorded in meta.
     """
     config = config or SolverConfig()
     tree, grid = problem.tree, problem.grid
     n = tree.n_steps
     dt = tree.time_grid.dt
+    # u on levels 0..n; q and r, d' components each, on levels 0..n-1
+    nodes = sum(tree.level_sizes) + 2 * tree.wiener_dim * sum(tree.level_sizes[:-1])
+    nbytes = 8 * grid.size * nodes
+    if nbytes > WORKSPACE_BYTE_BUDGET:
+        raise BudgetExceededError(
+            f"solve would store {nbytes} bytes of u, q and r, "
+            f"over the budget of {WORKSPACE_BYTE_BUDGET} bytes"
+        )
 
     para = None
     if problem.level_coefficients is None:
@@ -793,28 +790,19 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
     q_levels: list = [None] * n
     r_levels: list = [None] * n
     u_levels[n] = _terminal_values(problem)
-    lu_cache: dict = {}
 
-    for level in range(n - 1, -1, -1):
+    for level, op in _level_operators(problem, config):
         ubar = level_conditional_expectation(tree, u_levels[level + 1], level)
         q = level_martingale_representation(tree, u_levels[level + 1], level)
-        ld = _build_level_data(problem, level)
-        u, _ = _advance_level(problem, config, ld, ubar, q, level, lu_cache)
-        r = np.empty_like(q)
-        for row, sel in ld.groups():
-            du = _grad(u[sel], grid)
-            r[sel] = q[sel] + component_dot(ld.coeffs.sigma[row], du[..., :, None], axis=-2)
+        u, _ = op.step(ubar, q, level_forcing(problem, level), level)
         u_levels[level] = u
         q_levels[level] = q
-        r_levels[level] = r
+        r_levels[level] = op.r_transform(u, q)
 
     meta = {
         "dt": dt,
         "h": grid.h,
-        "viscosity": config.viscosity,
-        "time_stepping": config.time_stepping,
-        "corrector_iterations": config.corrector_iterations,
-        "cfl_safety": config.cfl_safety,
+        **asdict(config),
         "operator_kind": problem.operator_kind,
         "n_steps": n,
         "tree_mode": tree.mode,
@@ -888,13 +876,7 @@ def weak_form_residual(
     """
     if problem.operator_kind != KIND_BSPDE:
         raise ValueError("the weak form is stated for the primal operator kind")
-    meta = solution.meta
-    config = SolverConfig(
-        viscosity=meta["viscosity"],
-        time_stepping=meta["time_stepping"],
-        corrector_iterations=meta["corrector_iterations"],
-        cfl_safety=meta["cfl_safety"],
-    )
+    config = SolverConfig(**{f.name: solution.meta[f.name] for f in fields(SolverConfig)})
     tree, grid = problem.tree, problem.grid
     d, dt = grid.dim, tree.time_grid.dt
     vol = grid.cell_volume
@@ -912,27 +894,26 @@ def weak_form_residual(
         scale = max(1.0, math.sqrt(float(np.sum(eta**2)) * vol))
         eta_info.append((eta, geta, scale))
 
-    lu_cache: dict = {}
-    per_level = []
+    per_level = [None] * tree.n_steps
     max_drift = 0.0
     max_rep = 0.0
     sq = math.sqrt(dt)
-    for level in range(tree.n_steps):
+    for level, op in _level_operators(problem, config):
         u_next = solution.u[level + 1]
         u_n = solution.u[level]
         q = solution.q[level]
+        f = level_forcing(problem, level)
         ubar = level_conditional_expectation(tree, u_next, level)
-        ld = _build_level_data(problem, level)
         if config.corrector_iterations > 1:
-            _, star = _advance_level(problem, config, ld, ubar, q, level, lu_cache)
+            _, star = op.step(ubar, q, f, level)
         else:
             star = ubar
         istar = u_n if semi else star
 
         flux = np.empty(u_n.shape + (d,))
         low = np.empty_like(u_n)
-        lc = ld.coeffs
-        for row, sel in ld.groups():
+        lc = op.coeffs
+        for row, sel in op.groups:
             du_i = _grad(istar[sel], grid)
             du_e = du_i if istar is star else _grad(star[sel], grid)
             flux[sel] = component_dot(lc.a[row], du_i[..., None, :]) + component_dot(
@@ -941,12 +922,12 @@ def weak_form_residual(
             low[sel] = (
                 component_dot(lc.b[row], du_e)
                 + lc.c[row] * star[sel]
-                - component_dot(ld.diva[row], du_i)
-                + component_dot(lc.nu[row] - ld.divsigma[row], q[sel])
+                - component_dot(op.diva[row], du_i)
+                + component_dot(lc.nu[row] - op.divsigma[row], q[sel])
             )
         if config.viscosity:
             flux = flux + config.viscosity * _grad(istar, grid)
-        low = low + ld.f
+        low = low + f
 
         lvl_drift = 0.0
         for eta, geta, scale in eta_info:
@@ -972,7 +953,7 @@ def weak_form_residual(
             ip = np.abs(np.sum(rep * eta, axis=rep_axes)) * vol
             lvl_rep = max(lvl_rep, float(ip.max() / scale))
 
-        per_level.append((lvl_drift, lvl_rep))
+        per_level[level] = (lvl_drift, lvl_rep)
         max_drift = max(max_drift, lvl_drift)
         max_rep = max(max_rep, lvl_rep)
 
@@ -1084,14 +1065,12 @@ def oracle_step_residual(
     config = config or SolverConfig()
     grid = oracle.grid
     dt = tree.time_grid.dt
-    lu_cache: dict = {}
     worst = 0.0
     u_next, _ = exact_level_fields(oracle, tree, n_steps)
-    for level in range(n_steps - 1, -1, -1):
+    for level, op in _level_operators(problem, config):
         ubar = level_conditional_expectation(tree, u_next, level)
         q = level_martingale_representation(tree, u_next, level)
-        ld = _build_level_data(problem, level)
-        u_step, _ = _advance_level(problem, config, ld, ubar, q, level, lu_cache)
+        u_step, _ = op.step(ubar, q, level_forcing(problem, level), level)
         u_ex, _ = exact_level_fields(oracle, tree, level)
         p = tree.level_probabilities(level)
         defect = math.sqrt(float(np.sum(p * level_norm_sq(u_step - u_ex, grid, 0))))

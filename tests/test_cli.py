@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from bspdelab import cli
 from bspdelab.cli import main
 
 PI = "3.141592653589793"
@@ -319,6 +320,72 @@ def test_threads_flag_leaves_the_environment_alone(tmp_path, capsys, monkeypatch
     assert dict(os.environ) == before
 
 
+_CONTROL_CONFIG = f"""
+[grid]
+d = 1
+R = {PI}
+M = 16
+
+[tree]
+T = 0.1
+n_steps = 4
+dprime = 1
+mode = full
+
+[control]
+gamma = -1.0, 1.0
+a11 = 0.25
+sigma11 = 0.5
+F = v * sin(x1)
+f = 0.1 * v * cos(x1) * (t - 0.043)
+phi = cos(x1)
+xi0 = exp(cos(x1))
+max_iters = 8
+"""
+
+
+def test_control_bad_tol_exits_one(tmp_path, capsys):
+    cfg = _write(tmp_path, _CONTROL_CONFIG + "tol = abc\n")
+    code, _, stderr = _run(capsys, ["control", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "usage error:" in stderr
+    assert "tol" in stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize(
+    "energy, needle",
+    [("m1 = 5\np = 2.0", "m1"), ("m1 = 1\np = 2 1.5", "p")],
+    ids=["m1-over-cap", "p-below-two"],
+)
+def test_bad_energy_settings_exit_one_before_compute(
+    tmp_path, capsys, monkeypatch, command, energy, needle
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the [energy] section was read")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(cli, "constant_sweep", no_solve)
+    text = _heat_config().replace("m1 = 1\np = 2.0", energy)
+    if command == "sweep":
+        text += "\n[sweep]\nkind = viscosity\nvalues = 0.1, 0.01\n"
+    out = tmp_path / "run"
+    code, _, stderr = _run(capsys, [command, "--config", _write(tmp_path, text), "--out", str(out)])
+    assert code == 1
+    assert stderr.startswith("usage error:")
+    assert needle in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["m = 1", "g_exponent = 2", "eps_lemma = 0.5"])
+def test_unread_energy_keys_exit_one(tmp_path, capsys, key):
+    cfg = _write(tmp_path, _heat_config(extra=key))
+    code, _, stderr = _run(capsys, ["solve", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "usage error:" in stderr
+    assert key.split()[0] in stderr
+
+
 # -- sweep ---------------------------------------------------------------
 
 
@@ -363,31 +430,7 @@ def test_sweep_bad_kind_exits_one(tmp_path, capsys):
 
 
 def test_control_record(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
-        f"""
-[grid]
-d = 1
-R = {PI}
-M = 16
-
-[tree]
-T = 0.1
-n_steps = 4
-dprime = 1
-mode = full
-
-[control]
-gamma = -1.0, 1.0
-a11 = 0.25
-sigma11 = 0.5
-F = v * sin(x1)
-f = 0.1 * v * cos(x1) * (t - 0.043)
-phi = cos(x1)
-xi0 = exp(cos(x1))
-max_iters = 8
-""",
-    )
+    cfg = _write(tmp_path, _CONTROL_CONFIG)
     out = tmp_path / "run"
     code, stdout, _ = _run(capsys, ["control", "--config", cfg, "--out", str(out)])
     assert code == 0

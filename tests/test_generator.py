@@ -302,14 +302,14 @@ def test_backward_step_takes_one_gradient_per_row_and_pass(monkeypatch, kind, st
     )
     config = SolverConfig(time_stepping=stepping, corrector_iterations=2)
     level = 2
-    ld = solver._build_level_data(problem, level)
-    rows = ld.coeffs.a.shape[0]
+    op = solver._LevelOperator(problem, config, level)
+    rows = op.coeffs.a.shape[0]
     assert rows == 3
     rng = np.random.default_rng(7)
     ubar = rng.normal(size=(3,) + grid.shape)
     q = rng.normal(size=(3,) + grid.shape + (1,))
     calls = _count_gradients(monkeypatch, solver, "_grad")
-    solver._advance_level(problem, config, ld, ubar, q, level, {})
+    op.step(ubar, q, solver.level_forcing(problem, level), level)
     assert len(calls) == per_row * rows * config.corrector_iterations
 
 

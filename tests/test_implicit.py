@@ -1,4 +1,4 @@
-"""Semi-implicit assembly, factor lifetime and forcing evaluation.
+"""Semi-implicit assembly, level operators, factor lifetime and forcing.
 
 Core claims:
     - the pattern-filled I - dt A matches a sparse-product construction of
@@ -7,6 +7,11 @@ Core claims:
     - a semi-implicit sweep with coefficients varying in W and t factorises
       each (level, coefficient row) operator once and keeps at most one
       level of factors alive, across corrector iterations
+    - solve, weak_form_residual and oracle_step_residual build the level
+      coefficients once per sweep when they are constant, and once per
+      level when they vary in t or W or come from level_coefficients
+    - solve refuses, before sampling anything, a run whose stored u, q and
+      r exceed the workspace byte budget, and names the byte count
     - level_forcing evaluates the forcing alone, sampling no coefficient
     - the centred second-order part annihilates the Nyquist mode, so the
       scheme keeps it undamped (a known limit of the scheme), in 1D and on
@@ -18,6 +23,8 @@ Core claims:
       and the row
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -25,7 +32,7 @@ from scipy import sparse
 from bspdelab import solver
 from bspdelab.coefficients import CoefficientSet, constant_sampler
 from bspdelab.grid import SpatialGrid, random_smooth_field
-from bspdelab.lattice import TimeGrid, build_tree
+from bspdelab.lattice import BudgetExceededError, TimeGrid, build_tree
 from bspdelab.oracles import heat_oracle
 from bspdelab.solver import (
     KIND_ADJOINT,
@@ -35,14 +42,13 @@ from bspdelab.solver import (
     ProblemData,
     SingularOperatorError,
     SolverConfig,
-    _build_level_data,
-    _divergences,
-    _implicit_data,
-    _LevelData,
-    _second_order_part,
+    _LevelOperator,
+    default_test_functions,
     level_forcing,
+    oracle_step_residual,
     problem_from_oracle,
     solve,
+    weak_form_residual,
 )
 
 
@@ -60,10 +66,10 @@ def _reference_shift_ops(grid):
     return (sparse.kron(s1, eye, format="csr"), sparse.kron(eye, s1, format="csr"))
 
 
-def _reference_matrix(row, ld, grid, eps, kind):
+def _reference_matrix(row, op, grid, eps, kind):
     shift = _reference_shift_ops(grid)
     d = grid.dim
-    a = ld.coeffs.a[row]
+    a = op.coeffs.a[row]
     total = None
     for i in range(d):
         inner = None
@@ -78,12 +84,12 @@ def _reference_matrix(row, ld, grid, eps, kind):
     if kind == KIND_BSPDE:
         for i in range(d):
             total = total - sparse.diags(
-                np.broadcast_to(ld.diva[row][..., i], grid.shape).ravel()
+                np.broadcast_to(op.diva[row][..., i], grid.shape).ravel()
             ) @ shift[i]
     return total
 
 
-def _random_level_data(grid, rows, seed):
+def _random_operator(grid, rows, seed, eps, kind):
     """Rows of symmetric, spatially varying a (entries of both signs in 2D)."""
     d = grid.dim
     a = np.empty((rows,) + grid.shape + (d, d))
@@ -96,11 +102,20 @@ def _random_level_data(grid, rows, seed):
                 k += 1
     zeros = np.zeros((rows,) + grid.shape)
     sigma = np.zeros((rows,) + grid.shape + (d, 1))
-    diva, divsigma = _divergences(a, sigma, grid)
     lc = LevelCoefficients(
-        a=a, b=zeros[..., None].repeat(d, -1), c=zeros, sigma=sigma, nu=zeros[..., None]
+        a=a, b=zeros[..., None].repeat(d, -1), c=zeros, sigma=sigma, nu=zeros[..., None],
+        inv=np.arange(rows),
     )
-    return _LevelData(coeffs=lc, diva=diva, divsigma=divsigma, f=zeros[:1])
+    # level rows - 1 of a recombining tree holds `rows` nodes, one row each
+    problem = ProblemData(
+        grid=grid,
+        tree=build_tree(TimeGrid(1.0, rows), 1, "recombining"),
+        coefficients=CoefficientSet(dim=d, wiener_dim=1, a=constant_sampler(np.eye(d), (d, d))),
+        terminal=lambda w, g: np.zeros(g.shape),
+        level_coefficients=lambda level: lc,
+        operator_kind=kind,
+    )
+    return _LevelOperator(problem, SolverConfig(viscosity=eps), rows - 1)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -108,13 +123,13 @@ def _random_level_data(grid, rows, seed):
 @pytest.mark.parametrize("eps", [0.0, 0.3])
 def test_assembly_matches_sparse_products(d, kind, eps):
     grid = SpatialGrid(dim=d, half_width=np.pi, points=16)
-    ld = _random_level_data(grid, rows=2, seed=40 + 10 * d)
-    pattern, data = _implicit_data(ld, grid, eps, kind)
+    op = _random_operator(grid, rows=2, seed=40 + 10 * d, eps=eps, kind=kind)
+    pattern, data = op._implicit_data()
     assert data.shape == (2, pattern.indices.size)
     m = grid.size
     for row in range(2):
         ours = sparse.csc_matrix((data[row], pattern.indices, pattern.indptr), shape=(m, m))
-        ref = _reference_matrix(row, ld, grid, eps, kind).toarray()
+        ref = _reference_matrix(row, op, grid, eps, kind).toarray()
         diff = np.abs(ours.toarray() - ref).max()
         if d == 1 and not eps:
             assert diff == 0.0
@@ -124,7 +139,7 @@ def test_assembly_matches_sparse_products(d, kind, eps):
         rng = np.random.default_rng(row)
         u = rng.standard_normal((3,) + grid.shape)
         applied = (ours @ u.reshape(3, m).T).T.reshape(u.shape)
-        stencil = _second_order_part(u, row, ld, grid, eps, kind)
+        stencil = op._second_order_part(u, row, solver._grad(u, grid))
         assert np.abs(applied - stencil).max() <= 1e-12 * np.abs(stencil).max()
 
 
@@ -183,6 +198,113 @@ def test_varying_solve_factorises_each_level_row_once(monkeypatch):
     assert live[0] == 0
 
 
+# -- one operator per coefficient state ---------------------------------------------
+
+
+def _count_level_coefficients(monkeypatch):
+    levels = []
+    real = solver._level_coefficients
+
+    def counting(problem, level):
+        levels.append(level)
+        return real(problem, level)
+
+    monkeypatch.setattr(solver, "_level_coefficients", counting)
+    return levels
+
+
+def _cfl_probes(levels, problem, config):
+    """How many _level_coefficients calls estimate_cfl makes on this problem."""
+    levels.clear()
+    solver.estimate_cfl(problem, config)
+    probes = len(levels)
+    levels.clear()
+    return probes
+
+
+def test_constant_coefficients_are_built_once_per_sweep(monkeypatch):
+    n = 6
+    grid = SpatialGrid(dim=2, half_width=np.pi, points=16)
+    oracle = heat_oracle(grid, horizon=0.3)
+    problem = problem_from_oracle(oracle, build_tree(TimeGrid(0.3, n), 1, "recombining"))
+    config = SolverConfig(time_stepping=SEMI_IMPLICIT, corrector_iterations=2)
+    levels = _count_level_coefficients(monkeypatch)
+
+    probes = _cfl_probes(levels, problem, config)
+    sol = solve(problem, config)
+    assert len(levels) == probes + 1
+    levels.clear()
+    weak_form_residual(sol, problem, default_test_functions(grid))
+    assert levels == [n - 1]
+    levels.clear()
+    oracle_step_residual(oracle, n, config=config)
+    assert levels == [n - 1]
+
+
+def _flagged_problem(varying, n):
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
+    tree = build_tree(TimeGrid(0.2, n), 1, "recombining")
+    shape = (1,) + grid.shape
+    extra = {}
+    if varying == "time_dependent":
+        coeffs = CoefficientSet(
+            dim=1, wiener_dim=1, a=lambda t, w, g: np.full(g.shape + (1, 1), 0.4 + t),
+            time_dependent=True,
+        )
+    elif varying == "w_dependent":
+        coeffs = CoefficientSet(
+            dim=1, wiener_dim=1, w_dependent=True,
+            a=lambda t, w, g: np.full(g.shape + (1, 1), 0.4 + 0.1 * np.cos(w[0])),
+        )
+    else:
+        coeffs = CoefficientSet(dim=1, wiener_dim=1, a=constant_sampler([[0.4]], (1, 1)))
+        lc = LevelCoefficients(
+            a=np.full(shape + (1, 1), 0.4), b=np.zeros(shape + (1,)), c=np.zeros(shape),
+            sigma=np.zeros(shape + (1, 1)), nu=np.zeros(shape + (1,)),
+        )
+        extra["level_coefficients"] = lambda level: lc
+    x = grid.axis_coordinates()
+    return ProblemData(
+        grid=grid, tree=tree, coefficients=coeffs, terminal=lambda w, g: np.cos(x), **extra
+    )
+
+
+@pytest.mark.parametrize("varying", ["time_dependent", "w_dependent", "level_coefficients"])
+def test_varying_coefficients_are_built_once_per_level(monkeypatch, varying):
+    n = 4
+    problem = _flagged_problem(varying, n)
+    config = SolverConfig(time_stepping=SEMI_IMPLICIT, corrector_iterations=2)
+    levels = _count_level_coefficients(monkeypatch)
+
+    probes = _cfl_probes(levels, problem, config)
+    sol = solve(problem, config)
+    assert len(levels) == probes + n
+    levels.clear()
+    weak_form_residual(sol, problem, default_test_functions(problem.grid))
+    assert levels == list(range(n - 1, -1, -1))
+
+
+def test_solve_refuses_storage_over_the_byte_budget(monkeypatch):
+    base = _varying_problem(4)
+    # M = 16; a recombining tree with 4 steps stores u on 15 nodes and q, r
+    # (one Wiener component each) on the 10 nodes of levels 0..3
+    nbytes = 8 * 16 * (15 + 2 * 10)
+    terminal = _CountingSampler(lambda t, w, g: base.terminal(w, g))
+    problem = dataclasses.replace(base, terminal=lambda w, g: terminal(0.0, w, g))
+    levels = _count_level_coefficients(monkeypatch)
+    config = SolverConfig(time_stepping=SEMI_IMPLICIT)
+
+    monkeypatch.setattr(solver, "WORKSPACE_BYTE_BUDGET", nbytes - 1)
+    with pytest.raises(BudgetExceededError, match=f"store {nbytes} bytes"):
+        solve(problem, config)
+    assert terminal.calls == 0
+    assert levels == []
+
+    monkeypatch.setattr(solver, "WORKSPACE_BYTE_BUDGET", nbytes)
+    solve(problem, config)
+    assert terminal.calls > 0
+
+
 # -- forcing without coefficient sampling ------------------------------------------
 
 
@@ -221,7 +343,14 @@ def test_level_forcing_samples_no_coefficient(mode):
     for level in range(tree.n_steps):
         f = level_forcing(problem, level)
         assert a.calls == b.calls == sigma.calls == 0
-        expected = _build_level_data(problem, level).f
+        t = tree.time_grid.time(level)
+        w = tree.level_w(level)[:, 0]
+        expected = {
+            "none": np.zeros((1,) + grid.shape),
+            "sampler": (np.sin(x) * (1 + t))[None],
+            "w_sampler": np.cos(x + w[:, None]),
+            "forcing_level": np.stack([np.sin(x + k) for k in range(tree.level_sizes[level])]),
+        }[mode]
         assert f.shape == expected.shape
         assert np.array_equal(f, expected)
         a.calls = b.calls = sigma.calls = 0
