@@ -50,7 +50,6 @@ from .grid import (
     inner_product,
 )
 from .lattice import (
-    WORKSPACE_BYTE_BUDGET,
     AdaptedGridField,
     BudgetExceededError,
     PathTree,
@@ -257,7 +256,7 @@ def _generator_apply(xi, smp: ControlSample, grid: SpatialGrid):
     """(L xi, M xi) for a batch xi (nodes, *grid) from one gradient of xi."""
     du = batch_gradient(xi, grid)
     m_xi = component_dot(smp.sigma, du[..., :, None], axis=-2) + smp.nu * xi[..., None]
-    # in place: exhaustive_policy_search applies this to every policy at once
+    # in place: exhaustive_policy_search applies this to a block of policies at once
     l_xi = batch_divergence(component_dot(smp.a, du[..., None, :]), grid)
     l_xi += component_dot(smp.b, du)
     l_xi += smp.c * xi
@@ -695,14 +694,16 @@ class ExhaustiveResult:
 def exhaustive_policy_search(
     problem: ControlProblem,
     budget: int = 2**20,
-    workspace_bytes: int = WORKSPACE_BYTE_BUDGET,
+    workspace_bytes: int = 2**22,
 ) -> ExhaustiveResult:
-    """Evaluate J for all |gamma|^nodes policies at once, batched per level.
+    """Evaluate J for all |gamma|^nodes policies, batched per level and block.
 
     Full trees only: the enumeration assigns controls per pathwise node.
-    Every policy's forward state advances in one vectorized sweep with a
-    leading policy axis, so the cost per level is |gamma| generator
-    applications on a (policies * nodes)-sized batch.
+    The policies are taken in blocks whose leaf-level state fits
+    `workspace_bytes` (4 MiB by default, so every array stays a few MiB).
+    Within a block every policy's forward state advances in one vectorized
+    sweep with a leading policy axis, so the cost per level is |gamma|
+    generator applications on a (policies * nodes)-sized batch.
     """
     tree, grid = problem.tree, problem.grid
     if tree.mode != "full":
@@ -720,55 +721,56 @@ def exhaustive_policy_search(
         raise BudgetExceededError(
             f"{n_gamma}^{total} = {n_policies} policies exceed budget {budget}"
         )
-    leaf_bytes = (1 + n_gamma) * n_policies * tree.level_sizes[-1] * grid.size * 8
-    if leaf_bytes > workspace_bytes:
+    policy_bytes = (1 + n_gamma) * tree.level_sizes[-1] * grid.size * 8
+    if policy_bytes > workspace_bytes:
         raise BudgetExceededError(
-            f"exhaustive sweep needs ~{leaf_bytes} bytes, over {workspace_bytes}"
+            f"exhaustive sweep needs ~{policy_bytes} bytes per policy, over {workspace_bytes}"
         )
 
     # column j of `assign` is the control index at the j-th non-leaf node,
     # nodes ordered level-major
-    codes = np.arange(n_policies, dtype=np.int64)
     weights = n_gamma ** np.arange(total, dtype=np.int64)
-    assign = (codes[:, None] // weights[None, :]) % n_gamma
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-
+    samples = [
+        [problem.sample_all(tree.time_grid.time(lv), v) for v in problem.gamma]
+        for lv in range(tree.n_steps)
+    ]
+    probs = [tree.level_probabilities(level) for level in range(tree.n_steps + 1)]
     dt, vol = tree.time_grid.dt, grid.cell_volume
     gax = tuple(range(2, 2 + grid.dim))
     incr = tree.increments()
-    xi = np.broadcast_to(problem.xi0, (n_policies, 1) + grid.shape)
     costs = np.zeros(n_policies)
-    for level in range(tree.n_steps):
-        t = tree.time_grid.time(level)
-        m = sizes[level]
-        pol = assign[:, offsets[level] : offsets[level + 1]]
-        mask_shape = pol.shape + (1,) * grid.dim
-        drift = np.zeros(xi.shape)
-        mart = np.zeros(xi.shape + (tree.wiener_dim,))
-        f_vals = np.zeros(pol.shape)
-        flat = xi.reshape((-1,) + grid.shape)
-        for gi, v in enumerate(problem.gamma):
-            smp = problem.sample_all(t, v)
-            dr, mt = _generator_apply(flat, smp, grid)
-            dr += smp.big_f
-            mt += smp.big_g
-            mask = (pol == gi).reshape(mask_shape)
-            drift += np.where(mask, dr.reshape(xi.shape), 0.0)
-            mart += np.where(mask[..., None], mt.reshape(xi.shape + (tree.wiener_dim,)), 0.0)
-            f_vals += np.where(pol == gi, np.sum(smp.cost_f * xi, axis=gax) * vol, 0.0)
-        costs += dt * (f_vals @ tree.level_probabilities(level))
-        kick = np.einsum("pm...k,ck->pmc...", mart, incr)
-        xi = ((xi + dt * drift)[:, :, None] + kick).reshape(
-            (n_policies, m * tree.child_count) + grid.shape
-        )
-    terminal = np.sum(problem.terminal_phi * xi, axis=gax) * vol
-    costs += terminal @ tree.level_probabilities(tree.n_steps)
+    step = workspace_bytes // policy_bytes
+    for start in range(0, n_policies, step):
+        codes = np.arange(start, min(start + step, n_policies), dtype=np.int64)
+        assign = (codes[:, None] // weights) % n_gamma
+        block = costs[start : start + codes.size]
+        xi = np.broadcast_to(problem.xi0, (codes.size, 1) + grid.shape)
+        for level in range(tree.n_steps):
+            pol = assign[:, offsets[level] : offsets[level + 1]]
+            mask_shape = pol.shape + (1,) * grid.dim
+            drift = np.zeros(xi.shape)
+            mart = np.zeros(xi.shape + (tree.wiener_dim,))
+            f_vals = np.zeros(pol.shape)
+            flat = xi.reshape((-1,) + grid.shape)
+            for gi, smp in enumerate(samples[level]):
+                dr, mt = _generator_apply(flat, smp, grid)
+                dr += smp.big_f
+                mt += smp.big_g
+                mask = (pol == gi).reshape(mask_shape)
+                drift += np.where(mask, dr.reshape(xi.shape), 0.0)
+                mart += np.where(mask[..., None], mt.reshape(xi.shape + (tree.wiener_dim,)), 0.0)
+                f_vals += np.where(pol == gi, np.sum(smp.cost_f * xi, axis=gax) * vol, 0.0)
+            # row sums, not a BLAS product whose rounding can depend on the
+            # row count: a policy's J is the same in any block
+            block += dt * np.sum(f_vals * probs[level], axis=1)
+            kick = np.einsum("pm...k,ck->pmc...", mart, incr)
+            xi = ((xi + dt * drift)[:, :, None] + kick).reshape(pol.shape[:1] + (-1,) + grid.shape)
+        block += np.sum(np.sum(problem.terminal_phi * xi, axis=gax) * vol * probs[-1], axis=1)
 
     best = int(np.argmin(costs))
-    levels = tuple(
-        assign[best, offsets[level] : offsets[level + 1]]
-        for level in range(tree.n_steps)
-    )
+    chosen = (best // weights) % n_gamma
+    levels = tuple(chosen[offsets[level] : offsets[level + 1]] for level in range(tree.n_steps))
     return ExhaustiveResult(
         policy=ControlPolicy(levels),
         j=float(costs[best]),

@@ -25,7 +25,7 @@ import numpy as np
 # Full trees are refused above this many total sign bits (wiener_dim * n_steps):
 # 2^22 leaves is roughly an 8M-node tree, the largest that stays desk-scale.
 FULL_TREE_BIT_BUDGET = 22
-# Bytes of u, q and r a solve may store; also exhaustive_policy_search's default.
+# Bytes of u, q and r a solve may store.
 WORKSPACE_BYTE_BUDGET = 2**31
 
 MODES = ("full", "recombining")

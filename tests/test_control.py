@@ -417,6 +417,22 @@ def test_exhaustive_matches_plain_cost_path():
     assert cost(problem, improved, fwd_i) >= res.j - 1e-12
 
 
+def test_exhaustive_blocks_give_the_same_costs():
+    problem = _steering_problem(M=8, T=0.1, n=3, mode="full")
+    whole = exhaustive_policy_search(problem)
+    # one policy's leaf state is (1 + |gamma|) * 8 leaves * 8 points * 8 bytes:
+    # blocks of 3 policies, the last one partial
+    policy_bytes = 3 * 8 * 8 * 8
+    blocked = exhaustive_policy_search(problem, workspace_bytes=3 * policy_bytes + 1)
+    assert whole.n_policies == 2 ** 7
+    assert np.array_equal(blocked.costs, whole.costs)
+    assert blocked.j == whole.j
+    assert policies_equal(blocked.policy, whole.policy)
+    with pytest.raises(BudgetExceededError, match="bytes per policy"):
+        exhaustive_policy_search(problem, workspace_bytes=policy_bytes - 1)
+    exhaustive_policy_search(problem, workspace_bytes=policy_bytes)
+
+
 def test_exhaustive_guards():
     rec = _steering_problem(M=8, T=0.1, n=2, mode="recombining")
     with pytest.raises(UnsupportedModeError):
