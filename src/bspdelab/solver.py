@@ -191,9 +191,10 @@ class ProblemData:
 class SolutionPair:
     """Backward solution: u on levels 0..n, q and r on levels 0..n-1.
 
-    r = q + (grad u) sigma node by node (r^k = q^k + sigma^{ik} D_i u).
-    meta records dt, h, viscosity, stepping mode, CFL and parabolicity
-    diagnostics, and any warnings raised during the sweep.
+    r = q + (grad u) sigma node by node (r^k = q^k + sigma^{ik} D_i u);
+    where sigma = 0, r holds q's arrays themselves, so treat both as
+    read-only.  meta records dt, h, viscosity, stepping mode, CFL and
+    parabolicity diagnostics, and any warnings raised during the sweep.
     """
 
     u: AdaptedGridField
@@ -480,6 +481,18 @@ _grad = batch_gradient
 _div = batch_divergence
 
 
+def _nonzero(**arrays) -> set:
+    """Names of the arrays with a nonzero entry."""
+    return {name for name, arr in arrays.items() if np.any(arr)}
+
+
+def _plus(acc, term):
+    """acc + term, where None stands for a term that is zero everywhere."""
+    if acc is None:
+        return term
+    return acc if term is None else acc + term
+
+
 class _LevelOperator:
     """The generator (a, b, c, sigma, nu) of one coefficient state.
 
@@ -495,13 +508,18 @@ class _LevelOperator:
         self.kind = problem.operator_kind
         self.config = config
         self.coeffs = lc = _level_coefficients(problem, level)
+        # terms whose coefficient is zero on every row are skipped: x + 0 y is
+        # x for finite y, up to the sign of zero
+        self.nonzero = _nonzero(b=lc.b, c=lc.c, sigma=lc.sigma, nu=lc.nu)
         # (div a)_i = sum_j D_j a^{ij} and (div sigma)_k = sum_i D_i sigma^{ik};
         # arrays carry a leading row axis, so grid axes start at 1
         self.diva = np.zeros(lc.a.shape[:-1])
         self.divsigma = np.zeros(lc.sigma.shape[:-2] + lc.sigma.shape[-1:])
         for i in range(grid.dim):
             self.diva += axis_derivative(lc.a[..., i], 1, 1 + i, grid.h)
-            self.divsigma += axis_derivative(lc.sigma[..., i, :], 1, 1 + i, grid.h)
+            if "sigma" in self.nonzero:
+                self.divsigma += axis_derivative(lc.sigma[..., i, :], 1, 1 + i, grid.h)
+        self.nonzero |= _nonzero(diva=self.diva, divsigma=self.divsigma)
         self.groups = row_groups(lc.inv, lc.a.shape[0])
         self._solvers = None
 
@@ -514,26 +532,40 @@ class _LevelOperator:
         out = _div(component_dot(self.coeffs.a[row], du[..., None, :]), self.grid)
         if self.config.viscosity:
             out = out + self.config.viscosity * _div(du, self.grid)
-        if self.kind == KIND_BSPDE:
+        if self.kind == KIND_BSPDE and "diva" in self.nonzero:
             out = out - component_dot(self.diva[row], du)
         return out
 
     def _first_order_part(self, u, row, du):
-        """b . grad u + c u for the primal kind (du = grad u), -div(b u) + c u for the adjoint."""
-        lc = self.coeffs
-        if self.kind == KIND_BSPDE:
-            out = component_dot(lc.b[row], du)
-        else:
-            out = -_div(lc.b[row] * u[..., None], self.grid)
-        return out + lc.c[row] * u
+        """b . grad u + c u for the primal kind (du = grad u), -div(b u) + c u for the adjoint.
+
+        None when b = c = 0.
+        """
+        lc, out = self.coeffs, None
+        if "b" in self.nonzero:
+            if self.kind == KIND_BSPDE:
+                out = component_dot(lc.b[row], du)
+            else:
+                out = -_div(lc.b[row] * u[..., None], self.grid)
+        if "c" in self.nonzero:
+            out = _plus(out, lc.c[row] * u)
+        return out
 
     def _q_part(self, q, row):
-        out = _div(component_dot(self.coeffs.sigma[row], q[..., None, :]), self.grid)
-        if self.kind == KIND_BSPDE:
-            out = out - component_dot(self.divsigma[row], q)
-        else:
-            out = -out
-        return out + component_dot(self.coeffs.nu[row], q)
+        """div(sigma q) - (div sigma) . q + nu . q, for the adjoint -div(sigma q) + nu . q.
+
+        None when sigma = nu = 0.
+        """
+        out = None
+        if "sigma" in self.nonzero:
+            out = _div(component_dot(self.coeffs.sigma[row], q[..., None, :]), self.grid)
+            if self.kind != KIND_BSPDE:
+                out = -out
+            elif "divsigma" in self.nonzero:
+                out = out - component_dot(self.divsigma[row], q)
+        if "nu" in self.nonzero:
+            out = _plus(out, component_dot(self.coeffs.nu[row], q))
+        return out
 
     def _implicit_data(self):
         """Pattern and CSC data of A for every coefficient row: data has shape (U, nnz).
@@ -607,25 +639,34 @@ class _LevelOperator:
         if semi and self._solvers is None:
             self._solvers = self._build_solvers(level)
 
-        qf = np.empty_like(ubar)
-        for row, sel in self.groups:
-            qf[sel] = self._q_part(q[sel], row)
-        qf = qf + f
+        qf = None
+        if self.nonzero & {"sigma", "nu"}:
+            qf = np.empty_like(ubar)
+            for row, sel in self.groups:
+                qf[sel] = self._q_part(q[sel], row)
+        if np.any(f):
+            qf = _plus(qf, f)
 
+        # semi-implicitly only b and c are explicit; one gradient serves both
+        # parts, and the adjoint first-order part takes none
+        explicit = not semi or bool(self.nonzero & {"b", "c"})
+        gradient = not semi or (self.kind == KIND_BSPDE and "b" in self.nonzero)
         u_cur = ubar
         star = ubar
         for _ in range(self.config.corrector_iterations):
             star = u_cur
-            expl = np.empty_like(ubar)
-            for row, sel in self.groups:
-                u = star[sel]
-                # one gradient serves both parts; the adjoint first-order part takes none
-                du = _grad(u, self.grid) if self.kind == KIND_BSPDE or not semi else None
-                part = self._first_order_part(u, row, du)
-                if not semi:
-                    part = part + self._second_order_part(u, row, du)
-                expl[sel] = part
-            rhs = ubar + self.dt * (expl + qf)
+            expl = None
+            if explicit:
+                expl = np.empty_like(ubar)
+                for row, sel in self.groups:
+                    u = star[sel]
+                    du = _grad(u, self.grid) if gradient else None
+                    part = self._first_order_part(u, row, du)
+                    if not semi:
+                        part = _plus(part, self._second_order_part(u, row, du))
+                    expl[sel] = part
+            total = _plus(expl, qf)
+            rhs = ubar if total is None else ubar + self.dt * total
             if not semi:
                 u_cur = rhs
             else:
@@ -640,12 +681,23 @@ class _LevelOperator:
         return u_cur, star
 
     def r_transform(self, u, q):
-        """r = q + (grad u) sigma node by node (r^k = q^k + sigma^{ik} D_i u)."""
+        """r = q + (grad u) sigma node by node (r^k = q^k + sigma^{ik} D_i u).
+
+        q itself when sigma = 0.
+        """
+        if "sigma" not in self.nonzero:
+            return q
         r = np.empty_like(q)
         for row, sel in self.groups:
             du = _grad(u[sel], self.grid)
             r[sel] = q[sel] + component_dot(self.coeffs.sigma[row], du[..., :, None], axis=-2)
         return r
+
+
+def _varying(problem: ProblemData) -> bool:
+    """False when every level shares one coefficient state."""
+    coeffs = problem.coefficients
+    return coeffs.time_dependent or coeffs.w_dependent or problem.level_coefficients is not None
 
 
 def _level_operators(problem: ProblemData, config: SolverConfig):
@@ -656,8 +708,7 @@ def _level_operators(problem: ProblemData, config: SolverConfig):
     level.  Otherwise each level gets a fresh one; it factorises only after
     the caller drops the previous one, so one level of factors is alive.
     """
-    coeffs = problem.coefficients
-    varying = coeffs.time_dependent or coeffs.w_dependent or problem.level_coefficients is not None
+    varying = _varying(problem)
     op = None
     for level in range(problem.tree.n_steps - 1, -1, -1):
         if op is None or varying:
@@ -671,9 +722,10 @@ def _level_operators(problem: ProblemData, config: SolverConfig):
 def estimate_cfl(problem: ProblemData, config: SolverConfig | None = None) -> CflReport:
     """Parabolic and advective step bounds from coefficient maxima.
 
-    Coefficients are probed at the first, middle and last step levels; no
-    divergence or forcing is computed.  The advective bound uses the
-    transformed drift for the primal kind and b itself for the adjoint;
+    Coefficients are probed at the first, middle and last step levels, or
+    at level 0 alone when every level shares one state; no divergence or
+    forcing is computed.  The advective bound uses the transformed drift
+    for the primal kind and b itself for the adjoint;
     CflReport.from_samples states the bounds.
     """
     config = config or SolverConfig()
@@ -681,7 +733,7 @@ def estimate_cfl(problem: ProblemData, config: SolverConfig | None = None) -> Cf
     n = tree.n_steps
 
     def samples():
-        for level in sorted({0, n // 2, max(n - 1, 0)}):
+        for level in sorted({0, n // 2, max(n - 1, 0)}) if _varying(problem) else [0]:
             lc = _level_coefficients(problem, level)
             if problem.operator_kind == KIND_ADJOINT:
                 drift = lc.b
@@ -712,10 +764,13 @@ def parabolicity_probes(coefficients: CoefficientSet, tree: PathTree) -> list:
     """The (t, W) states a solve checks 2a - sigma sigma^T on before sweeping.
 
     W = 0 at t = 0, T/2 and T; when the coefficients read W, also the first
-    and last leaf states at T/2.
+    and last leaf states at T/2.  Coefficients that read neither t nor W
+    are one state, probed at t = 0, W = 0.
     """
     horizon = tree.time_grid.horizon
     zero = np.zeros(tree.wiener_dim)
+    if not (coefficients.time_dependent or coefficients.w_dependent):
+        return [(0.0, zero)]
     samples = [(0.0, zero), (0.5 * horizon, zero), (horizon, zero)]
     if coefficients.w_dependent:
         leaf_w = tree.level_w(tree.n_steps)
@@ -738,7 +793,8 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
     """Full backward sweep from the leaves to the root.
 
     Preconditions: the stored u, q and r fit WORKSPACE_BYTE_BUDGET (checked
-    before anything is sampled), degenerate parabolicity of the sampled
+    before anything is sampled, so r counts even where sigma = 0 makes it
+    q: an upper bound), degenerate parabolicity of the sampled
     coefficients (skipped when level_coefficients overrides sampling), and
     the explicit CFL bounds when stepping explicitly.  Superparabolicity
     with margin 2 * viscosity comes for free from the added eps Laplacian,

@@ -6,8 +6,9 @@ Core claims:
       the bound holds or fails
     - derive_from_sample's b_tilde equals the einsum formula it replaced to
       1e-14 relative, and equals bit for bit the drift estimate_cfl reduces
-    - estimate_cfl reads the level coefficients alone: on counterexample-1
-      it takes the 6 stencils of b_tilde and samples no forcing
+    - estimate_cfl reads the level coefficients alone: on counterexample-1,
+      whose coefficients are one state, it probes one level, takes the 2
+      stencils of b_tilde and samples no forcing
     - the control generator takes one gradient per (level, control) in
       solve_forward and exhaustive_policy_search, and (L xi, M xi) equals
       the two separate applications it replaced exactly
@@ -189,8 +190,9 @@ def test_estimate_cfl_reads_coefficients_only(monkeypatch):
     for module in (solver, coefficients, grid_module):
         monkeypatch.setattr(module, "axis_derivative", counting)
     estimate_cfl(problem)
-    # b_tilde differentiates sigma once per grid axis at each of the 3 probe levels
-    assert len(stencils) == 6
+    # constant coefficients are probed at one level, where b_tilde
+    # differentiates sigma once per grid axis
+    assert len(stencils) == 2
     assert forcing_calls == []
 
 

@@ -10,8 +10,13 @@ Core claims:
     - solve, weak_form_residual and oracle_step_residual build the level
       coefficients once per sweep when they are constant, and once per
       level when they vary in t or W or come from level_coefficients
+    - a 2D heat solve samples its constant coefficients 3 times: one
+      parabolicity probe, one CFL probe and the level operator
     - solve refuses, before sampling anything, a run whose stored u, q and
       r exceed the workspace byte budget, and names the byte count
+    - terms whose coefficient is zero everywhere are skipped: a 2D heat
+      semi-implicit solve takes no gradient, and r is q itself on every
+      level when sigma = 0 (and not when sigma != 0)
     - level_forcing evaluates the forcing alone, sampling no coefficient
     - the centred second-order part annihilates the Nyquist mode, so the
       scheme keeps it undamped (a known limit of the scheme), in 1D and on
@@ -284,6 +289,27 @@ def test_varying_coefficients_are_built_once_per_level(monkeypatch, varying):
     assert levels == list(range(n - 1, -1, -1))
 
 
+def _heat_problem():
+    grid = SpatialGrid(dim=2, half_width=np.pi, points=16)
+    return problem_from_oracle(
+        heat_oracle(grid, horizon=0.1), build_tree(TimeGrid(0.1, 4), 1, "recombining")
+    )
+
+
+def test_constant_heat_solve_samples_coefficients_three_times(monkeypatch):
+    problem = _heat_problem()
+    calls = []
+    real = CoefficientSet.sample
+
+    def counting(self, t, w, grid):
+        calls.append(t)
+        return real(self, t, w, grid)
+
+    monkeypatch.setattr(CoefficientSet, "sample", counting)
+    solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT))
+    assert len(calls) == 3
+
+
 def test_solve_refuses_storage_over_the_byte_budget(monkeypatch):
     base = _varying_problem(4)
     # M = 16; a recombining tree with 4 steps stores u on 15 nodes and q, r
@@ -303,6 +329,44 @@ def test_solve_refuses_storage_over_the_byte_budget(monkeypatch):
     monkeypatch.setattr(solver, "WORKSPACE_BYTE_BUDGET", nbytes)
     solve(problem, config)
     assert terminal.calls > 0
+
+
+# -- zero generator terms ------------------------------------------------------------
+
+
+def test_heat_semi_implicit_solve_takes_no_gradient(monkeypatch):
+    problem = _heat_problem()
+    calls = []
+    real = solver._grad
+
+    def counting(field, grid):
+        calls.append(field.shape)
+        return real(field, grid)
+
+    monkeypatch.setattr(solver, "_grad", counting)
+    solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT))
+    assert calls == []
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.4])
+def test_r_is_q_exactly_when_sigma_vanishes(sigma):
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
+    coeffs = CoefficientSet(
+        dim=1,
+        wiener_dim=1,
+        a=constant_sampler([[0.5]], (1, 1)),
+        sigma=constant_sampler([[sigma]], (1, 1)),
+    )
+    x = grid.axis_coordinates()
+    problem = ProblemData(
+        grid=grid,
+        tree=build_tree(TimeGrid(0.1, 4), 1, "recombining"),
+        coefficients=coeffs,
+        terminal=lambda w, g: np.cos(x) * (1.0 + w[0]),
+    )
+    sol = solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT))
+    shared = [sol.r[level] is sol.q[level] for level in range(len(sol.q))]
+    assert shared == [sigma == 0.0] * len(sol.q)
 
 
 # -- forcing without coefficient sampling ------------------------------------------

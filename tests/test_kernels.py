@@ -11,6 +11,11 @@ Core claims:
       semi-implicit with constant b, c, nu added), their weak-form residuals
       and energy estimates reproduce the numbers of the einsum / np.roll
       kernels exactly
+    - skipping the generator terms whose coefficient is zero everywhere
+      leaves u, q and r equal under == to the sweep that applied them: heat
+      and wiener_linear oracles and an adjoint-kind level_coefficients
+      problem with b = nu = 0, each explicit and semi-implicit, and forcing
+      unset or set to zeros
 """
 
 import dataclasses
@@ -18,7 +23,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bspdelab import coefficients, energy, grid, lattice, solver
+from bspdelab import coefficients, energy, grid, lattice, oracles, solver
 from bspdelab.coefficients import constant_sampler
 from bspdelab.grid import _STENCILS, axis_derivative, component_dot
 
@@ -189,3 +194,106 @@ def test_counterexample_solve_reproduces_kernel_reference(case, config, lower_or
         "per_level": [tuple(map(float, x)) for x in weak.per_level],
     }
     assert got == _REFERENCE[case]
+
+
+# -- zero generator terms are skipped exactly ----------------------------------------
+
+
+def _fingerprint(sol):
+    """Per field: sum, sum of squares and index-weighted sum over all levels."""
+    out = {}
+    for name in ("u", "q", "r"):
+        flat = np.concatenate([lvl.ravel() for lvl in getattr(sol, name).levels])
+        out[name] = (
+            float(np.sum(flat)),
+            float(np.sum(flat**2)),
+            float(np.sum(flat * np.arange(flat.size))),
+        )
+    return out
+
+
+def _zero_term_problem(case):
+    """heat (b = c = sigma = nu = 0), wiener_linear (div a = div sigma = 0) or
+    an adjoint-kind level_coefficients problem with b = nu = 0."""
+    if case == "heat":
+        g = grid.SpatialGrid(dim=2, half_width=np.pi, points=16)
+        oracle, n = oracles.heat_oracle(g, horizon=0.1), 4
+    elif case == "wiener_linear":
+        g = grid.SpatialGrid(dim=1, half_width=np.pi, points=32)
+        oracle, n = oracles.wiener_linear_oracle(g, horizon=0.1), 8
+    else:
+        g = grid.SpatialGrid(dim=1, half_width=np.pi, points=32)
+        x = g.axis_coordinates()
+        shape = (1,) + g.shape
+        lc = solver.LevelCoefficients(
+            a=(0.3 + 0.1 * np.cos(x)).reshape(shape + (1, 1)),
+            b=np.zeros(shape + (1,)),
+            c=(0.2 * np.sin(x)).reshape(shape),
+            sigma=np.full(shape + (1, 1), 0.4),
+            nu=np.zeros(shape + (1,)),
+        )
+        return solver.ProblemData(
+            grid=g,
+            tree=lattice.build_tree(lattice.TimeGrid(0.1, 8), 1, "recombining"),
+            coefficients=coefficients.CoefficientSet(
+                dim=1, wiener_dim=1, a=constant_sampler([[0.3]], (1, 1))
+            ),
+            terminal=lambda w, gr: np.cos(x) * (1.0 + w[0]),
+            level_coefficients=lambda level: lc,
+            operator_kind=solver.KIND_ADJOINT,
+        )
+    tree = lattice.build_tree(lattice.TimeGrid(0.1, n), 1, "recombining")
+    return solver.problem_from_oracle(oracle, tree)
+
+
+# fingerprints of the sweep that applied every term, compared with ==
+_ZERO_TERM_REFERENCE = {
+    ("heat", "explicit"): {
+        "u": (1.5987211554602254e-13, 2570.690309764749, 15683.291622942663),
+        "q": (0.0, 0.0, 0.0),
+        "r": (0.0, 0.0, 0.0),
+    },
+    ("heat", "semi_implicit"): {
+        "u": (1.5276668818842154e-13, 2573.7556299499247, 15658.447546730415),
+        "q": (0.0, 0.0, 0.0),
+        "r": (0.0, 0.0, 0.0),
+    },
+    ("wiener_linear", "explicit"): {
+        "u": (-1.5543122344752192e-15, 131.01738343564415, -236.94251417709887),
+        "q": (5.3290705182007514e-14, 559.7673397163971, 567.7836730229764),
+        "r": (5.639932965095795e-14, 596.3327830082173, 544.5965346636397),
+    },
+    ("wiener_linear", "semi_implicit"): {
+        "u": (4.440892098500626e-16, 131.01591182301127, -235.52068952895178),
+        "q": (3.907985046680551e-14, 559.8647674816355, 567.8335956038154),
+        "r": (4.218847493575595e-14, 596.6952438724145, 544.7855966680397),
+    },
+    ("adjoint", "explicit"): {
+        "u": (0.04136220606116048, 836.8894415324104, 808.8152292207844),
+        "q": (5.5067062021407764e-14, 566.2035419090282, 564.3873142730206),
+        "r": (5.5067062021407764e-14, 675.4679138293634, -1738.585038158339),
+    },
+    ("adjoint", "semi_implicit"): {
+        "u": (0.04119916517132349, 836.9482755820836, 808.584251250878),
+        "q": (-7.358967208936917e-06, 566.2423002618879, 564.460264118906),
+        "r": (-7.3589672093810066e-06, 675.4885142865545, -1738.4852446974378),
+    },
+}
+_STEPPINGS = {
+    "explicit": solver.SolverConfig(),
+    "semi_implicit": solver.SolverConfig(time_stepping=solver.SEMI_IMPLICIT),
+}
+
+
+@pytest.mark.parametrize("case, stepping", sorted(_ZERO_TERM_REFERENCE))
+def test_zero_term_skipping_reproduces_reference(case, stepping):
+    sol = solver.solve(_zero_term_problem(case), _STEPPINGS[stepping])
+    assert _fingerprint(sol) == _ZERO_TERM_REFERENCE[case, stepping]
+
+
+def test_zero_forcing_reproduces_the_unset_forcing_reference():
+    problem = dataclasses.replace(
+        _zero_term_problem("wiener_linear"), forcing=lambda t, w, g: np.zeros(g.shape)
+    )
+    sol = solver.solve(problem, _STEPPINGS["semi_implicit"])
+    assert _fingerprint(sol) == _ZERO_TERM_REFERENCE["wiener_linear", "semi_implicit"]
