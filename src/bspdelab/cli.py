@@ -243,7 +243,9 @@ class _ExpressionField:
 
     Entries evaluate in an environment holding t, the grid coordinates
     x1..xd, the Wiener state w1..wd' (zeros when absent), and optionally the
-    control value v.  Missing entries are zero.
+    control value v.  Missing entries are zero.  `rows` samples a stack of
+    Wiener states in one evaluation per entry; a single state is its
+    one-row case.
     """
 
     def __init__(self, entries: dict, suffix: tuple, symmetric: bool = False):
@@ -255,18 +257,31 @@ class _ExpressionField:
             self.variables |= used
 
     def __call__(self, t, w, grid, v=None):
+        return self.rows(t, None if w is None else np.reshape(w, (1, -1)), grid, v)[0]
+
+    def rows(self, t, states, grid, v=None):
+        """Entries at every Wiener row of states (U, d'), None for W = 0:
+        shape (U, *grid, *suffix).
+
+        Each w_k is bound to a (U, 1, ..., 1) column that broadcasts
+        against the grid coordinates.
+        """
+        count = 1 if states is None else len(states)
+        column = (count,) + (1,) * grid.dim
         env = {"t": t}
         for axis, coord in enumerate(grid.coordinates()):
             env[f"x{axis + 1}"] = coord
         if v is not None:
             env["v"] = v
-        wvars = sorted(var for var in self.variables if var.startswith("w"))
-        for var in wvars:
-            k = int(var[1:]) - 1
-            env[var] = 0.0 if w is None else float(np.asarray(w).reshape(-1)[k])
-        out = np.zeros(grid.shape + self.suffix)
+        for var in self.variables:
+            if var.startswith("w"):
+                k = int(var[1:]) - 1
+                col = np.zeros(count) if states is None else np.asarray(states, dtype=np.float64)[:, k]
+                env[var] = col.reshape(column)
+        target = (count,) + grid.shape
+        out = np.zeros(target + self.suffix)
         for index, (node, _) in self.entries.items():
-            val = np.broadcast_to(np.asarray(evaluate(node, env), dtype=np.float64), grid.shape)
+            val = np.broadcast_to(np.asarray(evaluate(node, env), dtype=np.float64), target)
             out[(Ellipsis,) + index] = val
             if self.symmetric and index != index[::-1]:
                 out[(Ellipsis,) + index[::-1]] = val

@@ -36,6 +36,8 @@ from .grid import (
     diff,
 )
 
+# sampler(t, w, grid): grid array at one Wiener state w (d',); an optional
+# method rows(t, states, grid) samples a stack (U, d') at once (sample_rows)
 Sampler = Callable[[float, np.ndarray, SpatialGrid], np.ndarray]
 
 
@@ -47,13 +49,32 @@ class ParabolicityError(ValueError):
     """Requested solve or estimate needs a parabolicity condition that fails."""
 
 
-def _as_w(w, wiener_dim: int) -> np.ndarray:
+def _as_states(w, wiener_dim: int) -> np.ndarray:
+    """w as a stack of Wiener rows (U, d'); one state (d',), or None for W = 0, is one row."""
     if w is None:
-        return np.zeros(wiener_dim)
-    arr = np.asarray(w, dtype=np.float64).reshape(-1)
-    if arr.size != wiener_dim:
-        raise ValueError(f"w has {arr.size} components, expected {wiener_dim}")
-    return arr
+        return np.zeros((1, wiener_dim))
+    states = np.asarray(w, dtype=np.float64)
+    if states.ndim != 2:
+        states = states.reshape(1, -1)
+    if states.shape[1] != wiener_dim:
+        raise ValueError(f"w has {states.shape[1]} components, expected {wiener_dim}")
+    return states
+
+
+def _at(t: float, w: np.ndarray) -> str:
+    return f"t = {float(t)!r}, W = {w.tolist()}"
+
+
+def sample_rows(sampler, t: float, states: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """The sampler at every Wiener row of states (U, d'), stacked on a leading U axis.
+
+    A sampler with a `rows(t, states, grid)` method is called once on all
+    rows; any other sampler is called once per row.
+    """
+    rows = getattr(sampler, "rows", None)
+    if rows is not None:
+        return np.asarray(rows(t, states, grid), dtype=np.float64)
+    return np.stack([np.asarray(sampler(t, w, grid), dtype=np.float64) for w in states])
 
 
 def constant_sampler(value, shape_suffix: tuple[int, ...]) -> Sampler:
@@ -79,10 +100,16 @@ class CoefficientSet:
         a: G + (d, d) symmetric   b: G + (d,)   c: G
         sigma: G + (d, d')        nu: G + (d',)
 
+    A sampler receives one Wiener state w of shape (d',).  One with a
+    `rows(t, states, grid)` method also takes a stack of rows (U, d') and
+    returns its arrays with a leading U axis; `sample` then calls it once
+    per stack instead of once per row.
+
     `time_dependent=False` and `w_dependent=False` promise that the samplers
     ignore t and W.  A backward sweep relies on both: it samples the
     coefficients once for the whole sweep when neither is set, otherwise
-    once per level and, when W is read, once per distinct Wiener state.
+    once per level, at the stack of the level's distinct Wiener states when
+    W is read.
     `periodic` marks whether the sampled fields wrap smoothly across the box
     seam; the symmetry checker masks a two-cell band at the seam when not.
     """
@@ -102,42 +129,64 @@ class CoefficientSet:
     name: str = ""
 
     def sample(self, t: float, w, grid: SpatialGrid) -> "CoefficientSample":
+        """(a, b, c, sigma, nu) at time t and one Wiener state w (d',), None for
+        W = 0; at a stack of rows w (U, d') every array gains a leading U
+        axis.  Errors name t, the offending Wiener row and any grid index.
+        """
         if grid.dim != self.dim:
             raise ValueError(f"grid dim {grid.dim} != coefficient dim {self.dim}")
-        w = _as_w(w, self.wiener_dim)
+        states = _as_states(w, self.wiener_dim)
         g = grid.shape
         d, dp = self.dim, self.wiener_dim
-        a = np.asarray(self.a(t, w, grid), dtype=np.float64)
-        if a.shape != g + (d, d):
-            raise CoefficientDataError(f"a sample has shape {a.shape}, expected {g + (d, d)}")
-        asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)))
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
-            idx = np.unravel_index(
-                np.argmax(np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-1, -2))), g
+        a = self._take(self.a, t, states, grid, g + (d, d), "a")
+        asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-1, -2))
+        # the tolerance scales with each row's own max |a|
+        scale = np.maximum(1.0, np.max(np.abs(a).reshape(len(a), -1), axis=1))
+        bad = np.max(asym.reshape(len(a), -1), axis=1) > 1e-12 * scale
+        if bad.any():
+            row = int(np.argmax(bad))
+            idx = np.unravel_index(np.argmax(asym[row]), g)
+            raise CoefficientDataError(
+                f"a is not symmetric at grid index {tuple(int(i) for i in idx)}, "
+                f"{_at(t, states[row])}"
             )
-            raise CoefficientDataError(f"a is not symmetric at grid index {idx}")
-        b = self._take(self.b, t, w, grid, g + (d,), "b")
-        c = self._take(self.c, t, w, grid, g, "c")
-        sigma = self._take(self.sigma, t, w, grid, g + (d, dp), "sigma")
-        nu = self._take(self.nu, t, w, grid, g + (dp,), "nu")
+        b = self._take(self.b, t, states, grid, g + (d,), "b")
+        c = self._take(self.c, t, states, grid, g, "c")
+        sigma = self._take(self.sigma, t, states, grid, g + (d, dp), "sigma")
+        nu = self._take(self.nu, t, states, grid, g + (dp,), "nu")
         for nm, arr in (("a", a), ("b", b), ("c", c), ("sigma", sigma), ("nu", nu)):
-            if not np.all(np.isfinite(arr)):
-                raise CoefficientDataError(f"{nm} sample contains non-finite values")
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                row, *idx = np.unravel_index(np.argmax(bad), arr.shape)[: 1 + d]
+                raise CoefficientDataError(
+                    f"{nm} sample contains non-finite values at grid index "
+                    f"{tuple(int(i) for i in idx)}, {_at(t, states[row])}"
+                )
+        if np.ndim(w) != 2:
+            w, a, b, c, sigma, nu = states[0], a[0], b[0], c[0], sigma[0], nu[0]
         return CoefficientSample(t=t, w=w, grid=grid, a=a, b=b, c=c, sigma=sigma, nu=nu)
 
     @staticmethod
-    def _take(sampler, t, w, grid, shape, nm) -> np.ndarray:
+    def _take(sampler, t, states, grid, shape, nm) -> np.ndarray:
+        shape = (len(states),) + shape
         if sampler is None:
             return np.zeros(shape)
-        arr = np.asarray(sampler(t, w, grid), dtype=np.float64)
+        arr = sample_rows(sampler, t, states, grid)
         if arr.shape != shape:
-            raise CoefficientDataError(f"{nm} sample has shape {arr.shape}, expected {shape}")
+            raise CoefficientDataError(
+                f"{nm} sample has shape {arr.shape}, expected {shape} (Wiener rows first), "
+                f"{_at(t, states[0])}"
+            )
         return arr
 
 
 @dataclass(frozen=True)
 class CoefficientSample:
-    """Grid arrays of all five coefficients at one (t, W) state."""
+    """Grid arrays of all five coefficients at one (t, W) state.
+
+    Sampled at a stack of Wiener rows, w is that stack (U, d') and every
+    array carries a leading U axis.
+    """
 
     t: float
     w: np.ndarray

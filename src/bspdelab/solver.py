@@ -48,6 +48,7 @@ from .coefficients import (
     CoefficientSet,
     ParabolicityError,
     check_parabolicity,
+    sample_rows,
     transformed_drift,
 )
 from .grid import (
@@ -135,7 +136,8 @@ class LevelCoefficients:
 
     Each array has a leading axis of U coefficient rows; `inv` maps node
     index to row (None means U = 1, shared by every node).  The sweep builds
-    one per level from the samplers; callers whose coefficients depend on
+    one per level from one CoefficientSet.sample call at the level's
+    distinct Wiener rows; callers whose coefficients depend on
     per-node state the samplers cannot see, e.g. a control policy, pass
     their own through ProblemData.level_coefficients.
     """
@@ -153,7 +155,8 @@ class ProblemData:
     """Everything a backward solve needs: geometry, tree, data, operator kind.
 
     Terminal data comes from `terminal(w, grid)` per leaf state.  Forcing
-    comes from a sampler `forcing(t, w, grid)`, or from
+    comes from a sampler `forcing(t, w, grid)`, sampled like a coefficient
+    (a `rows` method takes all of a level's Wiener rows at once), or from
     `forcing_level(level) -> (nodes, *grid)` or `(1, *grid)`.
     `level_coefficients` overrides the coefficient sampling per level;
     parabolicity checking is then the caller's responsibility.
@@ -332,15 +335,8 @@ def _level_coefficients(problem: ProblemData, level: int) -> LevelCoefficients:
     # W-free coefficients are the one-row case, sampled at W = 0
     w = tree.level_w(level) if coeffs.w_dependent else np.zeros((1, tree.wiener_dim))
     states, inv = distinct_rows(w)
-    smps = [coeffs.sample(t, row, problem.grid) for row in states]
-    return LevelCoefficients(
-        a=np.stack([s.a for s in smps]),
-        b=np.stack([s.b for s in smps]),
-        c=np.stack([s.c for s in smps]),
-        sigma=np.stack([s.sigma for s in smps]),
-        nu=np.stack([s.nu for s in smps]),
-        inv=inv,
-    )
+    smp = coeffs.sample(t, states, problem.grid)
+    return LevelCoefficients(a=smp.a, b=smp.b, c=smp.c, sigma=smp.sigma, nu=smp.nu, inv=inv)
 
 
 def level_forcing(problem: ProblemData, level: int) -> np.ndarray:
@@ -363,7 +359,7 @@ def level_forcing(problem: ProblemData, level: int) -> np.ndarray:
     else:
         w = tree.level_w(level) if problem.forcing_w_dependent else np.zeros((1, tree.wiener_dim))
         states, inv = distinct_rows(w)
-        f = np.stack([np.asarray(problem.forcing(t, row, grid), dtype=np.float64) for row in states])
+        f = sample_rows(problem.forcing, t, states, grid)
         if inv is not None:
             f = f[inv]
     if f.shape[1:] != grid.shape:
@@ -653,8 +649,11 @@ class _LevelOperator:
         gradient = not semi or (self.kind == KIND_BSPDE and "b" in self.nonzero)
         u_cur = ubar
         star = ubar
-        for _ in range(self.config.corrector_iterations):
+        for sweep in range(self.config.corrector_iterations):
             star = u_cur
+            if sweep and not explicit:
+                # the right-hand side reads no star: a later pass repeats u_cur
+                break
             expl = None
             if explicit:
                 expl = np.empty_like(ubar)

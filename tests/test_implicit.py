@@ -17,6 +17,9 @@ Core claims:
     - terms whose coefficient is zero everywhere are skipped: a 2D heat
       semi-implicit solve takes no gradient, and r is q itself on every
       level when sigma = 0 (and not when sigma != 0)
+    - with no explicit part (semi-implicit, b = c = 0) a step solves once
+      whatever the corrector passes, and returns (u, u) as the repeated
+      passes would
     - level_forcing evaluates the forcing alone, sampling no coefficient
     - the centred second-order part annihilates the Nyquist mode, so the
       scheme keeps it undamped (a known limit of the scheme), in 1D and on
@@ -346,6 +349,38 @@ def test_heat_semi_implicit_solve_takes_no_gradient(monkeypatch):
     monkeypatch.setattr(solver, "_grad", counting)
     solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT))
     assert calls == []
+
+
+def test_corrector_passes_without_explicit_part_solve_once(monkeypatch):
+    problem = _heat_problem()
+    calls = []
+    real = solver._fourier_solve
+
+    def counting(symbol, rhs):
+        calls.append(rhs.shape)
+        return real(symbol, rhs)
+
+    monkeypatch.setattr(solver, "_fourier_solve", counting)
+    solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT, corrector_iterations=3))
+    assert len(calls) == problem.tree.n_steps
+
+    # a repeated pass would reproduce u bit for bit: the right-hand side
+    # reads no corrector iterate when b = c = 0
+    level = 2
+    ubar = random_smooth_field(problem.grid, max_mode=3, seed=5)[None]
+    q = np.zeros(ubar.shape + (1,))
+    f = level_forcing(problem, level)
+    assert not np.any(f)
+    one = _LevelOperator(problem, SolverConfig(time_stepping=SEMI_IMPLICIT), level)
+    u1, star1 = one.step(ubar, q, f, level)
+    assert star1 is ubar
+    three = SolverConfig(time_stepping=SEMI_IMPLICIT, corrector_iterations=3)
+    op = _LevelOperator(problem, three, level)
+    u3, star3 = op.step(ubar, q, f, level)
+    again = op._solvers[0](ubar)
+    assert np.array_equal(u3, u1)
+    assert np.array_equal(star3, u1)
+    assert np.array_equal(again, u1)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.4])
