@@ -104,9 +104,10 @@ class ControlProblem:
     big_g (grid, d').  Scalar returns broadcast.  gamma lists the admissible
     control values; ties in any argmax resolve to the earliest entry.
 
-    Construction probes every v in gamma at three times and refuses samplers
-    that come back non-finite, an asymmetric a, or a degeneracy violation
-    (2a - sigma sigma^T must stay positive semidefinite for each control).
+    Construction probes every v in gamma at every step time t_0..t_{n-1},
+    at T/2 and at T, and refuses samplers that come back non-finite, an
+    asymmetric a, or a degeneracy violation (2a - sigma sigma^T must stay
+    positive semidefinite for each control).
     """
 
     grid: SpatialGrid
@@ -137,9 +138,8 @@ class ControlProblem:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{attr} contains non-finite values")
             object.__setattr__(self, attr, arr)
-        horizon = self.tree.time_grid.horizon
         for v in self.gamma:
-            for t in (0.0, 0.5 * horizon, horizon):
+            for t in _probe_times(self.tree):
                 smp = self.sample_all(t, v)
                 if not np.allclose(smp.a, smp.a.swapaxes(-1, -2)):
                     raise CoefficientDataError(
@@ -252,11 +252,18 @@ def _validate_policy(problem: ControlProblem, policy: ControlPolicy) -> None:
             raise ValueError(f"policy level {level} indexes outside gamma")
 
 
+def _probe_times(tree: PathTree) -> list:
+    """Times the control preconditions are checked at: t_0..t_{n-1}, T/2 and T."""
+    time_grid = tree.time_grid
+    horizon = time_grid.horizon
+    return sorted({*time_grid.times[:-1].tolist(), 0.5 * horizon, horizon})
+
+
 def _generator_apply(xi, smp: ControlSample, grid: SpatialGrid):
     """(L xi, M xi) for a batch xi (nodes, *grid) from one gradient of xi."""
     du = batch_gradient(xi, grid)
     m_xi = component_dot(smp.sigma, du[..., :, None], axis=-2) + smp.nu * xi[..., None]
-    # in place: exhaustive_policy_search applies this to a block of policies at once
+    # in place: exhaustive_policy_search applies this to every prefix state of a level at once
     l_xi = batch_divergence(component_dot(smp.a, du[..., None, :]), grid)
     l_xi += component_dot(smp.b, du)
     l_xi += smp.c * xi
@@ -264,10 +271,13 @@ def _generator_apply(xi, smp: ControlSample, grid: SpatialGrid):
 
 
 def forward_cfl(problem: ControlProblem, cfl_safety: float = 0.9) -> CflReport:
-    """Explicit step bounds for the forward scheme, maximized over gamma."""
+    """Explicit step bounds for the forward scheme, maximized over gamma.
+
+    Every step time is probed, plus T/2 and T, so a coefficient spike on
+    any level the forward sweep steps through shows in the bound.
+    """
     time_grid = problem.tree.time_grid
-    horizon = time_grid.horizon
-    smps = (problem.sample_all(t, v) for v in problem.gamma for t in (0.0, 0.5 * horizon, horizon))
+    smps = (problem.sample_all(t, v) for v in problem.gamma for t in _probe_times(problem.tree))
     samples = ((smp.a, smp.b, smp.sigma) for smp in smps)
     return CflReport.from_samples(samples, time_grid, problem.grid, 0.0, cfl_safety)
 
@@ -691,84 +701,103 @@ class ExhaustiveResult:
     costs: np.ndarray
 
 
+def _spread(values: np.ndarray, n_gamma: int) -> np.ndarray:
+    """Per-prefix rows one level longer from values per (prefix, node, control).
+
+    values has shape (K, s, |gamma|, ...) for the K prefixes and s nodes of
+    one level.  Row prefix + K (d_0 + |gamma| d_1 + ... + |gamma|^(s-1) d_(s-1))
+    of the result, node j, holds values[prefix, j, d_j]: the rows are the
+    prefixes that also fix this level's controls, in policy-code order.
+    """
+    n_prefix, n_nodes = values.shape[:2]
+    rest = values.shape[3:]
+    out = np.empty((n_prefix * n_gamma**n_nodes, n_nodes) + rest)
+    for j in range(n_nodes):
+        # row = prefix + K (low + |gamma|^j (d_j + |gamma| high)) with low < |gamma|^j
+        view = out.reshape((n_gamma ** (n_nodes - 1 - j), n_gamma, n_gamma**j, n_prefix, n_nodes) + rest)
+        view[:, :, :, :, j] = np.moveaxis(values[:, j], 1, 0)[None, :, None]
+    return out
+
+
 def exhaustive_policy_search(
     problem: ControlProblem,
     budget: int = 2**20,
     workspace_bytes: int = 2**22,
 ) -> ExhaustiveResult:
-    """Evaluate J for all |gamma|^nodes policies, batched per level and block.
+    """Evaluate J for all |gamma|^nodes policies, sharing states across prefixes.
 
     Full trees only: the enumeration assigns controls per pathwise node.
-    The policies are taken in blocks whose leaf-level state fits
-    `workspace_bytes` (4 MiB by default, so every array stays a few MiB).
-    Within a block every policy's forward state advances in one vectorized
-    sweep with a leading policy axis, so the cost per level is |gamma|
-    generator applications on a (policies * nodes)-sized batch.
+    A policy's code has the control index of the j-th non-leaf node (nodes
+    ordered level-major) as its j-th base-|gamma| digit.  The forward state
+    at level L depends only on the controls above L, the code's low
+    offsets[L] digits, so the sweep holds one state per (prefix, node) and
+    applies the generator once per control to that batch.  Each code's J
+    adds one table per level, indexed by its low digits, then the terminal
+    pairing of the last level's children; no per-policy state is built.
+    `workspace_bytes` (4 MiB by default) caps the largest level's children,
+    prefixes * nodes * |gamma| * children * grid points * 8 bytes; it and
+    `budget` are checked before anything is sampled.
     """
     tree, grid = problem.tree, problem.grid
     if tree.mode != "full":
         raise UnsupportedModeError(
             "exhaustive search enumerates pathwise policies; use a full tree"
         )
-    report = forward_cfl(problem)
-    if not report.satisfied:
-        raise CflError("forward CFL bound fails for the exhaustive sweep", report)
     n_gamma = len(problem.gamma)
     sizes = tree.level_sizes[:-1]
-    total = int(sum(sizes))
+    offsets = [sum(sizes[:level]) for level in range(tree.n_steps + 1)]
+    total = offsets[-1]
     n_policies = n_gamma**total
     if n_policies > budget:
         raise BudgetExceededError(
             f"{n_gamma}^{total} = {n_policies} policies exceed budget {budget}"
         )
-    policy_bytes = (1 + n_gamma) * tree.level_sizes[-1] * grid.size * 8
-    if policy_bytes > workspace_bytes:
+    n_children = tree.child_count
+    states = max(n_gamma ** offsets[level] * size for level, size in enumerate(sizes))
+    need = states * n_gamma * n_children * grid.size * 8
+    if need > workspace_bytes:
         raise BudgetExceededError(
-            f"exhaustive sweep needs ~{policy_bytes} bytes per policy, over {workspace_bytes}"
+            f"exhaustive sweep needs {need} bytes for its largest level, over {workspace_bytes}"
         )
+    report = forward_cfl(problem)
+    if not report.satisfied:
+        raise CflError("forward CFL bound fails for the exhaustive sweep", report)
 
-    # column j of `assign` is the control index at the j-th non-leaf node,
-    # nodes ordered level-major
-    weights = n_gamma ** np.arange(total, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    samples = [
-        [problem.sample_all(tree.time_grid.time(lv), v) for v in problem.gamma]
-        for lv in range(tree.n_steps)
-    ]
-    probs = [tree.level_probabilities(level) for level in range(tree.n_steps + 1)]
     dt, vol = tree.time_grid.dt, grid.cell_volume
     gax = tuple(range(2, 2 + grid.dim))
     incr = tree.increments()
     costs = np.zeros(n_policies)
-    step = workspace_bytes // policy_bytes
-    for start in range(0, n_policies, step):
-        codes = np.arange(start, min(start + step, n_policies), dtype=np.int64)
-        assign = (codes[:, None] // weights) % n_gamma
-        block = costs[start : start + codes.size]
-        xi = np.broadcast_to(problem.xi0, (codes.size, 1) + grid.shape)
-        for level in range(tree.n_steps):
-            pol = assign[:, offsets[level] : offsets[level + 1]]
-            mask_shape = pol.shape + (1,) * grid.dim
-            drift = np.zeros(xi.shape)
-            mart = np.zeros(xi.shape + (tree.wiener_dim,))
-            f_vals = np.zeros(pol.shape)
-            flat = xi.reshape((-1,) + grid.shape)
-            for gi, smp in enumerate(samples[level]):
-                dr, mt = _generator_apply(flat, smp, grid)
-                dr += smp.big_f
-                mt += smp.big_g
-                mask = (pol == gi).reshape(mask_shape)
-                drift += np.where(mask, dr.reshape(xi.shape), 0.0)
-                mart += np.where(mask[..., None], mt.reshape(xi.shape + (tree.wiener_dim,)), 0.0)
-                f_vals += np.where(pol == gi, np.sum(smp.cost_f * xi, axis=gax) * vol, 0.0)
-            # row sums, not a BLAS product whose rounding can depend on the
-            # row count: a policy's J is the same in any block
-            block += dt * np.sum(f_vals * probs[level], axis=1)
-            kick = np.einsum("pm...k,ck->pmc...", mart, incr)
-            xi = ((xi + dt * drift)[:, :, None] + kick).reshape(pol.shape[:1] + (-1,) + grid.shape)
-        block += np.sum(np.sum(problem.terminal_phi * xi, axis=gax) * vol * probs[-1], axis=1)
+    # xi[prefix, node]: the level's state under every prefix of controls above it
+    xi = np.broadcast_to(problem.xi0, (1, 1) + grid.shape)
+    for level in range(tree.n_steps):
+        t = tree.time_grid.time(level)
+        n_prefix, n_nodes = xi.shape[:2]
+        flat = xi.reshape((-1,) + grid.shape)
+        pairs = np.empty((n_prefix, n_nodes, n_gamma))
+        children = np.empty((n_prefix, n_nodes, n_gamma, n_children) + grid.shape)
+        for gi, v in enumerate(problem.gamma):
+            smp = problem.sample_all(t, v)
+            dr, mt = _generator_apply(flat, smp, grid)
+            dr += smp.big_f
+            mt += smp.big_g
+            pairs[:, :, gi] = np.sum(smp.cost_f * xi, axis=gax) * vol
+            kick = np.einsum("pm...k,ck->pmc...", mt.reshape(xi.shape + (-1,)), incr)
+            children[:, :, gi] = (xi + dt * dr.reshape(xi.shape))[:, :, None] + kick
+        # row sums, not a BLAS product whose rounding can depend on the row
+        # count: a policy's J does not depend on how many prefixes share it
+        table = _spread(pairs * tree.level_probabilities(level)[:, None], n_gamma)
+        by_prefix = costs.reshape(-1, table.shape[0])  # a view: columns are the low digits
+        by_prefix += dt * np.sum(table, axis=1)
+        if level + 1 < tree.n_steps:
+            xi = _spread(children, n_gamma).reshape((-1, n_nodes * n_children) + grid.shape)
+    # children[prefix, node, control, child] are the leaves of the last level
+    leaf_probs = tree.level_probabilities(tree.n_steps).reshape(sizes[-1], 1, n_children)
+    leaf_axes = tuple(range(4, 4 + grid.dim))
+    leaves = np.sum(problem.terminal_phi * children, axis=leaf_axes) * vol * leaf_probs
+    costs += np.sum(_spread(leaves, n_gamma).reshape(n_policies, -1), axis=1)
 
     best = int(np.argmin(costs))
+    weights = n_gamma ** np.arange(total, dtype=np.int64)
     chosen = (best // weights) % n_gamma
     levels = tuple(chosen[offsets[level] : offsets[level + 1]] for level in range(tree.n_steps))
     return ExhaustiveResult(

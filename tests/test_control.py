@@ -20,7 +20,12 @@ Core claims:
     - policy_iteration converges on an affine instance and falls back to
       the best-cost iterate when capped
     - exhaustive_policy_search agrees with the plain forward cost path,
-      enforces its mode and budget guards, and its minimum matches costs
+      enforces its mode and budget guards, and its minimum matches costs;
+      its cost for every policy equals the plain forward cost path's, and
+      its byte cap is the largest level's children array, checked before
+      anything is sampled
+    - the forward CFL bound and the degeneracy check see a coefficient
+      spike on any step level, not only at t = 0, T/2 and T
     - control_report assembles the full experiment record
 """
 
@@ -42,6 +47,7 @@ from bspdelab.control import (
     cost,
     duality_check,
     exhaustive_policy_search,
+    forward_cfl,
     policies_equal,
     policy_iteration,
     solve_adjoint,
@@ -59,6 +65,29 @@ from bspdelab.solver import CflError
 
 def _grid(M=16):
     return SpatialGrid(dim=1, half_width=np.pi, points=M)
+
+
+def _spike(t):
+    """A bump centred on t_1 = 0.025 of a T = 0.1, n = 4 tree, gone by T/2."""
+    return math.exp(-(((t - 0.025) / 0.004) ** 2))
+
+
+def _spiked_steering_problem(a_spike=0.0, sigma_spike=0.0):
+    """The M=16, n=4 steering problem with a(t) and sigma(t) spiked on level 1."""
+    grid = _grid(16)
+    tree = build_tree(TimeGrid(0.1, 4), 1, "full")
+    x = grid.axis_coordinates()
+    return ControlProblem(
+        grid=grid,
+        tree=tree,
+        gamma=(-1.0, 1.0),
+        terminal_phi=np.cos(x),
+        xi0=np.exp(np.cos(x)),
+        a=lambda t, v, g: (0.25 + a_spike * _spike(t)) * np.eye(1),
+        sigma=lambda t, v, g: (0.5 + sigma_spike * _spike(t)) * np.ones((1, 1)),
+        big_f=lambda t, v, g: v * np.sin(x),
+        cost_f=lambda t, v, g: 0.1 * v * np.cos(x) * (t - 0.043),
+    )
 
 
 def _steering_problem(M=16, T=0.1, n=4, mode="full", flip=0.043):
@@ -166,6 +195,14 @@ def test_degeneracy_violation_rejected_per_control():
         )
 
 
+def test_degeneracy_violation_on_a_step_level_rejected():
+    # sigma(t_1) = 3.5 makes 2a - sigma^2 = -11.75 at t = 0.025, a step time
+    # that t = 0, T/2 and T all miss
+    _spiked_steering_problem()
+    with pytest.raises(ParabolicityError, match=r"-1\.175e\+01 at t=0\.025, v=-1\.0"):
+        _spiked_steering_problem(sigma_spike=3.0)
+
+
 def test_sample_field_defaults_and_broadcast():
     problem = _steering_problem()
     nu = problem.sample_field("nu", 0.0, 1.0)
@@ -228,6 +265,23 @@ def test_forward_cfl_gate():
     with pytest.raises(CflError) as exc_info:
         solve_forward(problem, constant_policy(tree))
     assert exc_info.value.report.suggested_n_steps > 8
+
+
+def test_forward_cfl_sees_every_step_level():
+    # a(t_1) = 40.25 bounds dt by 1.7e-3 < dt = 0.025; at t = 0, T/2 and T
+    # a = 0.25 and the bound is 0.28
+    calm = _spiked_steering_problem()
+    assert forward_cfl(calm).satisfied
+    solve_forward(calm, constant_policy(calm.tree))
+    exhaustive_policy_search(calm)
+    spiked = _spiked_steering_problem(a_spike=40.0)
+    report = forward_cfl(spiked)
+    assert not report.satisfied
+    assert report.dt_parabolic == approx(0.9 * calm.grid.h**2 / (2 * 40.25), rel=1e-6)
+    with pytest.raises(CflError):
+        solve_forward(spiked, constant_policy(spiked.tree))
+    with pytest.raises(CflError):
+        exhaustive_policy_search(spiked)
 
 
 def test_forward_static_under_zero_dynamics():
@@ -417,20 +471,71 @@ def test_exhaustive_matches_plain_cost_path():
     assert cost(problem, improved, fwd_i) >= res.j - 1e-12
 
 
-def test_exhaustive_blocks_give_the_same_costs():
+def _policy_of_code(tree, n_gamma, code):
+    """The policy whose j-th non-leaf node (level-major) plays digit j of code."""
+    sizes = tree.level_sizes[:-1]
+    digits = (code // n_gamma ** np.arange(sum(sizes))) % n_gamma
+    bounds = np.cumsum((0,) + sizes)
+    return ControlPolicy(tuple(digits[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+
+
+def _two_noise_problem():
+    """d' = 2, n = 2, three controls: every generator and forcing term set."""
+    grid = _grid(8)
+    tree = build_tree(TimeGrid(0.1, 2), 2, "full")
+    x = grid.axis_coordinates()
+    return ControlProblem(
+        grid=grid,
+        tree=tree,
+        gamma=(-1.0, 0.0, 1.0),
+        terminal_phi=np.cos(x),
+        xi0=np.exp(np.cos(x)),
+        a=lambda t, v, g: 0.3 * np.eye(1),
+        b=lambda t, v, g: np.array([0.2 * v]),
+        c=lambda t, v, g: 0.1 * v * np.sin(x),
+        sigma=lambda t, v, g: np.array([[0.3, 0.2 * (1.0 + 0.2 * v)]]),
+        nu=lambda t, v, g: np.array([0.1 * v, -0.05]),
+        big_f=lambda t, v, g: v * np.sin(x),
+        big_g=lambda t, v, g: np.array([0.1, 0.05 * v]),
+        cost_f=lambda t, v, g: 0.1 * v * np.cos(x) * (t - 0.04),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, n_policies",
+    [
+        (lambda: _steering_problem(M=8, T=0.1, n=3, mode="full"), 2**7),
+        (_two_noise_problem, 3**5),
+    ],
+    ids=["steering-n3", "two-noise-n2"],
+)
+def test_exhaustive_costs_match_every_policy(make, n_policies):
+    problem = make()
+    res = exhaustive_policy_search(problem)
+    assert res.n_policies == n_policies
+    for code in range(n_policies):
+        policy = _policy_of_code(problem.tree, len(problem.gamma), code)
+        j = cost(problem, policy, solve_forward(problem, policy))
+        assert res.costs[code] == approx(j, rel=1e-13, abs=0)
+
+
+def test_exhaustive_byte_cap_is_the_largest_level(monkeypatch):
     problem = _steering_problem(M=8, T=0.1, n=3, mode="full")
     whole = exhaustive_policy_search(problem)
-    # one policy's leaf state is (1 + |gamma|) * 8 leaves * 8 points * 8 bytes:
-    # blocks of 3 policies, the last one partial
-    policy_bytes = 3 * 8 * 8 * 8
-    blocked = exhaustive_policy_search(problem, workspace_bytes=3 * policy_bytes + 1)
+    # level 2 is the largest: 2^3 prefixes * 4 nodes, each with |gamma| = 2
+    # controls and 2 children of 8 points * 8 bytes
+    need = 2**3 * 4 * 2 * 2 * 8 * 8
+    samples = []
+    monkeypatch.setattr(ControlProblem, "sample_all", lambda self, t, v: samples.append(t))
+    with pytest.raises(BudgetExceededError, match=f"needs {need} bytes"):
+        exhaustive_policy_search(problem, workspace_bytes=need - 1)
+    assert samples == []
+    monkeypatch.undo()
+    capped = exhaustive_policy_search(problem, workspace_bytes=need)
     assert whole.n_policies == 2 ** 7
-    assert np.array_equal(blocked.costs, whole.costs)
-    assert blocked.j == whole.j
-    assert policies_equal(blocked.policy, whole.policy)
-    with pytest.raises(BudgetExceededError, match="bytes per policy"):
-        exhaustive_policy_search(problem, workspace_bytes=policy_bytes - 1)
-    exhaustive_policy_search(problem, workspace_bytes=policy_bytes)
+    assert np.array_equal(capped.costs, whole.costs)
+    assert capped.j == whole.j
+    assert policies_equal(capped.policy, whole.policy)
 
 
 def test_exhaustive_guards():
