@@ -25,13 +25,17 @@ pairings exactly adjoint, which is what keeps the duality defect tight:
 Replacing u(t_n) by the predictor ubar_n = E_n u(t_{n+1}) turns the O(dt)
 remainder into an exact telescoping identity for the explicit single-pass
 scheme; duality_check reports both gaps.
+
+A ControlProblem samples its fields once, at construction; the table of at
+most |gamma| (n + 2) sampled states feeds everything below, the CFL bound
+included.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,8 +85,13 @@ class PolicyOscillationWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class ControlSample:
-    """All control-problem fields sampled at one (t, v): arrays on the grid."""
+class _ControlTable:
+    """Every field at every sampled (time row, control): (rows, |gamma|, *grid, ...).
+
+    Rows 0..n-1 are the step levels t_0..t_{n-1}; then come T/2, unless it is
+    a step time, and T, which only the checks and the forward CFL bound read.
+    Indexing with [row, control] indexes every field the same way.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -92,6 +101,9 @@ class ControlSample:
     big_f: np.ndarray
     big_g: np.ndarray
     cost_f: np.ndarray
+
+    def __getitem__(self, key) -> "_ControlTable":
+        return _ControlTable(*(getattr(self, f.name)[key] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -104,10 +116,14 @@ class ControlProblem:
     big_g (grid, d').  Scalar returns broadcast.  gamma lists the admissible
     control values; ties in any argmax resolve to the earliest entry.
 
-    Construction probes every v in gamma at every step time t_0..t_{n-1},
-    at T/2 and at T, and refuses samplers that come back non-finite, an
-    asymmetric a, or a degeneracy violation (2a - sigma sigma^T must stay
-    positive semidefinite for each control).
+    Construction samples every field once at every (t, v) the problem can
+    read: each v in gamma at every step time t_0..t_{n-1}, at T/2 and at T.
+    It refuses samplers that come back non-finite, an asymmetric a, or a
+    degeneracy violation (2a - sigma sigma^T must stay positive semidefinite
+    for each control), and keeps the samples in one table that the forward
+    sweep, the adjoint, the Hamiltonian, the cost and the CFL bound all read;
+    no sampler is called after construction.  The table holds at most
+    |gamma| (n + 2) grid.size (d^2 + d + d d' + 2 d' + 3) float64 values.
     """
 
     grid: SpatialGrid
@@ -124,6 +140,7 @@ class ControlProblem:
     big_g: object = None
     cost_f: object = None
     name: str = ""
+    _table: _ControlTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", tuple(self.gamma))
@@ -138,24 +155,8 @@ class ControlProblem:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{attr} contains non-finite values")
             object.__setattr__(self, attr, arr)
-        for v in self.gamma:
-            for t in _probe_times(self.tree):
-                smp = self.sample_all(t, v)
-                if not np.allclose(smp.a, smp.a.swapaxes(-1, -2)):
-                    raise CoefficientDataError(
-                        f"a sampled at t={t}, v={v!r} is not symmetric"
-                    )
-                dp = 2.0 * smp.a - smp.sigma @ smp.sigma.swapaxes(-1, -2)
-                min_eig = float(np.linalg.eigvalsh(dp).min())
-                if min_eig < -TOL_PSD:
-                    raise ParabolicityError(
-                        f"2a - sigma sigma^T has eigenvalue {min_eig:.3e} "
-                        f"at t={t}, v={v!r}"
-                    )
-
-    def _suffix(self, name: str) -> tuple[int, ...]:
         d, dw = self.grid.dim, self.tree.wiener_dim
-        return {
+        suffixes = {
             "a": (d, d),
             "b": (d,),
             "c": (),
@@ -164,36 +165,47 @@ class ControlProblem:
             "big_f": (),
             "big_g": (dw,),
             "cost_f": (),
-        }[name]
-
-    def sample_field(self, name: str, t: float, v) -> np.ndarray:
-        """One field at (t, v) broadcast to its full grid shape; zeros if unset."""
-        target = self.grid.shape + self._suffix(name)
-        fn = getattr(self, name)
-        if fn is None:
-            return np.zeros(target)
-        arr = np.asarray(fn(t, v, self.grid), dtype=np.float64)
-        try:
-            out = np.broadcast_to(arr, target)
-        except ValueError:
-            raise CoefficientDataError(
-                f"{name} sampled shape {arr.shape} does not broadcast to {target}"
-            ) from None
-        if not np.all(np.isfinite(out)):
-            raise CoefficientDataError(f"{name} sampled non-finite at t={t}, v={v!r}")
-        return out
-
-    def sample_all(self, t: float, v) -> ControlSample:
-        return ControlSample(
-            a=self.sample_field("a", t, v),
-            b=self.sample_field("b", t, v),
-            c=self.sample_field("c", t, v),
-            sigma=self.sample_field("sigma", t, v),
-            nu=self.sample_field("nu", t, v),
-            big_f=self.sample_field("big_f", t, v),
-            big_g=self.sample_field("big_g", t, v),
-            cost_f=self.sample_field("cost_f", t, v),
-        )
+        }
+        time_grid = self.tree.time_grid
+        steps = time_grid.times[:-1].tolist()
+        # table rows: the step levels, then T/2 unless it is one of them, then T
+        times = steps + [t for t in (0.5 * time_grid.horizon, time_grid.horizon) if t not in steps]
+        lead = (len(times), len(self.gamma)) + self.grid.shape
+        # unset fields stay zero
+        table = {n: np.zeros(lead + sfx) for n, sfx in suffixes.items()}
+        for gi, v in enumerate(self.gamma):
+            # check in time order, so the earliest bad state is the one reported
+            for row, t in sorted(enumerate(times), key=lambda item: item[1]):
+                for name, values in table.items():
+                    fn = getattr(self, name)
+                    if fn is None:
+                        continue
+                    arr = np.asarray(fn(t, v, self.grid), dtype=np.float64)
+                    target = values.shape[2:]
+                    try:
+                        out = np.broadcast_to(arr, target)
+                    except ValueError:
+                        raise CoefficientDataError(
+                            f"{name} sampled shape {arr.shape} does not broadcast to {target}"
+                        ) from None
+                    if not np.all(np.isfinite(out)):
+                        raise CoefficientDataError(
+                            f"{name} sampled non-finite at t={t}, v={v!r}"
+                        )
+                    values[row, gi] = out
+                a, sigma = table["a"][row, gi], table["sigma"][row, gi]
+                if not np.allclose(a, a.swapaxes(-1, -2)):
+                    raise CoefficientDataError(
+                        f"a sampled at t={t}, v={v!r} is not symmetric"
+                    )
+                dp = 2.0 * a - sigma @ sigma.swapaxes(-1, -2)
+                min_eig = float(np.linalg.eigvalsh(dp).min())
+                if min_eig < -TOL_PSD:
+                    raise ParabolicityError(
+                        f"2a - sigma sigma^T has eigenvalue {min_eig:.3e} "
+                        f"at t={t}, v={v!r}"
+                    )
+        object.__setattr__(self, "_table", _ControlTable(**table))
 
 
 @dataclass(frozen=True)
@@ -252,14 +264,7 @@ def _validate_policy(problem: ControlProblem, policy: ControlPolicy) -> None:
             raise ValueError(f"policy level {level} indexes outside gamma")
 
 
-def _probe_times(tree: PathTree) -> list:
-    """Times the control preconditions are checked at: t_0..t_{n-1}, T/2 and T."""
-    time_grid = tree.time_grid
-    horizon = time_grid.horizon
-    return sorted({*time_grid.times[:-1].tolist(), 0.5 * horizon, horizon})
-
-
-def _generator_apply(xi, smp: ControlSample, grid: SpatialGrid):
+def _generator_apply(xi, smp: _ControlTable, grid: SpatialGrid):
     """(L xi, M xi) for a batch xi (nodes, *grid) from one gradient of xi."""
     du = batch_gradient(xi, grid)
     m_xi = component_dot(smp.sigma, du[..., :, None], axis=-2) + smp.nu * xi[..., None]
@@ -273,13 +278,13 @@ def _generator_apply(xi, smp: ControlSample, grid: SpatialGrid):
 def forward_cfl(problem: ControlProblem, cfl_safety: float = 0.9) -> CflReport:
     """Explicit step bounds for the forward scheme, maximized over gamma.
 
-    Every step time is probed, plus T/2 and T, so a coefficient spike on
-    any level the forward sweep steps through shows in the bound.
+    The bound reads the whole sample table, every step time plus T/2 and T,
+    so a coefficient spike on any level the forward sweep steps through
+    shows in it.
     """
-    time_grid = problem.tree.time_grid
-    smps = (problem.sample_all(t, v) for v in problem.gamma for t in _probe_times(problem.tree))
-    samples = ((smp.a, smp.b, smp.sigma) for smp in smps)
-    return CflReport.from_samples(samples, time_grid, problem.grid, 0.0, cfl_safety)
+    table = problem._table
+    samples = [(table.a, table.b, table.sigma)]
+    return CflReport.from_samples(samples, problem.tree.time_grid, problem.grid, 0.0, cfl_safety)
 
 
 @dataclass
@@ -298,15 +303,12 @@ class ForwardState:
 
 def _forward_level_terms(problem, policy, level, xi):
     """Drift L xi + F and martingale loading M xi + G, grouped by control."""
-    grid = problem.grid
-    t = problem.tree.time_grid.time(level)
-    idx = policy.indices[level]
     drift = np.empty_like(xi)
     mart = np.empty(xi.shape + (problem.tree.wiener_dim,))
-    controls, inv = distinct_rows(idx)
+    controls, inv = distinct_rows(policy.indices[level])
     for row, sel in row_groups(inv, len(controls)):
-        smp = problem.sample_all(t, problem.gamma[int(controls[row])])
-        l_xi, m_xi = _generator_apply(xi[sel], smp, grid)
+        smp = problem._table[level, int(controls[row])]
+        l_xi, m_xi = _generator_apply(xi[sel], smp, problem.grid)
         drift[sel] = l_xi + smp.big_f
         mart[sel] = m_xi + smp.big_g
     return drift, mart
@@ -375,16 +377,6 @@ def _mean_levels(forward) -> AdaptedGridField:
     return getattr(forward, "mean", forward)
 
 
-def _policy_field(problem, policy, level, name) -> np.ndarray:
-    """Per-node sample of one field under the policy: (nodes, ...) or (1, ...)."""
-    t = problem.tree.time_grid.time(level)
-    controls, inv = distinct_rows(policy.indices[level])
-    rows = np.stack(
-        [problem.sample_field(name, t, problem.gamma[int(g)]) for g in controls]
-    )
-    return rows if inv is None else rows[inv]
-
-
 def cost(problem: ControlProblem, policy: ControlPolicy, forward) -> float:
     """J = sum_n dt E<f(t, V), xi(t)> + E<phi, xi(T)>, exact on the tree."""
     _validate_policy(problem, policy)
@@ -394,7 +386,7 @@ def cost(problem: ControlProblem, policy: ControlPolicy, forward) -> float:
     gax = tuple(range(1, 1 + grid.dim))
     total = 0.0
     for level in range(tree.n_steps):
-        f_nodes = _policy_field(problem, policy, level, "cost_f")
+        f_nodes = problem._table.cost_f[level, policy.indices[level]]
         vals = np.sum(f_nodes * xi[level], axis=gax) * vol
         p = tree.level_probabilities(level)
         total += dt * float(p @ np.broadcast_to(vals, p.shape))
@@ -412,12 +404,13 @@ def solve_adjoint(
 
     The adjoint operators are D_i(a^{ij} D_j u) - D_i(b^i u) + c u and
     -D_i(sigma^{ik} q^k) + nu^k q^k; terminal data is phi and the forcing is
-    the running cost density evaluated along the policy.  Coefficients are
-    pre-sampled per level and grouped by control value, so the backward
-    solver sees exactly the fields the forward sweep used.
+    the running cost density evaluated along the policy.  Each level's
+    coefficients are the sample table's rows of the controls it plays, one
+    row per distinct control, so the backward solver sees exactly the fields
+    the forward sweep used.
     """
     _validate_policy(problem, policy)
-    grid, tree = problem.grid, problem.tree
+    grid, tree, table = problem.grid, problem.tree, problem._table
     d = grid.dim
     # level_coeffs supplies every coefficient; this set only fixes the dimensions
     dimensions = CoefficientSet(
@@ -425,20 +418,10 @@ def solve_adjoint(
     )
 
     def level_coeffs(level: int) -> LevelCoefficients:
-        t = tree.time_grid.time(level)
         controls, inv = distinct_rows(policy.indices[level])
-        smps = [problem.sample_all(t, problem.gamma[int(g)]) for g in controls]
-
-        def stack(attr):
-            return np.stack([getattr(s, attr) for s in smps])
-
+        rows = table[level, controls]
         return LevelCoefficients(
-            a=stack("a"),
-            b=stack("b"),
-            c=stack("c"),
-            sigma=stack("sigma"),
-            nu=stack("nu"),
-            inv=inv,
+            a=rows.a, b=rows.b, c=rows.c, sigma=rows.sigma, nu=rows.nu, inv=inv
         )
 
     adjoint_data = ProblemData(
@@ -446,7 +429,7 @@ def solve_adjoint(
         tree=tree,
         coefficients=dimensions,
         terminal=lambda w, g: problem.terminal_phi,
-        forcing_level=lambda level: _policy_field(problem, policy, level, "cost_f"),
+        forcing_level=lambda level: table.cost_f[level, policy.indices[level]],
         level_coefficients=level_coeffs,
         operator_kind="adjoint",
     )
@@ -462,10 +445,9 @@ def _level_hamiltonians(problem, level, xi_level, u_level, q_level) -> np.ndarra
     vol = grid.cell_volume
     gax = tuple(range(1, 1 + grid.dim))
     qax = gax + (1 + grid.dim,)
-    t = problem.tree.time_grid.time(level)
     out = np.empty((xi_level.shape[0], len(problem.gamma)))
-    for gi, v in enumerate(problem.gamma):
-        smp = problem.sample_all(t, v)
+    for gi in range(len(problem.gamma)):
+        smp = problem._table[level, gi]
         lxi, mxi = _generator_apply(xi_level, smp, grid)
         out[:, gi] = -(
             np.sum(lxi * u_level, axis=gax)
@@ -580,8 +562,8 @@ def duality_check(
     acc = acc_pred = 0.0
     for level in range(tree.n_steps):
         p = tree.level_probabilities(level)
-        f_big = _policy_field(problem, policy, level, "big_f")
-        g_big = _policy_field(problem, policy, level, "big_g")
+        f_big = problem._table.big_f[level, policy.indices[level]]
+        g_big = problem._table.big_g[level, policy.indices[level]]
         ubar = level_conditional_expectation(tree, adjoint.u[level + 1], level)
         gq = np.sum(g_big * adjoint.q[level], axis=qax) * vol
         fu = np.sum(f_big * adjoint.u[level], axis=gax) * vol
@@ -736,7 +718,7 @@ def exhaustive_policy_search(
     pairing of the last level's children; no per-policy state is built.
     `workspace_bytes` (4 MiB by default) caps the largest level's children,
     prefixes * nodes * |gamma| * children * grid points * 8 bytes; it and
-    `budget` are checked before anything is sampled.
+    `budget` are checked before the sweep allocates or applies anything.
     """
     tree, grid = problem.tree, problem.grid
     if tree.mode != "full":
@@ -770,13 +752,12 @@ def exhaustive_policy_search(
     # xi[prefix, node]: the level's state under every prefix of controls above it
     xi = np.broadcast_to(problem.xi0, (1, 1) + grid.shape)
     for level in range(tree.n_steps):
-        t = tree.time_grid.time(level)
         n_prefix, n_nodes = xi.shape[:2]
         flat = xi.reshape((-1,) + grid.shape)
         pairs = np.empty((n_prefix, n_nodes, n_gamma))
         children = np.empty((n_prefix, n_nodes, n_gamma, n_children) + grid.shape)
-        for gi, v in enumerate(problem.gamma):
-            smp = problem.sample_all(t, v)
+        for gi in range(n_gamma):
+            smp = problem._table[level, gi]
             dr, mt = _generator_apply(flat, smp, grid)
             dr += smp.big_f
             mt += smp.big_g

@@ -66,7 +66,10 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
     def time(self, level: int) -> float:
-        return float(self.times[level])
+        """t_level, equal to times[level] without building the array."""
+        if not 0 <= level <= self.n_steps:
+            raise IndexError(f"level {level} outside 0..{self.n_steps}")
+        return float(self.horizon if level == self.n_steps else level * self.dt)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Core claims:
     - ControlProblem construction probes every control value and refuses
       empty gamma, wrong-shaped data, non-finite samples, asymmetric a,
       and degeneracy violations
-    - sample_field broadcasts scalars and zero-fills unset fields
+    - the construction samples broadcast scalars and zero-fill unset fields
+    - construction calls each sampler once per (probe time, control), and
+      nothing after it (search, iteration, report, duality) samples again
     - constant_policy, policies_equal and dump behave as documented, and
       malformed policies are rejected before any sweep
     - the forward march refuses CFL-violating steps, conserves a static
@@ -23,12 +25,13 @@ Core claims:
       enforces its mode and budget guards, and its minimum matches costs;
       its cost for every policy equals the plain forward cost path's, and
       its byte cap is the largest level's children array, checked before
-      anything is sampled
+      the generator is applied
     - the forward CFL bound and the degeneracy check see a coefficient
       spike on any step level, not only at t = 0, T/2 and T
     - control_report assembles the full experiment record
 """
 
+import collections
 import math
 import warnings
 
@@ -36,6 +39,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from bspdelab import control
 from bspdelab.coefficients import CoefficientDataError, ParabolicityError
 from bspdelab.control import (
     ControlPolicy,
@@ -205,12 +209,68 @@ def test_degeneracy_violation_on_a_step_level_rejected():
 
 def test_sample_field_defaults_and_broadcast():
     problem = _steering_problem()
-    nu = problem.sample_field("nu", 0.0, 1.0)
+    # rows t_0..t_3 then T: T/2 = t_2 is a step time; columns follow gamma
+    table = problem._table
+    nu = table.nu[0, 1]
     assert nu.shape == problem.grid.shape + (1,)
     assert np.all(nu == 0.0)
-    a = problem.sample_field("a", 0.0, -1.0)
+    a = table.a[0, 0]
     assert a.shape == problem.grid.shape + (1, 1)
     assert np.all(a == 0.25)
+    assert table.cost_f.shape == (4 + 1, 2) + problem.grid.shape
+
+
+def _counted_steering_problem(calls):
+    """The n = 4 steering problem with all eight samplers set and counted.
+
+    calls[name, t, v] counts the calls of sampler `name` at (t, v).
+    """
+    grid = _grid(16)
+    x = grid.axis_coordinates()
+    samplers = {
+        "a": lambda t, v, g: 0.25 * np.eye(1),
+        "b": lambda t, v, g: np.zeros(1),
+        "c": lambda t, v, g: 0.0,
+        "sigma": lambda t, v, g: 0.5 * np.ones((1, 1)),
+        "nu": lambda t, v, g: np.zeros(1),
+        "big_f": lambda t, v, g: v * np.sin(x),
+        "big_g": lambda t, v, g: 0.0,
+        "cost_f": lambda t, v, g: 0.1 * v * np.cos(x) * (t - 0.043),
+    }
+
+    def counted(name, fn):
+        def sampler(t, v, g):
+            calls[name, t, v] += 1
+            return fn(t, v, g)
+
+        return sampler
+
+    return ControlProblem(
+        grid=grid,
+        tree=build_tree(TimeGrid(0.1, 4), 1, "full"),
+        gamma=(-1.0, 1.0),
+        terminal_phi=np.cos(x),
+        xi0=np.exp(np.cos(x)),
+        **{name: counted(name, fn) for name, fn in samplers.items()},
+    )
+
+
+def test_samplers_run_once_per_state_at_construction():
+    calls = collections.Counter()
+    problem = _counted_steering_problem(calls)
+    # t_0..t_3 and T; T/2 = t_2 is a step time
+    times = problem.tree.time_grid.times.tolist()
+    names = ("a", "b", "c", "sigma", "nu", "big_f", "big_g", "cost_f")
+    assert set(calls) == {(n, t, v) for n in names for t in times for v in problem.gamma}
+    assert set(calls.values()) == {1}
+    constructed = dict(calls)
+
+    exhaustive = exhaustive_policy_search(problem)
+    policy_iteration(problem, max_iters=3)
+    control_report(problem, max_iters=3)
+    forward = solve_forward(problem, exhaustive.policy)
+    duality_check(problem, exhaustive.policy, forward, solve_adjoint(problem, exhaustive.policy))
+    assert dict(calls) == constructed
 
 
 # -- policies ---------------------------------------------------------------
@@ -525,11 +585,11 @@ def test_exhaustive_byte_cap_is_the_largest_level(monkeypatch):
     # level 2 is the largest: 2^3 prefixes * 4 nodes, each with |gamma| = 2
     # controls and 2 children of 8 points * 8 bytes
     need = 2**3 * 4 * 2 * 2 * 8 * 8
-    samples = []
-    monkeypatch.setattr(ControlProblem, "sample_all", lambda self, t, v: samples.append(t))
+    applied = []
+    monkeypatch.setattr(control, "_generator_apply", lambda *args: applied.append(args))
     with pytest.raises(BudgetExceededError, match=f"needs {need} bytes"):
         exhaustive_policy_search(problem, workspace_bytes=need - 1)
-    assert samples == []
+    assert applied == []
     monkeypatch.undo()
     capped = exhaustive_policy_search(problem, workspace_bytes=need)
     assert whole.n_policies == 2 ** 7

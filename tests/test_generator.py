@@ -281,7 +281,8 @@ def test_generator_apply_equals_separate_applications():
     problem = _control_problem()
     grid = problem.grid
     xi = np.random.default_rng(5).normal(size=(3,) + grid.shape)
-    smp = problem.sample_all(0.05, 1.0)
+    # the sample table's entry for level 1 and control gamma[1] = 1.0
+    smp = problem._table[1, 1]
     l_xi, m_xi = control._generator_apply(xi, smp, grid)
     assert np.array_equal(l_xi, _l_apply(xi, smp.a, smp.b, smp.c, grid))
     assert np.array_equal(m_xi, _m_apply(xi, smp.sigma, smp.nu, grid))

@@ -2,6 +2,7 @@
 
 Core claims:
     - TimeGrid pins both endpoints and has uniform dt
+    - TimeGrid.time(k) equals times[k] exactly and refuses levels outside 0..n
     - full trees have 2^{level * d'} nodes, recombining trees level + 1
     - the full-tree bit budget refuses oversized requests
     - recombining mode is scalar-noise only
@@ -53,6 +54,15 @@ def test_time_grid_endpoints_and_dt():
     assert tg.times[-1] == 1.0
     assert len(tg.times) == 8
     assert tg.time(3) == approx(3 / 7)
+
+
+@pytest.mark.parametrize("horizon, n_steps", [(0.1, 3), (0.02, 5), (1.0, 400), (0.3, 7)])
+def test_time_grid_time_equals_times(horizon, n_steps):
+    tg = TimeGrid(horizon, n_steps)
+    assert [tg.time(k) for k in range(n_steps + 1)] == tg.times.tolist()
+    for level in (-1, n_steps + 1):
+        with pytest.raises(IndexError):
+            tg.time(level)
 
 
 def test_time_grid_rejects_bad_input():
