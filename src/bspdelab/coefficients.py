@@ -5,13 +5,13 @@ A coefficient set samples (a, b, c, sigma, nu) on the spatial grid at a given
 analysis runs on:
 
     alpha  = (1/2) sigma sigma^T
-    A      = a - alpha                       (degeneracy gap)
     b_tilde^i = b^i - d_j sigma^{ik} sigma^{jk} - nu^k sigma^{ik}
 
 and provides checkers for degenerate parabolicity (2a - sigma sigma^T psd),
 strict parabolicity (2a - sigma sigma^T >= delta I), the gradient-symmetry
 condition sum_k sigma^{ik} d_l sigma^{jk} = sum_k sigma^{jk} d_l sigma^{ik},
-and an estimator for the constant in the degenerate-matrix inequality
+and an estimator for the constant in the degenerate-matrix inequality, for
+a positive semidefinite A such as the degeneracy gap a - alpha,
 
     (A^{ij}_{x^rho} v_{x^i x^j})^2 <= C' A^{ij} v_{x^i x^k} v_{x^j x^k}.
 
@@ -121,8 +121,6 @@ class CoefficientSet:
     c: Sampler | None = None
     sigma: Sampler | None = None
     nu: Sampler | None = None
-    smoothness_order: int = 2
-    bound: float | None = None
     w_dependent: bool = False
     time_dependent: bool = False
     periodic: bool = True
@@ -204,11 +202,10 @@ class CoefficientSample:
 
 @dataclass(frozen=True)
 class DerivedCoefficients:
-    """alpha, A = a - alpha and the transformed drift b_tilde, plus the sample."""
+    """alpha = sigma sigma^T / 2 and the transformed drift b_tilde, plus the sample."""
 
     sample: CoefficientSample
     alpha: np.ndarray
-    A: np.ndarray
     b_tilde: np.ndarray
 
 
@@ -228,9 +225,8 @@ def transformed_drift(b: np.ndarray, sigma: np.ndarray, nu: np.ndarray, h: float
 
 def derive_from_sample(smp: CoefficientSample) -> DerivedCoefficients:
     alpha = 0.5 * np.einsum("...ik,...jk->...ij", smp.sigma, smp.sigma)
-    big_a = smp.a - alpha
     b_tilde = transformed_drift(smp.b, smp.sigma, smp.nu, smp.grid.h)
-    return DerivedCoefficients(sample=smp, alpha=alpha, A=big_a, b_tilde=b_tilde)
+    return DerivedCoefficients(sample=smp, alpha=alpha, b_tilde=b_tilde)
 
 
 # -- parabolicity -------------------------------------------------------------
@@ -514,7 +510,6 @@ def builtin_counterexamples() -> tuple[CoefficientSet, CoefficientSet, Coefficie
                 wiener_dim=2,
                 a=_half_ssT(sig),
                 sigma=sig,
-                smoothness_order=2,
                 periodic=periodic,
                 name=name,
             )

@@ -158,9 +158,8 @@ class PathTree:
         size = self.level_sizes[level]
         if self.mode == "full":
             return np.full(size, 1.0 / size)
-        n = level
-        weights = np.array([math.comb(n, i) for i in range(n + 1)], dtype=np.float64)
-        return weights * 0.5**n
+        # exactly rounded C(n, i) / 2^n: C(n, i) itself overflows float64 from n = 1030
+        return np.array([math.comb(level, i) / (1 << level) for i in range(level + 1)])
 
     def total_nodes(self) -> int:
         return int(sum(self.level_sizes))

@@ -494,8 +494,10 @@ class _LevelOperator:
 
     Holds the state's LevelCoefficients with div a and div sigma, and
     applies the backward Euler step and the r-transform at every level
-    _level_operators gives it.  The solvers of I - dt A are built on the
-    first semi-implicit step.
+    _level_operators gives it.  Each part runs once on all of a level's
+    nodes, reading its coefficient rows per node where it uses them; only
+    the solvers of I - dt A, built on the first semi-implicit step, go row
+    by row.
     """
 
     def __init__(self, problem: ProblemData, config: SolverConfig, level: int):
@@ -519,48 +521,54 @@ class _LevelOperator:
         self.groups = row_groups(lc.inv, lc.a.shape[0])
         self._solvers = None
 
-    def _second_order_part(self, u, row, du):
+    def _at_nodes(self, x):
+        """Row array x per node: x itself when one row serves all (it broadcasts), else x[inv]."""
+        inv = self.coeffs.inv
+        return x if inv is None else x[inv]
+
+    def _second_order_part(self, u, du):
         """div(a grad u) [- (div a) . grad u for the primal kind] + eps Laplacian.
 
         du is grad u.  The Laplacian is div grad, the composition of centred
         first differences the sparse operator uses.
         """
-        out = _div(component_dot(self.coeffs.a[row], du[..., None, :]), self.grid)
+        out = _div(component_dot(self._at_nodes(self.coeffs.a), du[..., None, :]), self.grid)
         if self.config.viscosity:
             out = out + self.config.viscosity * _div(du, self.grid)
         if self.kind == KIND_BSPDE and "diva" in self.nonzero:
-            out = out - component_dot(self.diva[row], du)
+            out = out - component_dot(self._at_nodes(self.diva), du)
         return out
 
-    def _first_order_part(self, u, row, du):
+    def _first_order_part(self, u, du):
         """b . grad u + c u for the primal kind (du = grad u), -div(b u) + c u for the adjoint.
 
         None when b = c = 0.
         """
         lc, out = self.coeffs, None
         if "b" in self.nonzero:
+            b = self._at_nodes(lc.b)
             if self.kind == KIND_BSPDE:
-                out = component_dot(lc.b[row], du)
+                out = component_dot(b, du)
             else:
-                out = -_div(lc.b[row] * u[..., None], self.grid)
+                out = -_div(b * u[..., None], self.grid)
         if "c" in self.nonzero:
-            out = _plus(out, lc.c[row] * u)
+            out = _plus(out, self._at_nodes(lc.c) * u)
         return out
 
-    def _q_part(self, q, row):
+    def _q_part(self, q):
         """div(sigma q) - (div sigma) . q + nu . q, for the adjoint -div(sigma q) + nu . q.
 
         None when sigma = nu = 0.
         """
         out = None
         if "sigma" in self.nonzero:
-            out = _div(component_dot(self.coeffs.sigma[row], q[..., None, :]), self.grid)
+            out = _div(component_dot(self._at_nodes(self.coeffs.sigma), q[..., None, :]), self.grid)
             if self.kind != KIND_BSPDE:
                 out = -out
             elif "divsigma" in self.nonzero:
-                out = out - component_dot(self.divsigma[row], q)
+                out = out - component_dot(self._at_nodes(self.divsigma), q)
         if "nu" in self.nonzero:
-            out = _plus(out, component_dot(self.coeffs.nu[row], q))
+            out = _plus(out, component_dot(self._at_nodes(self.coeffs.nu), q))
         return out
 
     def _implicit_data(self):
@@ -635,11 +643,7 @@ class _LevelOperator:
         if semi and self._solvers is None:
             self._solvers = self._build_solvers(level)
 
-        qf = None
-        if self.nonzero & {"sigma", "nu"}:
-            qf = np.empty_like(ubar)
-            for row, sel in self.groups:
-                qf[sel] = self._q_part(q[sel], row)
+        qf = self._q_part(q)
         if np.any(f):
             qf = _plus(qf, f)
 
@@ -656,14 +660,10 @@ class _LevelOperator:
                 break
             expl = None
             if explicit:
-                expl = np.empty_like(ubar)
-                for row, sel in self.groups:
-                    u = star[sel]
-                    du = _grad(u, self.grid) if gradient else None
-                    part = self._first_order_part(u, row, du)
-                    if not semi:
-                        part = _plus(part, self._second_order_part(u, row, du))
-                    expl[sel] = part
+                du = _grad(star, self.grid) if gradient else None
+                expl = self._first_order_part(star, du)
+                if not semi:
+                    expl = _plus(expl, self._second_order_part(star, du))
             total = _plus(expl, qf)
             rhs = ubar if total is None else ubar + self.dt * total
             if not semi:
@@ -686,11 +686,8 @@ class _LevelOperator:
         """
         if "sigma" not in self.nonzero:
             return q
-        r = np.empty_like(q)
-        for row, sel in self.groups:
-            du = _grad(u[sel], self.grid)
-            r[sel] = q[sel] + component_dot(self.coeffs.sigma[row], du[..., :, None], axis=-2)
-        return r
+        du = _grad(u, self.grid)
+        return q + component_dot(self._at_nodes(self.coeffs.sigma), du[..., :, None], axis=-2)
 
 
 def _varying(problem: ProblemData) -> bool:
@@ -965,24 +962,21 @@ def weak_form_residual(
             star = ubar
         istar = u_n if semi else star
 
-        flux = np.empty(u_n.shape + (d,))
-        low = np.empty_like(u_n)
-        lc = op.coeffs
-        for row, sel in op.groups:
-            du_i = _grad(istar[sel], grid)
-            du_e = du_i if istar is star else _grad(star[sel], grid)
-            flux[sel] = component_dot(lc.a[row], du_i[..., None, :]) + component_dot(
-                lc.sigma[row], q[sel][..., None, :]
-            )
-            low[sel] = (
-                component_dot(lc.b[row], du_e)
-                + lc.c[row] * star[sel]
-                - component_dot(op.diva[row], du_i)
-                + component_dot(lc.nu[row] - op.divsigma[row], q[sel])
-            )
+        lc, at = op.coeffs, op._at_nodes
+        du_i = _grad(istar, grid)
+        du_e = du_i if istar is star else _grad(star, grid)
+        flux = component_dot(at(lc.a), du_i[..., None, :]) + component_dot(
+            at(lc.sigma), q[..., None, :]
+        )
         if config.viscosity:
-            flux = flux + config.viscosity * _grad(istar, grid)
-        low = low + f
+            flux = flux + config.viscosity * du_i
+        low = (
+            component_dot(at(lc.b), du_e)
+            + at(lc.c) * star
+            - component_dot(at(op.diva), du_i)
+            + component_dot(at(lc.nu - op.divsigma), q)
+            + f
+        )
 
         lvl_drift = 0.0
         for eta, geta, scale in eta_info:

@@ -13,9 +13,13 @@ Core claims:
       solve_forward and exhaustive_policy_search, and (L xi, M xi) equals
       the two separate applications it replaced exactly; the exhaustive
       search applies it to one state per (policy prefix, node)
-    - a backward step takes at most one gradient per coefficient row and
-      corrector pass: one for the primal kind and for explicit adjoint
-      steps, none for semi-implicit adjoint steps
+    - a backward step takes at most one gradient per level and corrector
+      pass, whatever the number of coefficient rows: one for the primal
+      kind and for explicit adjoint steps, none for semi-implicit adjoint
+      steps; the weak form takes one per level, its viscous flux included
+    - u, q, r and the weak-form residuals are == whether a level's nodes
+      share sampled rows or each node has a row of its own, explicit and
+      semi-implicit; an operator on shared rows stores no per-node array
     - bspdelab solve evaluates the oracle once per level, and its
       oracle_u_l2 / oracle_q_l2 columns are solution_error's per-level terms
     - bspdelab check probes the same (t, W) states as bspdelab solve, so a
@@ -24,6 +28,7 @@ Core claims:
 
 import csv
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -291,18 +296,8 @@ def test_generator_apply_equals_separate_applications():
 # -- one gradient per backward step -------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "kind, stepping, per_row",
-    [
-        (KIND_BSPDE, solver.EXPLICIT, 1),
-        (KIND_BSPDE, solver.SEMI_IMPLICIT, 1),
-        (KIND_ADJOINT, solver.EXPLICIT, 1),
-        (KIND_ADJOINT, solver.SEMI_IMPLICIT, 0),
-    ],
-)
-def test_backward_step_takes_one_gradient_per_row_and_pass(monkeypatch, kind, stepping, per_row):
-    grid = _grid(M=16)
-    tree = build_tree(TimeGrid(0.1, 4), 1, "recombining")
+def _w_dependent_problem(kind=KIND_BSPDE):
+    """1D recombining problem whose a and b read W: level 2 has three rows."""
     coeffs = CoefficientSet(
         dim=1,
         wiener_dim=1,
@@ -313,13 +308,27 @@ def test_backward_step_takes_one_gradient_per_row_and_pass(monkeypatch, kind, st
         nu=constant_sampler([0.1], (1,)),
         w_dependent=True,
     )
-    problem = ProblemData(
-        grid=grid,
-        tree=tree,
+    return ProblemData(
+        grid=_grid(M=16),
+        tree=build_tree(TimeGrid(0.1, 4), 1, "recombining"),
         coefficients=coeffs,
-        terminal=lambda w, g: np.zeros(g.shape),
+        terminal=lambda w, g: np.cos(g.axis_coordinates()) + w[0],
         operator_kind=kind,
     )
+
+
+@pytest.mark.parametrize(
+    "kind, stepping, per_pass",
+    [
+        (KIND_BSPDE, solver.EXPLICIT, 1),
+        (KIND_BSPDE, solver.SEMI_IMPLICIT, 1),
+        (KIND_ADJOINT, solver.EXPLICIT, 1),
+        (KIND_ADJOINT, solver.SEMI_IMPLICIT, 0),
+    ],
+)
+def test_backward_step_takes_one_gradient_per_level_and_pass(monkeypatch, kind, stepping, per_pass):
+    problem = _w_dependent_problem(kind)
+    grid = problem.grid
     config = SolverConfig(time_stepping=stepping, corrector_iterations=2)
     level = 2
     op = solver._LevelOperator(problem, config, level)
@@ -330,7 +339,122 @@ def test_backward_step_takes_one_gradient_per_row_and_pass(monkeypatch, kind, st
     q = rng.normal(size=(3,) + grid.shape + (1,))
     calls = _count_gradients(monkeypatch, solver, "_grad")
     op.step(ubar, q, solver.level_forcing(problem, level), level)
-    assert len(calls) == per_row * rows * config.corrector_iterations
+    # every row's nodes share the one gradient of each pass
+    assert len(calls) == per_pass * config.corrector_iterations
+    assert all(shape[0] == ubar.shape[0] for shape in calls)
+
+
+def test_weak_form_takes_one_gradient_per_level(monkeypatch):
+    problem = _w_dependent_problem()
+    sol = solver.solve(problem, SolverConfig(viscosity=0.1))
+    etas = solver.default_test_functions(problem.grid, 2)
+    calls = _count_gradients(monkeypatch, solver, "_grad")
+    solver.weak_form_residual(sol, problem, etas)
+    # one per test function, then one per level: the viscous flux reuses grad u
+    assert len(calls) == len(etas) + problem.tree.n_steps
+
+
+# -- nodes sharing coefficient rows -----------------------------------------------------------
+
+
+def _shared_rows_problem():
+    """Full d' = 2 tree with a and sigma reading W: level 3 has 64 nodes on 16 rows."""
+
+    def sigma(t, w, g):
+        x1, x2 = g.coordinates()
+        s = 0.3 * (1.0 + 0.2 * np.sin(x1 + w[0]))
+        return s[..., None, None] * np.array([[1.0, 0.3], [-0.2, 1.0]])
+
+    def a(t, w, g):
+        x1, x2 = g.coordinates()
+        sig = sigma(t, w, g)
+        margin = 0.1 + 0.05 * np.cos(x2 - w[1]) ** 2
+        return 0.5 * np.einsum("...ik,...jk->...ij", sig, sig) + margin[..., None, None] * np.eye(2)
+
+    coeffs = CoefficientSet(
+        dim=2,
+        wiener_dim=2,
+        a=a,
+        b=constant_sampler([0.2, -0.1], (2,)),
+        c=constant_sampler(0.1, ()),
+        sigma=sigma,
+        nu=constant_sampler([0.1, -0.05], (2,)),
+        w_dependent=True,
+    )
+    return ProblemData(
+        grid=_grid(d=2, M=8),
+        tree=build_tree(TimeGrid(0.1, 4), 2, "full"),
+        coefficients=coeffs,
+        terminal=lambda w, g: np.cos(g.coordinates()[0] + w[0]) * np.sin(g.coordinates()[1] - w[1]),
+    )
+
+
+def _one_row_per_node(problem, reverse):
+    """The same problem, each level's sampled rows expanded to one row per node.
+
+    Row k belongs to node k, or to node nodes - 1 - k when `reverse` is set.
+    """
+
+    def expanded(level):
+        lc = solver._level_coefficients(problem, level)
+        n_nodes = problem.tree.level_sizes[level]
+        inv = np.zeros(n_nodes, dtype=np.intp) if lc.inv is None else lc.inv
+        order = np.arange(n_nodes)[::-1] if reverse else np.arange(n_nodes)
+        rows = {name: getattr(lc, name)[inv[order]] for name in ("a", "b", "c", "sigma", "nu")}
+        return solver.LevelCoefficients(**rows, inv=order)
+
+    return dataclasses.replace(problem, level_coefficients=expanded)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize(
+    "stepping, viscosity", [(solver.EXPLICIT, 0.0), (solver.SEMI_IMPLICIT, 0.05)]
+)
+def test_results_do_not_depend_on_how_nodes_share_rows(stepping, viscosity, reverse):
+    shared = _shared_rows_problem()
+    per_node = _one_row_per_node(shared, reverse)
+    assert solver._level_coefficients(shared, 3).a.shape[0] == 16
+    assert solver._level_coefficients(per_node, 3).a.shape[0] == 64
+    config = SolverConfig(time_stepping=stepping, viscosity=viscosity, corrector_iterations=2)
+    sols = [solver.solve(problem, config) for problem in (shared, per_node)]
+    for name in ("u", "q", "r"):
+        for x, y in zip(getattr(sols[0], name), getattr(sols[1], name)):
+            assert np.array_equal(x, y)
+    etas = solver.default_test_functions(shared.grid, 2)
+    reports = [
+        solver.weak_form_residual(sol, problem, etas)
+        for sol, problem in zip(sols, (shared, per_node))
+    ]
+    assert reports[0].per_level == reports[1].per_level
+
+
+def _held_arrays(obj):
+    """Every ndarray an operator reaches through its attributes, lists and solvers."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item)
+    elif isinstance(obj, functools.partial):
+        yield from _held_arrays(obj.args)
+    elif isinstance(obj, (solver._LevelOperator, solver.LevelCoefficients)):
+        for value in vars(obj).values():
+            yield from _held_arrays(value)
+
+
+def test_operator_holds_no_per_node_array():
+    problem = _shared_rows_problem()
+    level = 3
+    n_nodes = problem.tree.level_sizes[level]
+    op = solver._LevelOperator(problem, SolverConfig(time_stepping=solver.SEMI_IMPLICIT), level)
+    rng = np.random.default_rng(3)
+    ubar = rng.normal(size=(n_nodes,) + problem.grid.shape)
+    q = rng.normal(size=(n_nodes,) + problem.grid.shape + (2,))
+    op.step(ubar, q, solver.level_forcing(problem, level), level)
+    op.r_transform(ubar, q)
+    held = [arr for arr in _held_arrays(op) if arr is not op.coeffs.inv]
+    assert op.coeffs.a.shape[0] == 16 and len(op._solvers) == 16
+    assert held and all(arr.shape[:1] != (n_nodes,) for arr in held)
 
 
 # -- CLI ------------------------------------------------------------------------------------

@@ -154,6 +154,21 @@ def test_probabilities_sum_to_one_and_match_binomial():
     assert np.max(np.abs(p - 1 / full.level_sizes[3])) < 1e-18
 
 
+def test_recombining_probabilities_stay_finite_past_float_binomials():
+    # C(n, n/2) overflows float64 from n = 1030; the weights must not
+    for n in (1030, 1100):
+        tree = build_tree(TimeGrid(1.0, n), wiener_dim=1, mode="recombining")
+        p = tree.level_probabilities(n)
+        assert p.shape == (n + 1,)
+        assert np.all(np.isfinite(p))
+        assert abs(float(np.sum(p)) - 1.0) <= 1e-12
+    # where float binomials fit, the values are the float product's exactly
+    tree = build_tree(TimeGrid(1.0, 1000), wiener_dim=1, mode="recombining")
+    for n in (1, 5, 32, 64, 200, 1000):
+        old = np.array([math.comb(n, i) for i in range(n + 1)], dtype=np.float64) * 0.5**n
+        assert np.array_equal(tree.level_probabilities(n), old)
+
+
 def test_children_indices():
     full = build_tree(TimeGrid(1.0, 3), wiener_dim=1, mode="full")
     assert full.children(NodeId(1, 1)) == [NodeId(2, 2), NodeId(2, 3)]
