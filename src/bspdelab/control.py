@@ -306,7 +306,7 @@ def _forward_level_terms(problem, policy, level, xi):
     drift = np.empty_like(xi)
     mart = np.empty(xi.shape + (problem.tree.wiener_dim,))
     controls, inv = distinct_rows(policy.indices[level])
-    for row, sel in row_groups(inv, len(controls)):
+    for row, sel in row_groups(inv):
         smp = problem._table[level, int(controls[row])]
         l_xi, m_xi = _generator_apply(xi[sel], smp, problem.grid)
         drift[sel] = l_xi + smp.big_f
@@ -319,9 +319,20 @@ def solve_forward(
     policy: ControlPolicy,
     cfl_safety: float = 0.9,
 ) -> ForwardState:
-    """March xi forward from xi0 under the policy; refuses CFL violations."""
+    """March xi forward from xi0 under the policy; refuses CFL violations.
+
+    The recombining push divides by the node probabilities, so a lattice
+    whose probabilities underflow to 0.0 (from level 1075 on) is refused
+    before the sweep.
+    """
     _validate_policy(problem, policy)
     tree, grid = problem.tree, problem.grid
+    zero = tree.first_zero_probability_level()
+    if zero is not None:
+        raise BudgetExceededError(
+            f"recombining node probabilities underflow to 0.0 from level {zero} on, and the "
+            f"forward push divides by them: use n_steps <= {zero - 1} (got {tree.n_steps})"
+        )
     dt = tree.time_grid.dt
     sq = math.sqrt(dt)
     report = forward_cfl(problem, cfl_safety)

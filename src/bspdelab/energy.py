@@ -39,6 +39,7 @@ from .grid import (
     level_norm_sq,
     multi_indices,
 )
+from .lattice import node_blocks
 from .solver import ProblemData, SolutionPair, SolverConfig, level_forcing, solve
 
 
@@ -317,19 +318,22 @@ def _entry(name: str, lhs: float, rhs: float) -> EstimateEntry:
 def _level_norms(arr: np.ndarray, grid: SpatialGrid, m: int, p: float):
     """Batched squared W^{m,2} norms and W^{m,p} norms to the p-th power.
 
-    One pass over the derivatives feeds both sums; each equals its own
-    separate reduction (`level_norm_sq` for the first) bit for bit.
+    One pass over the derivatives of each node block feeds both sums; each
+    equals its own separate reduction (`level_norm_sq` for the first) bit
+    for bit.
     """
-    reduce_axes = tuple(range(1, np.ndim(arr)))
-    total_sq = np.zeros(np.shape(arr)[0])
-    total_p = np.zeros(np.shape(arr)[0])
-    for d in level_derivatives(arr, grid, m):
-        total_sq += np.sum(d * d, axis=reduce_axes)
-        total_p += np.sum(np.abs(d) ** p, axis=reduce_axes)
+    arr = np.asarray(arr)
+    reduce_axes = tuple(range(1, arr.ndim))
+    total_sq = np.zeros(arr.shape[0])
+    total_p = np.zeros(arr.shape[0])
+    for nodes in node_blocks(arr.shape[0], arr[:1].nbytes):
+        for d in level_derivatives(arr[nodes], grid, m):
+            total_sq[nodes] += np.sum(d * d, axis=reduce_axes)
+            total_p[nodes] += np.sum(np.abs(d) ** p, axis=reduce_axes)
     return total_sq * grid.cell_volume, total_p * grid.cell_volume
 
 
-def _expected_running_sup(tree, values: list[np.ndarray]) -> float:
+def _expected_running_sup(tree, values: list[np.ndarray], leaf_probabilities: np.ndarray) -> float:
     """E max over levels of per-node scalars, pushed down the tree.
 
     Exact on the full tree, where leaves enumerate paths.  On the
@@ -346,15 +350,13 @@ def _expected_running_sup(tree, values: list[np.ndarray]) -> float:
             from_up = np.concatenate(([-np.inf], record))
             from_down = np.concatenate((record, [-np.inf]))
             record = np.maximum(np.maximum(from_up, from_down), x)
-    p = tree.level_probabilities(tree.n_steps)
-    return float(np.sum(p * record))
+    return float(np.sum(leaf_probabilities * record))
 
 
-def _expected(tree, level: int, per_node: np.ndarray) -> float:
+def _expected(probabilities: np.ndarray, per_node: np.ndarray) -> float:
     if per_node.shape[0] == 1:
         return float(per_node[0])
-    p = tree.level_probabilities(level)
-    return float(np.sum(p * per_node))
+    return float(np.sum(probabilities * per_node))
 
 
 def verify_main_estimates(
@@ -379,21 +381,22 @@ def verify_main_estimates(
     dt = tree.time_grid.dt
 
     u_sq, u_p = zip(*(_level_norms(solution.u[level], grid, m1, p) for level in range(n + 1)))
-    lhs_sup_sq = _expected_running_sup(tree, u_sq)
-    r_term = 0.0
+    r_term = f_sq_term = f_p_term = 0.0
     for level in range(n):
-        r_term += dt * _expected(tree, level, level_norm_sq(solution.r[level], grid, m1))
+        prob = tree.level_probabilities(level)
+        r_term += dt * _expected(prob, level_norm_sq(solution.r[level], grid, m1))
+        f_rows, f_inv = level_forcing(problem, level)
+        f_sq, f_p = _level_norms(f_rows, grid, m1, p)
+        if f_inv is not None:
+            f_sq, f_p = f_sq[f_inv], f_p[f_inv]
+        f_sq_term += dt * _expected(prob, f_sq)
+        f_p_term += dt * _expected(prob, f_p)
 
-    phi_sq = _expected(tree, n, u_sq[n])
-    f_sq_term = 0.0
-    f_p_term = 0.0
-    for level in range(n):
-        f_sq, f_p = _level_norms(level_forcing(problem, level), grid, m1, p)
-        f_sq_term += dt * _expected(tree, level, f_sq)
-        f_p_term += dt * _expected(tree, level, f_p)
-
-    lhs_p = _expected_running_sup(tree, u_p)
-    phi_p = _expected(tree, n, u_p[n])
+    leaf = tree.level_probabilities(n)
+    lhs_sup_sq = _expected_running_sup(tree, u_sq, leaf)
+    phi_sq = _expected(leaf, u_sq[n])
+    lhs_p = _expected_running_sup(tree, u_p, leaf)
+    phi_p = _expected(leaf, u_p[n])
 
     entries = {
         "energy_l2": _entry("energy_l2", lhs_sup_sq + r_term, phi_sq + f_sq_term),

@@ -25,6 +25,8 @@ from itertools import product
 
 import numpy as np
 
+from .lattice import node_blocks
+
 MAX_DERIVATIVE_ORDER = 3
 
 TOL_PSD = 1e-10
@@ -230,12 +232,15 @@ def level_norm_sq(arr: np.ndarray, grid: SpatialGrid, m: int) -> np.ndarray:
     """Squared W^{m,2} norms over a batch: `arr` has shape (batch, *grid.shape, ...).
 
     Grid axes follow the leading batch axis; any trailing component axes are
-    summed into the same norm.  Returns one squared norm per batch entry.
+    summed into the same norm.  Returns one squared norm per batch entry,
+    differentiating the batch in node blocks (lattice.node_blocks).
     """
-    reduce_axes = tuple(range(1, np.ndim(arr)))
-    total = np.zeros(np.shape(arr)[0])
-    for d in level_derivatives(arr, grid, m):
-        total += np.sum(d * d, axis=reduce_axes)
+    arr = np.asarray(arr)
+    reduce_axes = tuple(range(1, arr.ndim))
+    total = np.zeros(arr.shape[0])
+    for nodes in node_blocks(arr.shape[0], arr[:1].nbytes):
+        for d in level_derivatives(arr[nodes], grid, m):
+            total[nodes] += np.sum(d * d, axis=reduce_axes)
     return total * grid.cell_volume
 
 

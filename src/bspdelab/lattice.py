@@ -13,6 +13,9 @@ c in [0, 2^d') where bit k of c set means the k-th noise component moved up
 (+sqrt(dt)) and bit k clear means it moved down (-sqrt(dt)).  On the
 recombining lattice, state i at level n carries W = (2*i - n)*sqrt(dt) and
 the children of state i are state i (down, c=0) and state i+1 (up, c=1).
+
+The level operators read the children of a contiguous node range only, so
+callers walk a level in blocks (node_blocks) and never need this layout.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ import numpy as np
 FULL_TREE_BIT_BUDGET = 22
 # Bytes of u, q and r a solve may store.
 WORKSPACE_BYTE_BUDGET = 2**31
+# Bytes of one level field a per-level pass reads per node block; the pass's
+# temporaries are a few such blocks, whatever the level size.
+BLOCK_BYTE_BUDGET = 2**20
 
 MODES = ("full", "recombining")
 
@@ -154,12 +160,30 @@ class PathTree:
         return w
 
     def level_probabilities(self, level: int) -> np.ndarray:
-        """Exact node probabilities at a level (dyadic weights)."""
+        """Exact node probabilities at a level (dyadic weights).
+
+        Recombining weights are C(n, i) / 2^n, exactly rounded; the smallest,
+        2^-n, underflows to 0.0 from level 1075 on (first_zero_probability_level).
+        """
         size = self.level_sizes[level]
         if self.mode == "full":
             return np.full(size, 1.0 / size)
-        # exactly rounded C(n, i) / 2^n: C(n, i) itself overflows float64 from n = 1030
-        return np.array([math.comb(level, i) / (1 << level) for i in range(level + 1)])
+        # exact integers: C(n, i) itself overflows float64 from n = 1030
+        binomials = [1] * (level + 1)
+        for i in range(level):
+            binomials[i + 1] = binomials[i] * (level - i) // (i + 1)
+        scale = 1 << level
+        return np.array([c / scale for c in binomials])
+
+    def first_zero_probability_level(self) -> int | None:
+        """The first level holding a node of probability 0.0, None if there is none.
+
+        Full-tree probabilities are 1 / size with size <= 2^FULL_TREE_BIT_BUDGET;
+        the smallest recombining probability at level n is 2^-n.
+        """
+        if self.mode == "full":
+            return None
+        return next((n for n in range(self.n_steps + 1) if 1 / (1 << n) == 0.0), None)
 
     def total_nodes(self) -> int:
         return int(sum(self.level_sizes))
@@ -224,11 +248,21 @@ def distinct_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return rows, np.asarray(inv).reshape(-1)
 
 
-def row_groups(inv: np.ndarray | None, n_rows: int) -> list:
-    """(row, node selection) pairs of a node -> row map; None selects every node."""
+def row_groups(inv: np.ndarray | None) -> list:
+    """(row, node selection) pairs of the rows a node -> row map uses; None selects every node."""
     if inv is None:
         return [(0, slice(None))]
-    return [(r, np.flatnonzero(inv == r)) for r in range(n_rows)]
+    return [(r, np.flatnonzero(inv == r)) for r in np.unique(inv)]
+
+
+def node_blocks(n_nodes: int, node_bytes: int) -> list[slice]:
+    """Contiguous node ranges covering 0..n_nodes, each at most BLOCK_BYTE_BUDGET bytes.
+
+    node_bytes is what one node of the pass's level field takes; a block
+    holds at least one node, and a whole level is the one-block case.
+    """
+    step = max(1, BLOCK_BYTE_BUDGET // max(1, node_bytes))
+    return [slice(i, min(i + step, n_nodes)) for i in range(0, n_nodes, step)]
 
 
 def _check_level_field(tree: PathTree, field_values: np.ndarray, level: int) -> np.ndarray:
@@ -251,31 +285,69 @@ def child_values(tree: PathTree, field_next: np.ndarray, node: NodeId) -> np.nda
     return arr[base : base + k]
 
 
-def level_conditional_expectation(tree: PathTree, field_next: np.ndarray, level: int) -> np.ndarray:
-    """E[field(t_{n+1}) | node] for every node at `level`: the equal-weight child average."""
-    arr = _check_level_field(tree, field_next, level + 1)
+def _children(tree: PathTree, field_next: np.ndarray, level: int, nodes: slice) -> np.ndarray:
+    """The next-level values the children of `nodes` (a range at `level`) hold.
+
+    Full trees: the children of nodes i..j-1 are i*k..j*k-1, returned as
+    (nodes, k, ...).  Recombining: they are states i..j, returned as they
+    are, so node i's children are rows i (down) and i+1 (up).  The whole
+    field's size is checked, and the finiteness of the rows read.
+    """
+    arr = np.asarray(field_next, dtype=np.float64)
+    expected = tree.level_sizes[level + 1]
+    if arr.shape[0] != expected:
+        raise IncompleteFieldError(
+            f"level {level + 1} field has leading size {arr.shape[0]}, expected {expected}"
+        )
+    start, stop, _ = nodes.indices(tree.level_sizes[level])
     if tree.mode == "full":
         k = tree.child_count
-        shaped = arr.reshape((tree.level_sizes[level], k) + arr.shape[1:])
-        return shaped.mean(axis=1)
-    return 0.5 * (arr[:-1] + arr[1:])
+        kids = arr[start * k : stop * k].reshape((stop - start, k) + arr.shape[1:])
+    else:
+        kids = arr[start : stop + 1]
+    if not np.all(np.isfinite(kids)):
+        raise IncompleteFieldError(f"level {level + 1} field contains non-finite values")
+    return kids
 
 
-def level_martingale_representation(tree: PathTree, field_next: np.ndarray, level: int) -> np.ndarray:
-    """E[field(t_{n+1}) dW^k | node] / dt for every node at `level`; trailing axis k.
+def level_children(
+    tree: PathTree, field_next: np.ndarray, level: int, nodes: slice = slice(None)
+) -> np.ndarray:
+    """Next-level values on the children of `nodes`, shape (nodes, child_count, ...).
+
+    Child c follows the sign table's order, as in child_values.
+    """
+    kids = _children(tree, field_next, level, nodes)
+    if tree.mode == "full":
+        return kids
+    return np.stack([kids[:-1], kids[1:]], axis=1)
+
+
+def level_conditional_expectation(
+    tree: PathTree, field_next: np.ndarray, level: int, nodes: slice = slice(None)
+) -> np.ndarray:
+    """E[field(t_{n+1}) | node] for the nodes in `nodes` at `level`: the equal-weight child average."""
+    kids = _children(tree, field_next, level, nodes)
+    if tree.mode == "full":
+        return kids.mean(axis=1)
+    return 0.5 * (kids[:-1] + kids[1:])
+
+
+def level_martingale_representation(
+    tree: PathTree, field_next: np.ndarray, level: int, nodes: slice = slice(None)
+) -> np.ndarray:
+    """E[field(t_{n+1}) dW^k | node] / dt for the nodes in `nodes` at `level`; trailing axis k.
 
     For scalar noise this reproduces the field differences across the children
     exactly: field = E + q dW on both children.  For wiener_dim >= 2 the
     residual field - E - q dW is orthogonal to the increments but nonzero.
     """
-    arr = _check_level_field(tree, field_next, level + 1)
+    kids = _children(tree, field_next, level, nodes)
     dt = tree.time_grid.dt
     if tree.mode == "full":
-        k = tree.child_count
-        shaped = arr.reshape((tree.level_sizes[level], k) + arr.shape[1:])
-        scale = 1.0 / (k * math.sqrt(dt))
-        return np.einsum("nc...,ck->n...k", shaped, tree.sign_table) * scale
-    q = (arr[1:] - arr[:-1]) / (2.0 * math.sqrt(dt))
+        scale = 1.0 / (tree.child_count * math.sqrt(dt))
+        return np.einsum("nc...,ck->n...k", kids, tree.sign_table) * scale
+    q = (kids[1:] - kids[:-1]) / (2.0 * math.sqrt(dt))
     return q[..., None]
 
 

@@ -67,8 +67,10 @@ from .lattice import (
     TimeGrid,
     build_tree,
     distinct_rows,
+    level_children,
     level_conditional_expectation,
     level_martingale_representation,
+    node_blocks,
     row_groups,
 )
 from .oracles import OracleSolution, exact_level_fields
@@ -339,10 +341,11 @@ def _level_coefficients(problem: ProblemData, level: int) -> LevelCoefficients:
     return LevelCoefficients(a=smp.a, b=smp.b, c=smp.c, sigma=smp.sigma, nu=smp.nu, inv=inv)
 
 
-def level_forcing(problem: ProblemData, level: int) -> np.ndarray:
-    """The forcing array the sweep uses at a level: (nodes, *grid) or (1, *grid).
+def level_forcing(problem: ProblemData, level: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The forcing the sweep uses at a level: rows (U, *grid) and the node -> row map.
 
-    Samples no coefficient.
+    The map is None when one row serves every node, as in LevelCoefficients;
+    node i's forcing is rows[inv[i]] (_rows_at).  Samples no coefficient.
     """
     tree, grid = problem.tree, problem.grid
     t = float(tree.time_grid.time(level))
@@ -354,19 +357,24 @@ def level_forcing(problem: ProblemData, level: int) -> np.ndarray:
                 f"level {level}: forcing_level shape {f.shape} fits neither "
                 f"{(1,) + grid.shape} nor {(n_nodes,) + grid.shape}"
             )
+        inv = None if f.shape[0] == 1 else np.arange(n_nodes)
     elif problem.forcing is None:
-        f = np.zeros((1,) + grid.shape)
+        f, inv = np.zeros((1,) + grid.shape), None
     else:
         w = tree.level_w(level) if problem.forcing_w_dependent else np.zeros((1, tree.wiener_dim))
         states, inv = distinct_rows(w)
         f = sample_rows(problem.forcing, t, states, grid)
-        if inv is not None:
-            f = f[inv]
     if f.shape[1:] != grid.shape:
         raise ValueError(f"level {level}: forcing grid shape {f.shape[1:]} != {grid.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError(f"level {level}: forcing contains non-finite values")
-    return f
+    return f, inv
+
+
+def _rows_at(rows: np.ndarray, inv: np.ndarray | None, nodes: slice) -> np.ndarray:
+    """Row array `rows` per node of the range `nodes`: rows itself when one row
+    serves all (it broadcasts), else rows[inv[nodes]]."""
+    return rows if inv is None else rows[inv[nodes]]
 
 
 # -- the implicit operator ---------------------------------------------------------
@@ -494,10 +502,10 @@ class _LevelOperator:
 
     Holds the state's LevelCoefficients with div a and div sigma, and
     applies the backward Euler step and the r-transform at every level
-    _level_operators gives it.  Each part runs once on all of a level's
-    nodes, reading its coefficient rows per node where it uses them; only
-    the solvers of I - dt A, built on the first semi-implicit step, go row
-    by row.
+    _level_operators gives it.  Each call covers one contiguous range of a
+    level's nodes (a slice, one of _level_blocks), reading its coefficient
+    rows per node where it uses them; only the solvers of I - dt A, built
+    on the first semi-implicit step, go row by row within the range.
     """
 
     def __init__(self, problem: ProblemData, config: SolverConfig, level: int):
@@ -518,57 +526,55 @@ class _LevelOperator:
             if "sigma" in self.nonzero:
                 self.divsigma += axis_derivative(lc.sigma[..., i, :], 1, 1 + i, grid.h)
         self.nonzero |= _nonzero(diva=self.diva, divsigma=self.divsigma)
-        self.groups = row_groups(lc.inv, lc.a.shape[0])
         self._solvers = None
 
-    def _at_nodes(self, x):
-        """Row array x per node: x itself when one row serves all (it broadcasts), else x[inv]."""
-        inv = self.coeffs.inv
-        return x if inv is None else x[inv]
+    def _at_nodes(self, x, nodes):
+        """Coefficient row array x per node of the range `nodes` (_rows_at)."""
+        return _rows_at(x, self.coeffs.inv, nodes)
 
-    def _second_order_part(self, u, du):
+    def _second_order_part(self, u, du, nodes):
         """div(a grad u) [- (div a) . grad u for the primal kind] + eps Laplacian.
 
         du is grad u.  The Laplacian is div grad, the composition of centred
         first differences the sparse operator uses.
         """
-        out = _div(component_dot(self._at_nodes(self.coeffs.a), du[..., None, :]), self.grid)
+        out = _div(component_dot(self._at_nodes(self.coeffs.a, nodes), du[..., None, :]), self.grid)
         if self.config.viscosity:
             out = out + self.config.viscosity * _div(du, self.grid)
         if self.kind == KIND_BSPDE and "diva" in self.nonzero:
-            out = out - component_dot(self._at_nodes(self.diva), du)
+            out = out - component_dot(self._at_nodes(self.diva, nodes), du)
         return out
 
-    def _first_order_part(self, u, du):
+    def _first_order_part(self, u, du, nodes):
         """b . grad u + c u for the primal kind (du = grad u), -div(b u) + c u for the adjoint.
 
         None when b = c = 0.
         """
         lc, out = self.coeffs, None
         if "b" in self.nonzero:
-            b = self._at_nodes(lc.b)
+            b = self._at_nodes(lc.b, nodes)
             if self.kind == KIND_BSPDE:
                 out = component_dot(b, du)
             else:
                 out = -_div(b * u[..., None], self.grid)
         if "c" in self.nonzero:
-            out = _plus(out, self._at_nodes(lc.c) * u)
+            out = _plus(out, self._at_nodes(lc.c, nodes) * u)
         return out
 
-    def _q_part(self, q):
+    def _q_part(self, q, nodes):
         """div(sigma q) - (div sigma) . q + nu . q, for the adjoint -div(sigma q) + nu . q.
 
         None when sigma = nu = 0.
         """
         out = None
         if "sigma" in self.nonzero:
-            out = _div(component_dot(self._at_nodes(self.coeffs.sigma), q[..., None, :]), self.grid)
+            out = _div(component_dot(self._at_nodes(self.coeffs.sigma, nodes), q[..., None, :]), self.grid)
             if self.kind != KIND_BSPDE:
                 out = -out
             elif "divsigma" in self.nonzero:
-                out = out - component_dot(self._at_nodes(self.divsigma), q)
+                out = out - component_dot(self._at_nodes(self.divsigma, nodes), q)
         if "nu" in self.nonzero:
-            out = _plus(out, component_dot(self._at_nodes(self.coeffs.nu), q))
+            out = _plus(out, component_dot(self._at_nodes(self.coeffs.nu, nodes), q))
         return out
 
     def _implicit_data(self):
@@ -637,13 +643,17 @@ class _LevelOperator:
                 ) from exc
         return solvers
 
-    def step(self, ubar, q, f, level):
-        """One backward Euler step with forcing f; returns (u_n, last explicit-part field)."""
+    def step(self, ubar, q, f, level, nodes):
+        """One backward Euler step on the level's node range `nodes`.
+
+        ubar, q and the forcing f hold those nodes (f may be one shared
+        row); returns (u_n, last explicit-part field) on them.
+        """
         semi = self.config.time_stepping == SEMI_IMPLICIT
         if semi and self._solvers is None:
             self._solvers = self._build_solvers(level)
 
-        qf = self._q_part(q)
+        qf = self._q_part(q, nodes)
         if np.any(f):
             qf = _plus(qf, f)
 
@@ -661,16 +671,17 @@ class _LevelOperator:
             expl = None
             if explicit:
                 du = _grad(star, self.grid) if gradient else None
-                expl = self._first_order_part(star, du)
+                expl = self._first_order_part(star, du, nodes)
                 if not semi:
-                    expl = _plus(expl, self._second_order_part(star, du))
+                    expl = _plus(expl, self._second_order_part(star, du, nodes))
             total = _plus(expl, qf)
             rhs = ubar if total is None else ubar + self.dt * total
             if not semi:
                 u_cur = rhs
             else:
                 u_cur = np.empty_like(ubar)
-                for row, sel in self.groups:
+                inv = self.coeffs.inv
+                for row, sel in row_groups(None if inv is None else inv[nodes]):
                     u_cur[sel] = self._solvers[row](rhs[sel])
         if not np.all(np.isfinite(u_cur)):
             raise SolverBlowupError(
@@ -679,21 +690,30 @@ class _LevelOperator:
             )
         return u_cur, star
 
-    def r_transform(self, u, q):
-        """r = q + (grad u) sigma node by node (r^k = q^k + sigma^{ik} D_i u).
+    def r_transform(self, u, q, nodes):
+        """r = q + (grad u) sigma on the node range `nodes` (r^k = q^k + sigma^{ik} D_i u).
 
-        q itself when sigma = 0.
+        Where sigma = 0, r is q and solve stores q's array for it.
         """
-        if "sigma" not in self.nonzero:
-            return q
         du = _grad(u, self.grid)
-        return q + component_dot(self._at_nodes(self.coeffs.sigma), du[..., :, None], axis=-2)
+        return q + component_dot(self._at_nodes(self.coeffs.sigma, nodes), du[..., :, None], axis=-2)
 
 
 def _varying(problem: ProblemData) -> bool:
     """False when every level shares one coefficient state."""
     coeffs = problem.coefficients
     return coeffs.time_dependent or coeffs.w_dependent or problem.level_coefficients is not None
+
+
+def _level_blocks(problem: ProblemData, level: int) -> list[slice]:
+    """The node ranges the sweep and the weak form walk at a level.
+
+    A block's children hold at most BLOCK_BYTE_BUDGET bytes of one scalar
+    grid field, so with its u, q and the generator's temporaries a pass
+    holds a few such blocks.
+    """
+    tree = problem.tree
+    return node_blocks(tree.level_sizes[level], 8 * problem.grid.size * tree.child_count)
 
 
 def _level_operators(problem: ProblemData, config: SolverConfig):
@@ -788,6 +808,11 @@ def _parabolicity_precheck(problem: ProblemData, config: SolverConfig):
 def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionPair:
     """Full backward sweep from the leaves to the root.
 
+    The solve stores u, q and r, the bytes WORKSPACE_BYTE_BUDGET guards.
+    Each level is stepped in node blocks of at most BLOCK_BYTE_BUDGET bytes
+    of one scalar field, written into the stored arrays, so what the sweep
+    holds beyond them is a few blocks, whatever the level size.
+
     Preconditions: the stored u, q and r fit WORKSPACE_BYTE_BUDGET (checked
     before anything is sampled, so r counts even where sigma = 0 makes it
     q: an upper bound), degenerate parabolicity of the sampled
@@ -844,12 +869,17 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
     u_levels[n] = _terminal_values(problem)
 
     for level, op in _level_operators(problem, config):
-        ubar = level_conditional_expectation(tree, u_levels[level + 1], level)
-        q = level_martingale_representation(tree, u_levels[level + 1], level)
-        u, _ = op.step(ubar, q, level_forcing(problem, level), level)
-        u_levels[level] = u
-        q_levels[level] = q
-        r_levels[level] = op.r_transform(u, q)
+        shape = (tree.level_sizes[level],) + grid.shape
+        u = u_levels[level] = np.empty(shape)
+        q = q_levels[level] = np.empty(shape + (tree.wiener_dim,))
+        r = r_levels[level] = np.empty_like(q) if "sigma" in op.nonzero else q
+        f, f_inv = level_forcing(problem, level)
+        for nodes in _level_blocks(problem, level):
+            ubar = level_conditional_expectation(tree, u_levels[level + 1], level, nodes)
+            q[nodes] = level_martingale_representation(tree, u_levels[level + 1], level, nodes)
+            u[nodes], _ = op.step(ubar, q[nodes], _rows_at(f, f_inv, nodes), level, nodes)
+            if r is not q:
+                r[nodes] = op.r_transform(u[nodes], q[nodes], nodes)
 
     meta = {
         "dt": dt,
@@ -950,57 +980,51 @@ def weak_form_residual(
     max_drift = 0.0
     max_rep = 0.0
     sq = math.sqrt(dt)
+    rep_axes = tuple(range(2, 2 + d))
     for level, op in _level_operators(problem, config):
-        u_next = solution.u[level + 1]
-        u_n = solution.u[level]
-        q = solution.q[level]
-        f = level_forcing(problem, level)
-        ubar = level_conditional_expectation(tree, u_next, level)
-        if config.corrector_iterations > 1:
-            _, star = op.step(ubar, q, f, level)
-        else:
-            star = ubar
-        istar = u_n if semi else star
+        f, f_inv = level_forcing(problem, level)
+        lvl_drift = lvl_rep = 0.0
+        for nodes in _level_blocks(problem, level):
+            u_n = solution.u[level][nodes]
+            q = solution.q[level][nodes]
+            f_nodes = _rows_at(f, f_inv, nodes)
+            ubar = level_conditional_expectation(tree, solution.u[level + 1], level, nodes)
+            if config.corrector_iterations > 1:
+                _, star = op.step(ubar, q, f_nodes, level, nodes)
+            else:
+                star = ubar
+            istar = u_n if semi else star
 
-        lc, at = op.coeffs, op._at_nodes
-        du_i = _grad(istar, grid)
-        du_e = du_i if istar is star else _grad(star, grid)
-        flux = component_dot(at(lc.a), du_i[..., None, :]) + component_dot(
-            at(lc.sigma), q[..., None, :]
-        )
-        if config.viscosity:
-            flux = flux + config.viscosity * du_i
-        low = (
-            component_dot(at(lc.b), du_e)
-            + at(lc.c) * star
-            - component_dot(at(op.diva), du_i)
-            + component_dot(at(lc.nu - op.divsigma), q)
-            + f
-        )
+            lc, at = op.coeffs, partial(op._at_nodes, nodes=nodes)
+            du_i = _grad(istar, grid)
+            du_e = du_i if istar is star else _grad(star, grid)
+            flux = component_dot(at(lc.a), du_i[..., None, :]) + component_dot(
+                at(lc.sigma), q[..., None, :]
+            )
+            if config.viscosity:
+                flux = flux + config.viscosity * du_i
+            low = (
+                component_dot(at(lc.b), du_e)
+                + at(lc.c) * star
+                - component_dot(at(op.diva), du_i)
+                + component_dot(at(lc.nu) - at(op.divsigma), q)
+                + f_nodes
+            )
 
-        lvl_drift = 0.0
-        for eta, geta, scale in eta_info:
-            pairing = (
-                -np.sum(flux * geta, axis=gaxes + (1 + d,))
-                + np.sum(low * eta, axis=gaxes)
-            ) * vol
-            lhs = (np.sum((u_n - ubar) * eta, axis=gaxes)) * vol / dt
-            lvl_drift = max(lvl_drift, float(np.abs(lhs - pairing).max() / scale))
+            for eta, geta, scale in eta_info:
+                pairing = (
+                    -np.sum(flux * geta, axis=gaxes + (1 + d,))
+                    + np.sum(low * eta, axis=gaxes)
+                ) * vol
+                lhs = (np.sum((u_n - ubar) * eta, axis=gaxes)) * vol / dt
+                lvl_drift = max(lvl_drift, float(np.abs(lhs - pairing).max() / scale))
 
-        if tree.mode == "full":
-            k = tree.child_count
-            shaped = u_next.reshape((tree.level_sizes[level], k) + u_next.shape[1:])
-            pred = ubar[:, None] + np.einsum("n...k,ck->nc...", q, tree.sign_table) * sq
-            rep = shaped - pred
-        else:
-            down = u_next[:-1] - (ubar - q[..., 0] * sq)
-            up = u_next[1:] - (ubar + q[..., 0] * sq)
-            rep = np.stack([down, up], axis=1)
-        lvl_rep = 0.0
-        rep_axes = tuple(range(2, 2 + d))
-        for eta, _, scale in eta_info:
-            ip = np.abs(np.sum(rep * eta, axis=rep_axes)) * vol
-            lvl_rep = max(lvl_rep, float(ip.max() / scale))
+            # per child: u_child - u_bar - q . dW
+            kids = level_children(tree, solution.u[level + 1], level, nodes)
+            rep = kids - (ubar[:, None] + np.einsum("n...k,ck->nc...", q, tree.sign_table) * sq)
+            for eta, _, scale in eta_info:
+                ip = np.abs(np.sum(rep * eta, axis=rep_axes)) * vol
+                lvl_rep = max(lvl_rep, float(ip.max() / scale))
 
         per_level[level] = (lvl_drift, lvl_rep)
         max_drift = max(max_drift, lvl_drift)
@@ -1117,12 +1141,16 @@ def oracle_step_residual(
     worst = 0.0
     u_next, _ = exact_level_fields(oracle, tree, n_steps)
     for level, op in _level_operators(problem, config):
-        ubar = level_conditional_expectation(tree, u_next, level)
-        q = level_martingale_representation(tree, u_next, level)
-        u_step, _ = op.step(ubar, q, level_forcing(problem, level), level)
         u_ex, _ = exact_level_fields(oracle, tree, level)
+        f, f_inv = level_forcing(problem, level)
+        sq_norms = np.empty(tree.level_sizes[level])
+        for nodes in _level_blocks(problem, level):
+            ubar = level_conditional_expectation(tree, u_next, level, nodes)
+            q = level_martingale_representation(tree, u_next, level, nodes)
+            u_step, _ = op.step(ubar, q, _rows_at(f, f_inv, nodes), level, nodes)
+            sq_norms[nodes] = level_norm_sq(u_step - u_ex[nodes], grid, 0)
         p = tree.level_probabilities(level)
-        defect = math.sqrt(float(np.sum(p * level_norm_sq(u_step - u_ex, grid, 0))))
+        defect = math.sqrt(float(np.sum(p * sq_norms)))
         worst = max(worst, defect / dt)
         u_next = u_ex
     return OracleResidualReport(

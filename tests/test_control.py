@@ -9,7 +9,8 @@ Core claims:
       nothing after it (search, iteration, report, duality) samples again
     - constant_policy, policies_equal and dump behave as documented, and
       malformed policies are rejected before any sweep
-    - the forward march refuses CFL-violating steps, conserves a static
+    - the forward march refuses CFL-violating steps and, before sweeping,
+      recombining lattices whose probabilities underflow; it conserves a static
       state under zero dynamics, and its recombining conditional means
       match the full-tree pathwise states grouped by Wiener value
     - cost is exact on trivial dynamics: J = T <f, xi0> + <phi, xi0>
@@ -432,6 +433,18 @@ def test_hamiltonian_closed_form_without_generators():
             + inner_product(v * np.cos(x), xi, grid)
         )
         assert got[0, gi] == approx(want, rel=1e-13)
+
+
+def test_forward_refuses_underflowed_probabilities_before_the_sweep():
+    # 2^-n, the smallest recombining probability, is 0.0 in float64 from n = 1075
+    problem = _steering_problem(M=8, T=1.0, n=1080, mode="recombining")
+    with pytest.raises(BudgetExceededError, match=r"from level 1075 on.*n_steps <= 1074 \(got 1080\)"):
+        solve_forward(problem, constant_policy(problem.tree, 0))
+    tree = problem.tree
+    assert tree.first_zero_probability_level() == 1075
+    assert tree.level_probabilities(1075)[0] == 0.0 < tree.level_probabilities(1074)[0]
+    # n = 1074 is the last lattice the push accepts
+    assert build_tree(TimeGrid(1.0, 1074), 1, "recombining").first_zero_probability_level() is None
 
 
 def test_adjoint_terminal_and_duality():

@@ -17,9 +17,12 @@ Core claims:
       pass, whatever the number of coefficient rows: one for the primal
       kind and for explicit adjoint steps, none for semi-implicit adjoint
       steps; the weak form takes one per level, its viscous flux included
-    - u, q, r and the weak-form residuals are == whether a level's nodes
-      share sampled rows or each node has a row of its own, explicit and
-      semi-implicit; an operator on shared rows stores no per-node array
+    - u, q, r, the weak-form residuals and every estimate entry are ==
+      whether a level's nodes share sampled rows or each node has a row of
+      its own, and whatever the node block size (one node, three, a whole
+      level), on the full d' = 2 tree and the recombining lattice, explicit
+      and semi-implicit with two corrector passes; an operator on shared
+      rows stores no per-node array
     - bspdelab solve evaluates the oracle once per level, and its
       oracle_u_l2 / oracle_q_l2 columns are solution_error's per-level terms
     - bspdelab check probes the same (t, W) states as bspdelab solve, so a
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bspdelab import cli, coefficients, control, oracles, solver
+from bspdelab import cli, coefficients, control, energy, lattice, oracles, solver
 from bspdelab import grid as grid_module
 from bspdelab.cli import main
 from bspdelab.coefficients import (
@@ -338,7 +341,7 @@ def test_backward_step_takes_one_gradient_per_level_and_pass(monkeypatch, kind, 
     ubar = rng.normal(size=(3,) + grid.shape)
     q = rng.normal(size=(3,) + grid.shape + (1,))
     calls = _count_gradients(monkeypatch, solver, "_grad")
-    op.step(ubar, q, solver.level_forcing(problem, level), level)
+    op.step(ubar, q, solver.level_forcing(problem, level)[0], level, slice(0, 3))
     # every row's nodes share the one gradient of each pass
     assert len(calls) == per_pass * config.corrector_iterations
     assert all(shape[0] == ubar.shape[0] for shape in calls)
@@ -406,26 +409,50 @@ def _one_row_per_node(problem, reverse):
     return dataclasses.replace(problem, level_coefficients=expanded)
 
 
+# nodes per block of the sweep and the weak form; None runs each level as one block
+BLOCK_NODES = (1, 3, None)
+
+
+def _block_cap(problem, nodes):
+    """The BLOCK_BYTE_BUDGET that gives the sweep `nodes` nodes per block."""
+    if nodes is None:
+        return 2**62
+    return nodes * 8 * problem.grid.size * problem.tree.child_count
+
+
+def _results(problem, config, etas):
+    """u, q, r, the weak-form levels and every estimate entry of one solve."""
+    sol = solver.solve(problem, config)
+    fields = {name: getattr(sol, name).levels for name in ("u", "q", "r")}
+    weak = solver.weak_form_residual(sol, problem, etas).per_level
+    entries = energy.verify_main_estimates(sol, problem, m1=1, p=4.0).entries
+    return fields, weak, entries
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize(
     "stepping, viscosity", [(solver.EXPLICIT, 0.0), (solver.SEMI_IMPLICIT, 0.05)]
 )
-def test_results_do_not_depend_on_how_nodes_share_rows(stepping, viscosity, reverse):
-    shared = _shared_rows_problem()
-    per_node = _one_row_per_node(shared, reverse)
-    assert solver._level_coefficients(shared, 3).a.shape[0] == 16
-    assert solver._level_coefficients(per_node, 3).a.shape[0] == 64
+def test_results_do_not_depend_on_how_nodes_share_rows(monkeypatch, stepping, viscosity, reverse):
+    full = _shared_rows_problem()
+    assert solver._level_coefficients(full, 3).a.shape[0] == 16
+    assert solver._level_coefficients(_one_row_per_node(full, reverse), 3).a.shape[0] == 64
     config = SolverConfig(time_stepping=stepping, viscosity=viscosity, corrector_iterations=2)
-    sols = [solver.solve(problem, config) for problem in (shared, per_node)]
-    for name in ("u", "q", "r"):
-        for x, y in zip(getattr(sols[0], name), getattr(sols[1], name)):
-            assert np.array_equal(x, y)
-    etas = solver.default_test_functions(shared.grid, 2)
-    reports = [
-        solver.weak_form_residual(sol, problem, etas)
-        for sol, problem in zip(sols, (shared, per_node))
-    ]
-    assert reports[0].per_level == reports[1].per_level
+    for shared in (full, _w_dependent_problem()):
+        etas = solver.default_test_functions(shared.grid, 2)
+        reference = None
+        for nodes in BLOCK_NODES[::-1]:
+            monkeypatch.setattr(lattice, "BLOCK_BYTE_BUDGET", _block_cap(shared, nodes))
+            for problem in (shared, _one_row_per_node(shared, reverse)):
+                fields, weak, entries = _results(problem, config, etas)
+                if reference is None:
+                    reference = fields, weak, entries
+                    continue
+                for name, levels in fields.items():
+                    for x, y in zip(levels, reference[0][name]):
+                        assert np.array_equal(x, y), (shared.tree.mode, nodes, name)
+                assert weak == reference[1], (shared.tree.mode, nodes)
+                assert entries == reference[2], (shared.tree.mode, nodes)
 
 
 def _held_arrays(obj):
@@ -450,8 +477,9 @@ def test_operator_holds_no_per_node_array():
     rng = np.random.default_rng(3)
     ubar = rng.normal(size=(n_nodes,) + problem.grid.shape)
     q = rng.normal(size=(n_nodes,) + problem.grid.shape + (2,))
-    op.step(ubar, q, solver.level_forcing(problem, level), level)
-    op.r_transform(ubar, q)
+    nodes = slice(0, n_nodes)
+    op.step(ubar, q, solver.level_forcing(problem, level)[0], level, nodes)
+    op.r_transform(ubar, q, nodes)
     held = [arr for arr in _held_arrays(op) if arr is not op.coeffs.inv]
     assert op.coeffs.a.shape[0] == 16 and len(op._solvers) == 16
     assert held and all(arr.shape[:1] != (n_nodes,) for arr in held)

@@ -147,7 +147,7 @@ def test_assembly_matches_sparse_products(d, kind, eps):
         # the operator's level holds one node per row: node `row` reads row `row`
         u = np.random.default_rng(row).standard_normal((2,) + grid.shape)
         applied = ours @ u[row].reshape(m)
-        stencil = op._second_order_part(u, solver._grad(u, grid))[row].reshape(m)
+        stencil = op._second_order_part(u, solver._grad(u, grid), slice(0, 2))[row].reshape(m)
         assert np.abs(applied - stencil).max() <= 1e-12 * np.abs(stencil).max()
 
 
@@ -369,14 +369,14 @@ def test_corrector_passes_without_explicit_part_solve_once(monkeypatch):
     level = 2
     ubar = random_smooth_field(problem.grid, max_mode=3, seed=5)[None]
     q = np.zeros(ubar.shape + (1,))
-    f = level_forcing(problem, level)
-    assert not np.any(f)
+    f, inv = level_forcing(problem, level)
+    assert inv is None and not np.any(f)
     one = _LevelOperator(problem, SolverConfig(time_stepping=SEMI_IMPLICIT), level)
-    u1, star1 = one.step(ubar, q, f, level)
+    u1, star1 = one.step(ubar, q, f, level, slice(0, 1))
     assert star1 is ubar
     three = SolverConfig(time_stepping=SEMI_IMPLICIT, corrector_iterations=3)
     op = _LevelOperator(problem, three, level)
-    u3, star3 = op.step(ubar, q, f, level)
+    u3, star3 = op.step(ubar, q, f, level, slice(0, 1))
     again = op._solvers[0](ubar)
     assert np.array_equal(u3, u1)
     assert np.array_equal(star3, u1)
@@ -440,7 +440,8 @@ def test_level_forcing_samples_no_coefficient(mode):
     }[mode]
     problem = ProblemData(grid=grid, tree=tree, coefficients=coeffs, terminal=base.terminal, **forcing)
     for level in range(tree.n_steps):
-        f = level_forcing(problem, level)
+        rows, inv = level_forcing(problem, level)
+        f = rows if inv is None else rows[inv]
         assert a.calls == b.calls == sigma.calls == 0
         t = tree.time_grid.time(level)
         w = tree.level_w(level)[:, 0]

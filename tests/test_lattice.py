@@ -8,7 +8,12 @@ Core claims:
     - recombining mode is scalar-noise only
     - increments are +-sqrt(dt) columns covering every sign pattern
     - level_w matches replaying increments along the parent chain
-    - level probabilities are binomial (recombining) or uniform (full) and sum to 1
+    - level probabilities are binomial (recombining) or uniform (full) and sum to 1;
+      recombining rows are the exactly rounded C(n, i) / 2^n for every n <= 1100,
+      and the first level holding a 0.0 is 1075
+    - node_blocks covers a level in ranges under BLOCK_BYTE_BUDGET, at least a node each
+    - a node range's conditional expectation, representation and children are
+      the whole level's rows; it checks the field's size and the values it reads
     - conditional expectation averages children with equal weight
     - tower property E[E[X | F_l]] = E[X] holds to machine precision
     - martingale representation is complete for d' = 1: X = E[X] + q dW exactly
@@ -34,10 +39,13 @@ from bspdelab.lattice import (
     UnsupportedModeError,
     build_tree,
     child_values,
+    level_children,
     level_conditional_expectation,
     level_martingale_representation,
+    node_blocks,
     tree_expectation,
 )
+from bspdelab import lattice
 
 
 def _rng(key=0):
@@ -169,6 +177,26 @@ def test_recombining_probabilities_stay_finite_past_float_binomials():
         assert np.array_equal(tree.level_probabilities(n), old)
 
 
+def test_recombining_probabilities_are_the_exact_binomial_quotients():
+    # C(n, i) / 2^n, exactly rounded, for every n <= 1100: the binomials come
+    # from Pascal's rule, checked against math.comb on every 100th row
+    tree = build_tree(TimeGrid(1.0, 1100), wiener_dim=1, mode="recombining")
+    row = [1]
+    for n in range(1101):
+        if n:
+            row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        if n % 100 == 0:
+            assert row == [math.comb(n, i) for i in range(n + 1)]
+        scale = 1 << n
+        assert np.array_equal(tree.level_probabilities(n), np.array([c / scale for c in row]))
+
+
+def test_first_zero_probability_level():
+    assert build_tree(TimeGrid(1.0, 1100), 1, "recombining").first_zero_probability_level() == 1075
+    assert build_tree(TimeGrid(1.0, 1074), 1, "recombining").first_zero_probability_level() is None
+    assert build_tree(TimeGrid(1.0, 11), 2, "full").first_zero_probability_level() is None
+
+
 def test_children_indices():
     full = build_tree(TimeGrid(1.0, 3), wiener_dim=1, mode="full")
     assert full.children(NodeId(1, 1)) == [NodeId(2, 2), NodeId(2, 3)]
@@ -252,6 +280,44 @@ def test_representation_residual_orthogonal_vector_noise():
         kids = child_values(tree, vals, NodeId(2, parent))
         qref = (inc.T @ kids) / (inc.shape[0] * dt)
         assert np.max(np.abs(qref - q[parent])) < 1e-13
+
+
+# -- node ranges ---------------------------------------------------------------
+
+
+def test_node_blocks_cover_the_level_under_the_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "BLOCK_BYTE_BUDGET", 100)
+    assert node_blocks(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    # a block holds at least one node
+    assert node_blocks(2, 1000) == [slice(0, 1), slice(1, 2)]
+    monkeypatch.setattr(lattice, "BLOCK_BYTE_BUDGET", 2**20)
+    assert node_blocks(7, 30) == [slice(0, 7)]
+
+
+@pytest.mark.parametrize("mode,dprime", [("full", 2), ("recombining", 1)])
+def test_node_ranges_read_only_their_children(mode, dprime):
+    tree = build_tree(TimeGrid(0.5, 3), wiener_dim=dprime, mode=mode)
+    level = 2
+    size = tree.level_sizes[level]
+    vals = _rng(31).standard_normal((tree.level_sizes[level + 1], 5))
+    ce = level_conditional_expectation(tree, vals, level)
+    q = level_martingale_representation(tree, vals, level)
+    kids = level_children(tree, vals, level)
+    assert kids.shape == (size, tree.child_count, 5)
+    for parent in range(size):
+        assert np.array_equal(kids[parent], child_values(tree, vals, NodeId(level, parent)))
+    for nodes in (slice(0, 1), slice(1, 3), slice(size - 1, size), slice(0, size)):
+        assert np.array_equal(level_conditional_expectation(tree, vals, level, nodes), ce[nodes])
+        assert np.array_equal(level_martingale_representation(tree, vals, level, nodes), q[nodes])
+        assert np.array_equal(level_children(tree, vals, level, nodes), kids[nodes])
+    # a range checks the values it reads, and the size of the whole field
+    bad = vals.copy()
+    bad[-1, 0] = np.nan
+    level_conditional_expectation(tree, bad, level, slice(0, 1))
+    with pytest.raises(IncompleteFieldError):
+        level_conditional_expectation(tree, bad, level, slice(size - 1, size))
+    with pytest.raises(IncompleteFieldError):
+        level_martingale_representation(tree, vals[:-1], level, slice(0, 1))
 
 
 # -- adapted fields ---------------------------------------------------------------

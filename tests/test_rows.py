@@ -7,7 +7,8 @@ Core claims:
       grids, including subtrees that read only W or t
     - CoefficientSet.sample at a stack of rows (U, d') equals the stacked
       one-state samples, for lambda samplers and for expression samplers,
-      and level_forcing equals the stacked per-state forcing
+      and level_forcing, one row per distinct state expanded by its node
+      map, equals the stacked per-state forcing
     - a W-dependent CLI config evaluates each expression entry once per
       level, whatever the number of Wiener rows on the level
     - a CoefficientDataError from a row sample names t, the offending
@@ -211,7 +212,9 @@ def test_cli_forcing_rows_equal_per_state_forcing(tmp_path):
     for level in range(tree.n_steps):
         t = float(tree.time_grid.time(level))
         want = np.stack([problem.forcing(t, w, grid) for w in tree.level_w(level)])
-        assert np.array_equal(level_forcing(problem, level), want)
+        rows, inv = level_forcing(problem, level)
+        assert len(rows) == level + 1
+        assert np.array_equal(rows if inv is None else rows[inv], want)
 
 
 def test_w_dependent_cli_config_evaluates_each_entry_once_per_level(tmp_path, monkeypatch):

@@ -20,17 +20,22 @@ Core claims:
     - solve is deterministic
     - oracle_step_residual evaluates the oracle once per level and keeps
       its numbers bit for bit
+    - solve, verify_main_estimates and weak_form_residual each hold under
+      ten node blocks beyond what they keep, on a tree whose leaf level
+      spans 32 blocks
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from bspdelab.coefficients import CoefficientSet, constant_sampler
-from bspdelab.grid import SpatialGrid, batch_gradient
+from bspdelab import energy, lattice
+from bspdelab.coefficients import CoefficientSet, builtin_counterexamples, constant_sampler
+from bspdelab.grid import SpatialGrid, batch_gradient, random_smooth_field
 from bspdelab.lattice import TimeGrid, build_tree
 from bspdelab import solver as solver_module
 from bspdelab.oracles import exact_level_fields, heat_oracle, wiener_linear_oracle
@@ -497,3 +502,44 @@ def test_problem_from_oracle_horizon_check():
     tree = build_tree(TimeGrid(0.4, 4), 1, "recombining")
     with pytest.raises(ValueError, match="horizon"):
         problem_from_oracle(oracle, tree)
+
+
+# -- bounded passes -------------------------------------------------------------------
+
+
+def test_every_pass_holds_a_few_blocks_beyond_what_it_keeps(monkeypatch):
+    cap = 2**16
+    # set even where the constant is missing, so an unblocked sweep fails on memory
+    monkeypatch.setattr(lattice, "BLOCK_BYTE_BUDGET", cap, raising=False)
+    grid = SpatialGrid(dim=2, half_width=np.pi, points=16)
+    tree = build_tree(TimeGrid(0.02, 5), 2, "full")
+    # the leaf level's u spans 32 blocks, each level's q and r 2 to 8
+    assert tree.level_sizes[-1] * 8 * grid.size >= 32 * cap
+    phi = random_smooth_field(grid, max_mode=3, seed=7)
+    problem = ProblemData(
+        grid=grid,
+        tree=tree,
+        coefficients=builtin_counterexamples()[0],
+        terminal=lambda w, g: phi,
+    )
+    etas = default_test_functions(grid)
+
+    def transient(fn):
+        """Peak bytes fn() held above what was allocated before and after it."""
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        after, peak = tracemalloc.get_traced_memory()
+        return out, peak - max(before, after)
+
+    tracemalloc.start()
+    try:
+        sol, solve_bytes = transient(lambda: solve(problem))
+        _, estimate_bytes = transient(lambda: energy.verify_main_estimates(sol, problem, m1=1))
+        _, weak_bytes = transient(lambda: weak_form_residual(sol, problem, etas))
+    finally:
+        tracemalloc.stop()
+    # whole-level temporaries take 37, 98 and 146 caps here
+    assert solve_bytes < 10 * cap
+    assert estimate_bytes < 10 * cap
+    assert weak_bytes < 10 * cap
