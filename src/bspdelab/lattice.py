@@ -265,14 +265,17 @@ def node_blocks(n_nodes: int, node_bytes: int) -> list[slice]:
     return [slice(i, min(i + step, n_nodes)) for i in range(0, n_nodes, step)]
 
 
-def _check_level_field(tree: PathTree, field_values: np.ndarray, level: int) -> np.ndarray:
+def _check_level_field(
+    tree: PathTree, field_values: np.ndarray, level: int, rows: slice = slice(None)
+) -> np.ndarray:
+    """The field as float64, its size checked and its `rows` checked finite."""
     arr = np.asarray(field_values, dtype=np.float64)
     expected = tree.level_sizes[level]
     if arr.shape[0] != expected:
         raise IncompleteFieldError(
             f"level {level} field has leading size {arr.shape[0]}, expected {expected}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr[rows])):
         raise IncompleteFieldError(f"level {level} field contains non-finite values")
     return arr
 
@@ -293,21 +296,14 @@ def _children(tree: PathTree, field_next: np.ndarray, level: int, nodes: slice) 
     are, so node i's children are rows i (down) and i+1 (up).  The whole
     field's size is checked, and the finiteness of the rows read.
     """
-    arr = np.asarray(field_next, dtype=np.float64)
-    expected = tree.level_sizes[level + 1]
-    if arr.shape[0] != expected:
-        raise IncompleteFieldError(
-            f"level {level + 1} field has leading size {arr.shape[0]}, expected {expected}"
-        )
     start, stop, _ = nodes.indices(tree.level_sizes[level])
-    if tree.mode == "full":
-        k = tree.child_count
-        kids = arr[start * k : stop * k].reshape((stop - start, k) + arr.shape[1:])
-    else:
-        kids = arr[start : stop + 1]
-    if not np.all(np.isfinite(kids)):
-        raise IncompleteFieldError(f"level {level + 1} field contains non-finite values")
-    return kids
+    if tree.mode == "recombining":
+        rows = slice(start, stop + 1)
+        return _check_level_field(tree, field_next, level + 1, rows)[rows]
+    k = tree.child_count
+    rows = slice(start * k, stop * k)
+    arr = _check_level_field(tree, field_next, level + 1, rows)
+    return arr[rows].reshape((stop - start, k) + arr.shape[1:])
 
 
 def level_children(
@@ -326,7 +322,7 @@ def level_children(
 def level_conditional_expectation(
     tree: PathTree, field_next: np.ndarray, level: int, nodes: slice = slice(None)
 ) -> np.ndarray:
-    """E[field(t_{n+1}) | node] for the nodes in `nodes` at `level`: the equal-weight child average."""
+    """E[field(t_{n+1}) | node] for the nodes in `nodes` at `level`: the child average."""
     kids = _children(tree, field_next, level, nodes)
     if tree.mode == "full":
         return kids.mean(axis=1)

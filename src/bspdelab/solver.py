@@ -568,7 +568,8 @@ class _LevelOperator:
         """
         out = None
         if "sigma" in self.nonzero:
-            out = _div(component_dot(self._at_nodes(self.coeffs.sigma, nodes), q[..., None, :]), self.grid)
+            sigma = self._at_nodes(self.coeffs.sigma, nodes)
+            out = _div(component_dot(sigma, q[..., None, :]), self.grid)
             if self.kind != KIND_BSPDE:
                 out = -out
             elif "divsigma" in self.nonzero:
@@ -695,8 +696,8 @@ class _LevelOperator:
 
         Where sigma = 0, r is q and solve stores q's array for it.
         """
-        du = _grad(u, self.grid)
-        return q + component_dot(self._at_nodes(self.coeffs.sigma, nodes), du[..., :, None], axis=-2)
+        sigma = self._at_nodes(self.coeffs.sigma, nodes)
+        return q + component_dot(sigma, _grad(u, self.grid)[..., :, None], axis=-2)
 
 
 def _varying(problem: ProblemData) -> bool:
