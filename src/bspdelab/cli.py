@@ -652,20 +652,22 @@ def _level_norms(solution, problem, m1: int):
     """Per-level expected norms: sqrt(E ||u||^2_{0,2} / _{m1,2}) and r rows."""
     tree, grid = problem.tree, problem.grid
     rows = []
+
+    def expected(p, field, level, m):
+        # norms per stored row, expanded to nodes before the weighted sum
+        return float(p @ field.per_node(level, level_norm_sq(field.levels[level], grid, m)))
+
     for level in range(tree.n_steps + 1):
         p = tree.level_probabilities(level)
-        u = solution.u[level]
         row = {
             "level": level,
             "t": tree.time_grid.time(level),
-            "u_l2": math.sqrt(float(p @ level_norm_sq(u, grid, 0))),
-            "u_m1": math.sqrt(float(p @ level_norm_sq(u, grid, m1))),
+            "u_l2": math.sqrt(expected(p, solution.u, level, 0)),
+            "u_m1": math.sqrt(expected(p, solution.u, level, m1)),
             "r_l2": "",
         }
         if level < tree.n_steps:
-            row["r_l2"] = math.sqrt(
-                float(p @ level_norm_sq(solution.r[level], grid, 0))
-            )
+            row["r_l2"] = math.sqrt(expected(p, solution.r, level, 0))
         rows.append(row)
     return rows
 
@@ -785,11 +787,11 @@ def _dump_fields(out: Path, solution, problem, dump: str, formats: str) -> list[
 
     written = []
     if dump == "root":
-        written += write_one("u_L000_N000000", solution.u[0][0])
+        written += write_one("u_L000_N000000", solution.u.at(0, 0))
         return written
     for level in range(tree.n_steps + 1):
         for index in range(tree.level_sizes[level]):
-            written += write_one(f"u_L{level:03d}_N{index:06d}", solution.u[level][index])
+            written += write_one(f"u_L{level:03d}_N{index:06d}", solution.u.at(level, index))
     return written
 
 

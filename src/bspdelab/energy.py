@@ -380,11 +380,17 @@ def verify_main_estimates(
     n = tree.n_steps
     dt = tree.time_grid.dt
 
-    u_sq, u_p = zip(*(_level_norms(solution.u[level], grid, m1, p) for level in range(n + 1)))
+    # norms per stored row, expanded to nodes before any weighted sum
+    u, r = solution.u, solution.r
+    u_sq, u_p = [], []
+    for level in range(n + 1):
+        sq, pw = _level_norms(u.levels[level], grid, m1, p)
+        u_sq.append(u.per_node(level, sq))
+        u_p.append(u.per_node(level, pw))
     r_term = f_sq_term = f_p_term = 0.0
     for level in range(n):
         prob = tree.level_probabilities(level)
-        r_term += dt * _expected(prob, level_norm_sq(solution.r[level], grid, m1))
+        r_term += dt * _expected(prob, r.per_node(level, level_norm_sq(r.levels[level], grid, m1)))
         f_rows, f_inv = level_forcing(problem, level)
         f_sq, f_p = _level_norms(f_rows, grid, m1, p)
         if f_inv is not None:

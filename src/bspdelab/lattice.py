@@ -16,6 +16,9 @@ the children of state i are state i (down, c=0) and state i+1 (up, c=1).
 
 The level operators read the children of a contiguous node range only, so
 callers walk a level in blocks (node_blocks) and never need this layout.
+A level stored as distinct rows plus a node -> row map (AdaptedGridField)
+is read through the map: level_child_rows gives each node's child rows,
+and the same operators then take any set of nodes.
 """
 
 from __future__ import annotations
@@ -221,19 +224,43 @@ def build_tree(time_grid: TimeGrid, wiener_dim: int = 1, mode: str = "full") -> 
 
 @dataclass
 class AdaptedGridField:
-    """One array per tree level; entry [level][node_index, ...] is the field value.
+    """Per tree level, the distinct rows a level holds and its node -> row map.
 
     Used for every adapted quantity (u, q, r, forward states, forcing samples).
-    The per-level arrays may carry trailing spatial and component axes.
+    levels[level] stacks the level's rows, which may carry trailing spatial
+    and component axes; maps[level] sends node i to row maps[level][i] and
+    is None where the rows are already one per node, in node order (the
+    default for every level).  field[level] is the node array rows[map].
     """
 
     levels: list[np.ndarray]
+    maps: list | None = None
+
+    def __post_init__(self):
+        if self.maps is None:
+            self.maps = [None] * len(self.levels)
 
     def __getitem__(self, level: int) -> np.ndarray:
-        return self.levels[level]
+        rows, inv = self.levels[level], self.maps[level]
+        return rows if inv is None else rows[inv]
 
     def __len__(self) -> int:
         return len(self.levels)
+
+    def at(self, level: int, nodes) -> np.ndarray:
+        """The rows of the nodes `nodes` (an index, a slice or an index array) at a level."""
+        rows, inv = self.levels[level], self.maps[level]
+        return rows[nodes] if inv is None else rows[inv[nodes]]
+
+    def row_map(self, level: int) -> np.ndarray:
+        """The node -> row map of a level as an array (arange where rows are per node)."""
+        inv = self.maps[level]
+        return np.arange(len(self.levels[level])) if inv is None else inv
+
+    def per_node(self, level: int, values: np.ndarray) -> np.ndarray:
+        """Per-row values of a level (leading axis = rows) expanded to its nodes."""
+        inv = self.maps[level]
+        return values if inv is None else values[inv]
 
 
 def distinct_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -253,6 +280,38 @@ def row_groups(inv: np.ndarray | None) -> list:
     if inv is None:
         return [(0, slice(None))]
     return [(r, np.flatnonzero(inv == r)) for r in np.unique(inv)]
+
+
+def first_occurrence_keys(columns: list, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct tuples of per-node integer columns, numbered by first occurrence.
+
+    Returns (reps, inv): reps[j] is the first node holding tuple j, so reps
+    ascends, and inv maps node -> tuple.  A None column is constant.
+    """
+    ids = np.zeros(n_nodes, dtype=np.int64)
+    for col in columns:
+        if col is None:
+            continue
+        col = np.asarray(col, dtype=np.int64)
+        # pair the ids so far with the column, then renumber densely: every
+        # pairing stays below n_nodes * (max + 1)
+        _, ids = np.unique(ids * (int(col.max()) + 1) + col, return_inverse=True)
+    _, first, inv = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[np.asarray(inv).reshape(-1)]
+
+
+def level_child_rows(tree: PathTree, inv_next: np.ndarray, level: int) -> np.ndarray:
+    """Rows of the children of every node at `level`, shape (nodes, child_count).
+
+    inv_next is the next level's node -> row map; child c follows the sign
+    table's order, as in child_values.
+    """
+    if tree.mode == "full":
+        return inv_next.reshape(tree.level_sizes[level], tree.child_count)
+    return np.stack([inv_next[:-1], inv_next[1:]], axis=1)
 
 
 def node_blocks(n_nodes: int, node_bytes: int) -> list[slice]:
@@ -288,18 +347,27 @@ def child_values(tree: PathTree, field_next: np.ndarray, node: NodeId) -> np.nda
     return arr[base : base + k]
 
 
-def _children(tree: PathTree, field_next: np.ndarray, level: int, nodes: slice) -> np.ndarray:
-    """The next-level values the children of `nodes` (a range at `level`) hold.
+def _children(tree: PathTree, field_next: np.ndarray, level: int, nodes, inv_next=None):
+    """The next-level values the children of `nodes` (at `level`) hold.
 
-    Full trees: the children of nodes i..j-1 are i*k..j*k-1, returned as
-    (nodes, k, ...).  Recombining: they are states i..j, returned as they
-    are, so node i's children are rows i (down) and i+1 (up).  The whole
-    field's size is checked, and the finiteness of the rows read.
+    Full trees: (nodes, k, ...).  Recombining: the (down, up) pair of
+    arrays, each (nodes, ...).  With inv_next, field_next holds the next
+    level's rows and inv_next its node -> row map, and `nodes` may be an
+    index array; otherwise field_next holds one row per node and `nodes` is
+    a range, whose children i*k..j*k-1 (full) or states i..j (recombining)
+    are read in place.  The size of a per-node field is checked, and the
+    finiteness of the values read.
     """
+    if inv_next is not None:
+        kids = np.asarray(field_next, dtype=np.float64)[level_child_rows(tree, inv_next, level)[nodes]]
+        if not np.all(np.isfinite(kids)):
+            raise IncompleteFieldError(f"level {level + 1} field contains non-finite values")
+        return kids if tree.mode == "full" else (kids[:, 0], kids[:, 1])
     start, stop, _ = nodes.indices(tree.level_sizes[level])
     if tree.mode == "recombining":
         rows = slice(start, stop + 1)
-        return _check_level_field(tree, field_next, level + 1, rows)[rows]
+        kids = _check_level_field(tree, field_next, level + 1, rows)[rows]
+        return kids[:-1], kids[1:]
     k = tree.child_count
     rows = slice(start * k, stop * k)
     arr = _check_level_field(tree, field_next, level + 1, rows)
@@ -307,43 +375,52 @@ def _children(tree: PathTree, field_next: np.ndarray, level: int, nodes: slice) 
 
 
 def level_children(
-    tree: PathTree, field_next: np.ndarray, level: int, nodes: slice = slice(None)
+    tree: PathTree, field_next: np.ndarray, level: int, nodes=slice(None), inv_next=None
 ) -> np.ndarray:
     """Next-level values on the children of `nodes`, shape (nodes, child_count, ...).
 
-    Child c follows the sign table's order, as in child_values.
+    Child c follows the sign table's order, as in child_values; `nodes`
+    and inv_next are as in level_conditional_expectation.
     """
-    kids = _children(tree, field_next, level, nodes)
+    kids = _children(tree, field_next, level, nodes, inv_next)
     if tree.mode == "full":
         return kids
-    return np.stack([kids[:-1], kids[1:]], axis=1)
+    return np.stack(kids, axis=1)
 
 
 def level_conditional_expectation(
-    tree: PathTree, field_next: np.ndarray, level: int, nodes: slice = slice(None)
+    tree: PathTree, field_next: np.ndarray, level: int, nodes=slice(None), inv_next=None
 ) -> np.ndarray:
-    """E[field(t_{n+1}) | node] for the nodes in `nodes` at `level`: the child average."""
-    kids = _children(tree, field_next, level, nodes)
+    """E[field(t_{n+1}) | node] for the nodes `nodes` at `level`: the child average.
+
+    field_next holds one row per next-level node and `nodes` is a range,
+    or, with inv_next, the next level's rows and their node -> row map,
+    and `nodes` may be an index array.
+    """
+    kids = _children(tree, field_next, level, nodes, inv_next)
     if tree.mode == "full":
         return kids.mean(axis=1)
-    return 0.5 * (kids[:-1] + kids[1:])
+    down, up = kids
+    return 0.5 * (down + up)
 
 
 def level_martingale_representation(
-    tree: PathTree, field_next: np.ndarray, level: int, nodes: slice = slice(None)
+    tree: PathTree, field_next: np.ndarray, level: int, nodes=slice(None), inv_next=None
 ) -> np.ndarray:
-    """E[field(t_{n+1}) dW^k | node] / dt for the nodes in `nodes` at `level`; trailing axis k.
+    """E[field(t_{n+1}) dW^k | node] / dt for the nodes `nodes` at `level`; trailing axis k.
 
-    For scalar noise this reproduces the field differences across the children
+    `nodes` and inv_next are as in level_conditional_expectation.  For
+    scalar noise this reproduces the field differences across the children
     exactly: field = E + q dW on both children.  For wiener_dim >= 2 the
     residual field - E - q dW is orthogonal to the increments but nonzero.
     """
-    kids = _children(tree, field_next, level, nodes)
+    kids = _children(tree, field_next, level, nodes, inv_next)
     dt = tree.time_grid.dt
     if tree.mode == "full":
         scale = 1.0 / (tree.child_count * math.sqrt(dt))
         return np.einsum("nc...,ck->n...k", kids, tree.sign_table) * scale
-    q = (kids[1:] - kids[:-1]) / (2.0 * math.sqrt(dt))
+    down, up = kids
+    q = (up - down) / (2.0 * math.sqrt(dt))
     return q[..., None]
 
 

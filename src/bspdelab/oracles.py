@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, constant_sampler
 from .grid import SpatialGrid
-from .lattice import PathTree, distinct_rows
+from .lattice import AdaptedGridField, PathTree, distinct_rows, first_occurrence_keys, node_blocks
 
 TerminalMap = Callable[[np.ndarray, SpatialGrid], np.ndarray]
 
@@ -53,6 +53,7 @@ class OracleSolution:
 
     `exact_fields(t, w_rows)` evaluates the pair for a batch of Wiener
     states w_rows (U, d') at once: u (U, *grid) and q (U, *grid, d').
+    An oracle that is not w_dependent is evaluated at W = 0 alone.
     """
 
     name: str
@@ -62,6 +63,7 @@ class OracleSolution:
     terminal: TerminalMap
     exact_fields: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
     forcing: Callable[[float, np.ndarray, SpatialGrid], np.ndarray] | None = None
+    w_dependent: bool = True
 
     def u_exact(self, t: float, w: np.ndarray) -> np.ndarray:
         return np.array(self.exact_fields(t, np.asarray(w, dtype=np.float64).reshape(1, -1))[0][0])
@@ -123,6 +125,7 @@ def heat_oracle(
         coefficients=coeffs,
         terminal=terminal,
         exact_fields=exact_fields,
+        w_dependent=False,
     )
 
 
@@ -191,9 +194,15 @@ def exact_level_fields(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Oracle u and q stacked over every node of a tree level.
 
-    The oracle evaluates the level's distinct Wiener states in one batch.
+    The oracle evaluates the level's distinct Wiener states in one batch,
+    or W = 0 alone when it is not w_dependent; the one row then serves
+    every node as a read-only broadcast view.
     """
     t = tree.time_grid.time(level)
+    if not oracle.w_dependent:
+        u_rows, q_rows = oracle.exact_fields(t, np.zeros((1, tree.wiener_dim)))
+        n_nodes = tree.level_sizes[level]
+        return tuple(np.broadcast_to(x, (n_nodes,) + x.shape[1:]) for x in (u_rows, q_rows))
     states, inv = distinct_rows(tree.level_w(level))
     u_rows, q_rows = oracle.exact_fields(t, states)
     if inv is None:
@@ -208,12 +217,19 @@ def solution_error(u_levels, q_levels, tree: PathTree, oracle: OracleSolution) -
     q_sup_error, and q_integrated_error = sqrt(sum_n dt E ||q_n - q*_n||^2).
     u_level_errors and q_level_errors list the per-level terms
     sqrt(E ||u_n - u*_n||_{L2}^2) and sqrt(E ||q_n - q*_n||_{L2}^2), one per
-    level of u_levels and of q_levels.
+    level of u_levels and of q_levels.  u_levels and q_levels are
+    AdaptedGridFields or lists of per-node level arrays; each distinct
+    (u row, q row, exact row) triple of a level is scored once.
     """
+    u_levels, q_levels = (
+        f if isinstance(f, AdaptedGridField) else AdaptedGridField([np.asarray(x) for x in f])
+        for f in (u_levels, q_levels)
+    )
     grid = oracle.grid
     vol = grid.cell_volume
     dt = tree.time_grid.dt
     comp_axes_u = tuple(range(1, 1 + grid.dim))
+    q_axes = comp_axes_u + (1 + grid.dim,)
     u_sup = 0.0
     q_sup = 0.0
     q_int = 0.0
@@ -222,14 +238,25 @@ def solution_error(u_levels, q_levels, tree: PathTree, oracle: OracleSolution) -
     for level in range(tree.n_steps + 1):
         p = tree.level_probabilities(level)
         u_ex, q_ex = exact_level_fields(oracle, tree, level)
-        du = np.asarray(u_levels[level]) - u_ex
-        dq = np.asarray(q_levels[level]) - q_ex if level < len(q_levels) else None
-        u_ms = float(np.sum(p * np.sum(du**2, axis=comp_axes_u) * vol))
+        # a node's exact row is its Wiener state's, one row for a W-free oracle
+        ex_inv = distinct_rows(tree.level_w(level))[1] if oracle.w_dependent else None
+        has_q = level < len(q_levels)
+        keys = [u_levels.row_map(level), q_levels.row_map(level) if has_q else None, ex_inv]
+        reps, inv = first_occurrence_keys(keys, tree.level_sizes[level])
+        u_sq, q_sq = np.empty(reps.size), np.empty(reps.size)
+        for block in node_blocks(reps.size, u_ex[:1].nbytes):
+            nodes = reps[block]
+            du = u_levels.at(level, nodes) - u_ex[nodes]
+            u_sq[block] = np.sum(du**2, axis=comp_axes_u)
+            if has_q:
+                dq = q_levels.at(level, nodes) - q_ex[nodes]
+                q_sq[block] = np.sum(dq**2, axis=q_axes)
+        # per-node sums, weighted in node order
+        u_ms = float(np.sum(p * u_sq[inv] * vol))
         u_level_errors.append(float(np.sqrt(u_ms)))
         u_sup = max(u_sup, np.sqrt(u_ms))
-        if dq is not None:
-            q_axes = comp_axes_u + (1 + grid.dim,)
-            q_ms = float(np.sum(p * np.sum(dq**2, axis=q_axes) * vol))
+        if has_q:
+            q_ms = float(np.sum(p * q_sq[inv] * vol))
             q_level_errors.append(float(np.sqrt(q_ms)))
             q_sup = max(q_sup, np.sqrt(q_ms))
             q_int += dt * q_ms

@@ -4,7 +4,9 @@ The unknown pair (u, q) lives on a Bernoulli path tree.  Each sweep step,
 leaf level toward the root, does three things per node: the conditional
 expectation of the next level gives the predictor, the martingale
 representation gives q, and an Euler application of the generator
-(explicit or semi-implicit in the second-order part) produces u.
+(explicit or semi-implicit in the second-order part) produces u.  Nodes
+with the same inputs (children's values, coefficients and forcing) get
+the same (u, q), so each level stores and steps its distinct states once.
 
 Second-order terms and the sigma-gradient coupling are applied in
 divergence form minus a lower-order correction,
@@ -67,6 +69,8 @@ from .lattice import (
     TimeGrid,
     build_tree,
     distinct_rows,
+    first_occurrence_keys,
+    level_child_rows,
     level_children,
     level_conditional_expectation,
     level_martingale_representation,
@@ -196,10 +200,13 @@ class ProblemData:
 class SolutionPair:
     """Backward solution: u on levels 0..n, q and r on levels 0..n-1.
 
+    Each level holds its distinct states: u, q and r share the level's
+    node -> row map (AdaptedGridField), and u[level] gives the node array.
     r = q + (grad u) sigma node by node (r^k = q^k + sigma^{ik} D_i u);
     where sigma = 0, r holds q's arrays themselves, so treat both as
     read-only.  meta records dt, h, viscosity, stepping mode, CFL and
-    parabolicity diagnostics, and any warnings raised during the sweep.
+    parabolicity diagnostics, the stored rows per level (level_rows), and
+    any warnings raised during the sweep.
     """
 
     u: AdaptedGridField
@@ -502,10 +509,11 @@ class _LevelOperator:
 
     Holds the state's LevelCoefficients with div a and div sigma, and
     applies the backward Euler step and the r-transform at every level
-    _level_operators gives it.  Each call covers one contiguous range of a
-    level's nodes (a slice, one of _level_blocks), reading its coefficient
-    rows per node where it uses them; only the solvers of I - dt A, built
-    on the first semi-implicit step, go row by row within the range.
+    _level_operators gives it.  Each call covers one block of a level's
+    nodes (a range, or the representatives of a range of states: one of
+    _level_blocks), reading its coefficient rows per node where it uses
+    them; only the solvers of I - dt A, built on the first semi-implicit
+    step, go row by row within the block.
     """
 
     def __init__(self, problem: ProblemData, config: SolverConfig, level: int):
@@ -706,15 +714,37 @@ def _varying(problem: ProblemData) -> bool:
     return coeffs.time_dependent or coeffs.w_dependent or problem.level_coefficients is not None
 
 
-def _level_blocks(problem: ProblemData, level: int) -> list[slice]:
-    """The node ranges the sweep and the weak form walk at a level.
+def _level_blocks(problem: ProblemData, level: int, reps=None) -> list[tuple]:
+    """The blocks the sweep and the weak form walk at a level: (rows, nodes) pairs.
 
-    A block's children hold at most BLOCK_BYTE_BUDGET bytes of one scalar
+    rows is a range of the level's states, nodes the nodes stepped for
+    them: the same range when every node is its own state (reps None),
+    else the states' representatives reps[rows] (_level_states).  A
+    block's children hold at most BLOCK_BYTE_BUDGET bytes of one scalar
     grid field, so with its u, q and the generator's temporaries a pass
     holds a few such blocks.
     """
     tree = problem.tree
-    return node_blocks(tree.level_sizes[level], 8 * problem.grid.size * tree.child_count)
+    count = tree.level_sizes[level] if reps is None else reps.size
+    blocks = node_blocks(count, 8 * problem.grid.size * tree.child_count)
+    return [(rows, rows if reps is None else reps[rows]) for rows in blocks]
+
+
+def _level_states(tree: PathTree, level: int, inv_next, key_maps: list):
+    """The states a pass at `level` visits: (reps, inv), or (None, None).
+
+    A node's state is the rows of its children in the next level's node ->
+    row map inv_next plus its row in each of key_maps (None: one shared
+    row).  reps lists one node per state, by first occurrence, and inv
+    maps node -> state, None when every node is its own state.  (None,
+    None) when the next level holds one row per node (inv_next is None):
+    then every node is its own state and the pass walks node ranges.
+    """
+    if inv_next is None:
+        return None, None
+    kids = level_child_rows(tree, inv_next, level)
+    reps, inv = first_occurrence_keys([*kids.T, *key_maps], tree.level_sizes[level])
+    return reps, (None if reps.size == inv.size else inv)
 
 
 def _level_operators(problem: ProblemData, config: SolverConfig):
@@ -764,17 +794,29 @@ def estimate_cfl(problem: ProblemData, config: SolverConfig | None = None) -> Cf
 # -- the backward sweep ----------------------------------------------------------
 
 
-def _terminal_values(problem: ProblemData) -> np.ndarray:
+def _terminal_values(problem: ProblemData) -> tuple[np.ndarray, np.ndarray | None]:
+    """The terminal's distinct rows, by first leaf, and the leaf -> row map.
+
+    The terminal is evaluated once per distinct Wiener state, and rows are
+    told apart by their bits (-0.0 is not 0.0), so only distinct rows are
+    kept.  The map is None when every leaf holds its own row.
+    """
     tree, grid = problem.tree, problem.grid
+    n_leaves = tree.level_sizes[tree.n_steps]
     states, inv = distinct_rows(tree.level_w(tree.n_steps))
-    rows = []
+    rows, row_of_bits, state_row = [], {}, []
     for wrow in states:
         val = np.asarray(problem.terminal(wrow, grid), dtype=np.float64)
         if val.shape != grid.shape:
             raise ValueError(f"terminal sample shape {val.shape} != {grid.shape}")
-        rows.append(val)
-    rows = np.stack(rows)
-    return rows if inv is None else rows[inv]
+        row = row_of_bits.setdefault(val.tobytes(), len(rows))
+        if row == len(rows):
+            rows.append(val)
+        state_row.append(row)
+    leaf_value = np.asarray(state_row)[np.zeros(n_leaves, dtype=np.intp) if inv is None else inv]
+    reps, leaf_row = first_occurrence_keys([leaf_value], n_leaves)
+    values = np.stack([rows[r] for r in leaf_value[reps]])
+    return values, (None if reps.size == n_leaves else leaf_row)
 
 
 def parabolicity_probes(coefficients: CoefficientSet, tree: PathTree) -> list:
@@ -809,18 +851,26 @@ def _parabolicity_precheck(problem: ProblemData, config: SolverConfig):
 def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionPair:
     """Full backward sweep from the leaves to the root.
 
-    The solve stores u, q and r, the bytes WORKSPACE_BYTE_BUDGET guards.
-    Each level is stepped in node blocks of at most BLOCK_BYTE_BUDGET bytes
-    of one scalar field, written into the stored arrays, so what the sweep
-    holds beyond them is a few blocks, whatever the level size.
+    The solve stores each level's distinct states once.  The terminal's
+    rows are told apart by their bits; at each level, nodes whose children
+    hold the same rows and that share their coefficient and forcing rows
+    are one state, stepped once through a representative node, and the
+    level keeps the node -> row map (None where every node is its own
+    state).  A level whose next level holds one row per node is not keyed:
+    its nodes are stepped in node ranges.  Rows are stepped in blocks of
+    at most BLOCK_BYTE_BUDGET bytes of one scalar field, written into the
+    stored arrays, so what the sweep holds beyond them is a few blocks,
+    whatever the level size.  Every node's u, q and r are `==` what
+    stepping it on its own gives.
 
-    Preconditions: the stored u, q and r fit WORKSPACE_BYTE_BUDGET (checked
-    before anything is sampled, so r counts even where sigma = 0 makes it
-    q: an upper bound), degenerate parabolicity of the sampled
-    coefficients (skipped when level_coefficients overrides sampling), and
-    the explicit CFL bounds when stepping explicitly.  Superparabolicity
-    with margin 2 * viscosity comes for free from the added eps Laplacian,
-    and the effective margin is recorded in meta.
+    Preconditions: u, q and r stored one row per node would fit
+    WORKSPACE_BYTE_BUDGET (checked before anything is sampled, so r counts
+    even where sigma = 0 makes it q, and every node counts whether or not
+    it shares a row: an upper bound), degenerate parabolicity of the
+    sampled coefficients (skipped when level_coefficients overrides
+    sampling), and the explicit CFL bounds when stepping explicitly.
+    Superparabolicity with margin 2 * viscosity comes for free from the
+    added eps Laplacian, and the effective margin is recorded in meta.
     """
     config = config or SolverConfig()
     tree, grid = problem.tree, problem.grid
@@ -867,20 +917,24 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
     u_levels: list = [None] * (n + 1)
     q_levels: list = [None] * n
     r_levels: list = [None] * n
-    u_levels[n] = _terminal_values(problem)
+    maps: list = [None] * (n + 1)
+    u_levels[n], maps[n] = _terminal_values(problem)
 
     for level, op in _level_operators(problem, config):
-        shape = (tree.level_sizes[level],) + grid.shape
+        f, f_inv = level_forcing(problem, level)
+        u_next, inv_next = u_levels[level + 1], maps[level + 1]
+        # nodes sharing their children's rows, coefficients and forcing share u, q and r
+        reps, maps[level] = _level_states(tree, level, inv_next, [op.coeffs.inv, f_inv])
+        shape = (tree.level_sizes[level] if reps is None else reps.size,) + grid.shape
         u = u_levels[level] = np.empty(shape)
         q = q_levels[level] = np.empty(shape + (tree.wiener_dim,))
         r = r_levels[level] = np.empty_like(q) if "sigma" in op.nonzero else q
-        f, f_inv = level_forcing(problem, level)
-        for nodes in _level_blocks(problem, level):
-            ubar = level_conditional_expectation(tree, u_levels[level + 1], level, nodes)
-            q[nodes] = level_martingale_representation(tree, u_levels[level + 1], level, nodes)
-            u[nodes], _ = op.step(ubar, q[nodes], _rows_at(f, f_inv, nodes), level, nodes)
+        for rows, nodes in _level_blocks(problem, level, reps):
+            ubar = level_conditional_expectation(tree, u_next, level, nodes, inv_next)
+            q[rows] = level_martingale_representation(tree, u_next, level, nodes, inv_next)
+            u[rows], _ = op.step(ubar, q[rows], _rows_at(f, f_inv, nodes), level, nodes)
             if r is not q:
-                r[nodes] = op.r_transform(u[nodes], q[nodes], nodes)
+                r[rows] = op.r_transform(u[rows], q[rows], nodes)
 
     meta = {
         "dt": dt,
@@ -907,12 +961,13 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
             "delta": para.delta,
         },
         "effective_delta": (para.delta if para is not None else 0.0) + 2.0 * config.viscosity,
+        "level_rows": [len(rows) for rows in u_levels],
         "warnings": warns,
     }
     return SolutionPair(
-        u=AdaptedGridField(u_levels),
-        q=AdaptedGridField(q_levels),
-        r=AdaptedGridField(r_levels),
+        u=AdaptedGridField(u_levels, maps),
+        q=AdaptedGridField(q_levels, maps[:n]),
+        r=AdaptedGridField(r_levels, maps[:n]),
         meta=meta,
     )
 
@@ -984,12 +1039,16 @@ def weak_form_residual(
     rep_axes = tuple(range(2, 2 + d))
     for level, op in _level_operators(problem, config):
         f, f_inv = level_forcing(problem, level)
+        u_next, inv_next = solution.u.levels[level + 1], solution.u.maps[level + 1]
+        # one node per state: nodes with equal inputs have equal residuals
+        keys = [solution.u.row_map(level), solution.q.row_map(level), op.coeffs.inv, f_inv]
+        reps, _ = _level_states(tree, level, inv_next, keys)
         lvl_drift = lvl_rep = 0.0
-        for nodes in _level_blocks(problem, level):
-            u_n = solution.u[level][nodes]
-            q = solution.q[level][nodes]
+        for _, nodes in _level_blocks(problem, level, reps):
+            u_n = solution.u.at(level, nodes)
+            q = solution.q.at(level, nodes)
             f_nodes = _rows_at(f, f_inv, nodes)
-            ubar = level_conditional_expectation(tree, solution.u[level + 1], level, nodes)
+            ubar = level_conditional_expectation(tree, u_next, level, nodes, inv_next)
             if config.corrector_iterations > 1:
                 _, star = op.step(ubar, q, f_nodes, level, nodes)
             else:
@@ -1021,7 +1080,7 @@ def weak_form_residual(
                 lvl_drift = max(lvl_drift, float(np.abs(lhs - pairing).max() / scale))
 
             # per child: u_child - u_bar - q . dW
-            kids = level_children(tree, solution.u[level + 1], level, nodes)
+            kids = level_children(tree, u_next, level, nodes, inv_next)
             rep = kids - (ubar[:, None] + np.einsum("n...k,ck->nc...", q, tree.sign_table) * sq)
             for eta, _, scale in eta_info:
                 ip = np.abs(np.sum(rep * eta, axis=rep_axes)) * vol
@@ -1078,19 +1137,29 @@ def viscosity_continuation(
             failure = f"{type(exc).__name__}: {exc}"
             break
 
+    def gap_sq_norms(f0: AdaptedGridField, f1: AdaptedGridField, level: int) -> np.ndarray:
+        """Per node, ||f0 - f1||_{m1,2}^2 at a level, taken once per distinct row pair."""
+        pairs = [f0.row_map(level), f1.row_map(level)]
+        reps, inv = first_occurrence_keys(pairs, tree.level_sizes[level])
+        out = np.empty(reps.size)
+        for block in node_blocks(reps.size, f0.levels[level][:1].nbytes):
+            nodes = reps[block]
+            out[block] = level_norm_sq(f0.at(level, nodes) - f1.at(level, nodes), grid, m1)
+        return out[inv]
+
     u_gaps = []
     r_gaps = []
     for s0, s1 in zip(solutions, solutions[1:]):
         gap = 0.0
         for level in range(tree.n_steps + 1):
             p = tree.level_probabilities(level)
-            sq_norms = level_norm_sq(s0.u[level] - s1.u[level], grid, m1)
+            sq_norms = gap_sq_norms(s0.u, s1.u, level)
             gap = max(gap, math.sqrt(float(np.sum(p * sq_norms))))
         u_gaps.append(gap)
         acc = 0.0
         for level in range(tree.n_steps):
             p = tree.level_probabilities(level)
-            sq_norms = level_norm_sq(s0.r[level] - s1.r[level], grid, m1)
+            sq_norms = gap_sq_norms(s0.r, s1.r, level)
             acc += dt * float(np.sum(p * sq_norms))
         r_gaps.append(acc)
 
@@ -1145,7 +1214,7 @@ def oracle_step_residual(
         u_ex, _ = exact_level_fields(oracle, tree, level)
         f, f_inv = level_forcing(problem, level)
         sq_norms = np.empty(tree.level_sizes[level])
-        for nodes in _level_blocks(problem, level):
+        for nodes, _ in _level_blocks(problem, level):
             ubar = level_conditional_expectation(tree, u_next, level, nodes)
             q = level_martingale_representation(tree, u_next, level, nodes)
             u_step, _ = op.step(ubar, q, _rows_at(f, f_inv, nodes), level, nodes)

@@ -423,7 +423,10 @@ def _block_cap(problem, nodes):
 def _results(problem, config, etas):
     """u, q, r, the weak-form levels and every estimate entry of one solve."""
     sol = solver.solve(problem, config)
-    fields = {name: getattr(sol, name).levels for name in ("u", "q", "r")}
+    fields = {}
+    for name in ("u", "q", "r"):
+        f = getattr(sol, name)
+        fields[name] = [f[l] for l in range(len(f))]
     weak = solver.weak_form_residual(sol, problem, etas).per_level
     entries = energy.verify_main_estimates(sol, problem, m1=1, p=4.0).entries
     return fields, weak, entries

@@ -203,7 +203,8 @@ def _fingerprint(sol):
     """Per field: sum, sum of squares and index-weighted sum over all levels."""
     out = {}
     for name in ("u", "q", "r"):
-        flat = np.concatenate([lvl.ravel() for lvl in getattr(sol, name).levels])
+        f = getattr(sol, name)
+        flat = np.concatenate([f[l].ravel() for l in range(len(f))])
         out[name] = (
             float(np.sum(flat)),
             float(np.sum(flat**2)),

@@ -19,7 +19,9 @@ Core claims:
     - martingale representation is complete for d' = 1: X = E[X] + q dW exactly
     - for d' > 1 the representation residual is orthogonal to every increment
     - tree_expectation of a deterministic terminal equals that value
-    - AdaptedGridField validates per-level shapes
+    - AdaptedGridField validates per-level shapes; its node access is the
+      rows at the node -> row map
+    - first_occurrence_keys numbers distinct column tuples by first node
 """
 
 import math
@@ -329,6 +331,31 @@ def test_adapted_field_access():
     field = AdaptedGridField(tuple(levels))
     assert len(field) == 4
     assert field[2].shape == (3, 4)
+
+
+def test_adapted_field_node_access_is_rows_at_the_map():
+    rows = [np.arange(6.0).reshape(3, 2), np.arange(8.0).reshape(4, 2)]
+    inv = np.array([2, 0, 2, 1, 0])
+    field = AdaptedGridField(rows, [inv, None])
+    assert np.array_equal(field[0], rows[0][inv])
+    assert field[1] is rows[1]
+    assert np.array_equal(field.at(0, np.array([1, 3])), rows[0][[0, 1]])
+    assert np.array_equal(field.at(0, slice(2, 4)), rows[0][[2, 1]])
+    assert np.array_equal(field.at(1, 2), rows[1][2])
+    assert np.array_equal(field.row_map(0), inv)
+    assert np.array_equal(field.row_map(1), np.arange(4))
+    assert np.array_equal(field.per_node(0, np.array([10.0, 20.0, 30.0])), [30.0, 10.0, 30.0, 20.0, 10.0])
+    assert AdaptedGridField(rows).maps == [None, None]
+
+
+def test_first_occurrence_keys():
+    a = np.array([3, 1, 3, 1, 0, 3])
+    b = np.array([0, 0, 0, 1, 0, 0])
+    reps, inv = lattice.first_occurrence_keys([a, None, b], 6)
+    assert reps.tolist() == [0, 1, 3, 4]
+    assert inv.tolist() == [0, 1, 0, 2, 3, 0]
+    reps, inv = lattice.first_occurrence_keys([None], 3)
+    assert reps.tolist() == [0] and inv.tolist() == [0, 0, 0]
 
 
 def test_wrong_level_size_is_refused():

@@ -13,10 +13,13 @@ Core claims:
     - exact_level_fields evaluates per unique Wiener state and matches
       direct evaluation at every node, bit for bit, with one field FFT per
       level whatever the number of Wiener states
-    - solution_error returns zero when fed the oracle's own fields
+    - a W-free oracle is evaluated at W = 0 alone
+    - solution_error returns zero when fed the oracle's own fields, and
+      scoring a solve's stored rows equals scoring its node arrays
     - convergence_constant divides by dt + h^2
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +35,7 @@ from bspdelab.oracles import (
     solution_error,
     wiener_linear_oracle,
 )
+from bspdelab.solver import SEMI_IMPLICIT, SolverConfig, problem_from_oracle, solve
 
 
 def _grid(M=64):
@@ -181,6 +185,34 @@ def test_exact_level_fields_batch_equals_per_row_calls(monkeypatch, case, mode):
         w = tree.level_w(level)
         assert np.array_equal(u, np.stack([oracle.u_exact(t, row) for row in w]))
         assert np.array_equal(q, np.stack([oracle.q_exact(t, row) for row in w]))
+
+
+def test_w_free_oracle_is_evaluated_at_one_state(monkeypatch):
+    oracle = heat_oracle(_grid(32), horizon=0.5)
+    assert not oracle.w_dependent and wiener_linear_oracle(_grid(32), horizon=0.5).w_dependent
+    tree = build_tree(TimeGrid(0.5, 4), 1, "full")
+    seen = []
+
+    def recording(t, w_rows):
+        seen.append(w_rows.copy())
+        return exact(t, w_rows)
+
+    exact = oracle.exact_fields
+    oracle = dataclasses.replace(oracle, exact_fields=recording)
+    u, q = exact_level_fields(oracle, tree, 3)
+    assert u.shape == (8,) + oracle.grid.shape and q.shape == (8,) + oracle.grid.shape + (1,)
+    assert [w.tolist() for w in seen] == [[[0.0]]]
+
+
+@pytest.mark.parametrize("mode", ["full", "recombining"])
+def test_solution_error_of_stored_rows_equals_node_arrays(mode):
+    grid = _grid(16)
+    tree = build_tree(TimeGrid(0.5, 8), 1, mode)
+    for oracle in (heat_oracle(grid, horizon=0.5), wiener_linear_oracle(grid, horizon=0.5)):
+        sol = solve(problem_from_oracle(oracle, tree), SolverConfig(time_stepping=SEMI_IMPLICIT))
+        nodes_u = [sol.u[k] for k in range(len(sol.u))]
+        nodes_q = [sol.q[k] for k in range(len(sol.q))]
+        assert solution_error(sol.u, sol.q, tree, oracle) == solution_error(nodes_u, nodes_q, tree, oracle)
 
 
 def test_solution_error_zero_on_oracle_fields():

@@ -23,8 +23,12 @@ Core claims:
     - solve, verify_main_estimates and weak_form_residual each hold under
       ten node blocks beyond what they keep, on a tree whose leaf level
       spans 32 blocks
+    - a solve stores each distinct node state once, with node arrays `==`
+      a solve whose nodes all differ, and the continuation gaps taken per
+      distinct row pair equal the gaps of the node arrays
 """
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -35,7 +39,7 @@ from pytest import approx
 
 from bspdelab import energy, lattice
 from bspdelab.coefficients import CoefficientSet, builtin_counterexamples, constant_sampler
-from bspdelab.grid import SpatialGrid, batch_gradient, random_smooth_field
+from bspdelab.grid import SpatialGrid, batch_gradient, level_norm_sq, random_smooth_field
 from bspdelab.lattice import TimeGrid, build_tree
 from bspdelab import solver as solver_module
 from bspdelab.oracles import exact_level_fields, heat_oracle, wiener_linear_oracle
@@ -543,3 +547,109 @@ def test_every_pass_holds_a_few_blocks_beyond_what_it_keeps(monkeypatch):
     assert solve_bytes < 10 * cap
     assert estimate_bytes < 10 * cap
     assert weak_bytes < 10 * cap
+
+
+# -- distinct states ------------------------------------------------------------
+
+
+def _per_node_states(problem):
+    """The same problem with each level's coefficient rows repeated per node.
+
+    Every node below the leaves then has its own coefficient row, so no two
+    nodes share a state and every level is stored one row per node.
+    """
+
+    def expanded(level):
+        lc = solver_module._level_coefficients(problem, level)
+        n_nodes = problem.tree.level_sizes[level]
+        inv = np.zeros(n_nodes, dtype=np.intp) if lc.inv is None else lc.inv
+        rows = {name: getattr(lc, name)[inv] for name in ("a", "b", "c", "sigma", "nu")}
+        return LevelCoefficients(**rows, inv=np.arange(n_nodes))
+
+    return dataclasses.replace(problem, level_coefficients=expanded)
+
+
+def _full_counterexample(terminal):
+    # sqrt(dt) = 1/4, so every Wiener state is exact and paths meeting there agree
+    return ProblemData(
+        grid=SpatialGrid(dim=2, half_width=np.pi, points=10),
+        tree=build_tree(TimeGrid(0.25, 4), 2, "full"),
+        coefficients=builtin_counterexamples()[0],
+        terminal=terminal,
+    )
+
+
+def _markov_terminal(w, g):
+    x1, x2 = g.coordinates()
+    return np.sin(x1 + w[0]) * np.cos(x2 - 2.0 * w[1])
+
+
+def _w_dependent_recombining():
+    coeffs = CoefficientSet(
+        dim=1,
+        wiener_dim=1,
+        a=lambda t, w, g: np.full(g.shape + (1, 1), 0.5 + 0.1 * w[0] ** 2),
+        sigma=constant_sampler([[0.4]], (1, 1)),
+        w_dependent=True,
+    )
+    return ProblemData(
+        grid=SpatialGrid(dim=1, half_width=np.pi, points=16),
+        tree=build_tree(TimeGrid(0.1, 6), 1, "recombining"),
+        coefficients=coeffs,
+        terminal=lambda w, g: np.cos(g.axis_coordinates()),
+    )
+
+
+@pytest.mark.parametrize("case", ["w_free_full", "markov_terminal_full", "w_dependent_recombining"])
+def test_sweep_stores_each_distinct_state_once(case):
+    if case == "w_dependent_recombining":
+        problem = _w_dependent_recombining()
+        n = problem.tree.n_steps
+        # the W-free terminal is one row; above it every node has its own a
+        expected = list(problem.tree.level_sizes[:n]) + [1]
+    else:
+        terminal = (lambda w, g: np.cos(g.coordinates()[0])) if case == "w_free_full" else _markov_terminal
+        problem = _full_counterexample(terminal)
+        n = problem.tree.n_steps
+        expected = [1] * (n + 1) if case == "w_free_full" else [(k + 1) ** 2 for k in range(n + 1)]
+    sol = solve(problem)
+    assert sol.meta["level_rows"] == expected
+    for field in (sol.u, sol.q, sol.r):
+        for level in range(len(field)):
+            rows, inv = field.levels[level], field.maps[level]
+            assert len(rows) == expected[level]
+            if inv is None:
+                assert len(rows) == problem.tree.level_sizes[level]
+                assert field[level] is rows
+            else:
+                assert np.array_equal(field[level], rows[inv])
+    if case == "w_dependent_recombining":
+        assert all(inv is None for inv in sol.u.maps[:n])
+        return
+    # the same nodes stepped one by one give the same node arrays
+    ref = solve(_per_node_states(problem))
+    assert ref.meta["level_rows"] == list(problem.tree.level_sizes[:n]) + [expected[n]]
+    for name in ("u", "q", "r"):
+        got, want = getattr(sol, name), getattr(ref, name)
+        for level in range(len(got)):
+            assert np.array_equal(got[level], want[level]), (name, level)
+    etas = default_test_functions(problem.grid, 2)
+    assert weak_form_residual(sol, problem, etas).per_level == weak_form_residual(ref, problem, etas).per_level
+
+
+def test_continuation_gaps_equal_the_node_array_gaps():
+    problem = _full_counterexample(_markov_terminal)
+    res = viscosity_continuation(problem, [1e-1, 1e-2], m1=1)
+    s0, s1 = res.solutions
+    assert s0.u.maps[2] is not None
+    tree, grid, dt = problem.tree, problem.grid, problem.tree.time_grid.dt
+    u_gap = max(
+        math.sqrt(float(np.sum(tree.level_probabilities(k) * level_norm_sq(s0.u[k] - s1.u[k], grid, 1))))
+        for k in range(tree.n_steps + 1)
+    )
+    r_gap = sum(
+        dt * float(np.sum(tree.level_probabilities(k) * level_norm_sq(s0.r[k] - s1.r[k], grid, 1)))
+        for k in range(tree.n_steps)
+    )
+    assert res.u_gaps == [u_gap]
+    assert res.r_gaps == [r_gap]
