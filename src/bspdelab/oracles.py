@@ -219,7 +219,8 @@ def solution_error(u_levels, q_levels, tree: PathTree, oracle: OracleSolution) -
     sqrt(E ||u_n - u*_n||_{L2}^2) and sqrt(E ||q_n - q*_n||_{L2}^2), one per
     level of u_levels and of q_levels.  u_levels and q_levels are
     AdaptedGridFields or lists of per-node level arrays; each distinct
-    (u row, q row, exact row) triple of a level is scored once.
+    (u row, q row, exact row) triple of a level is scored once, and a level
+    whose u holds one row per node is scored in node ranges, unkeyed.
     """
     u_levels, q_levels = (
         f if isinstance(f, AdaptedGridField) else AdaptedGridField([np.asarray(x) for x in f])
@@ -238,25 +239,33 @@ def solution_error(u_levels, q_levels, tree: PathTree, oracle: OracleSolution) -
     for level in range(tree.n_steps + 1):
         p = tree.level_probabilities(level)
         u_ex, q_ex = exact_level_fields(oracle, tree, level)
-        # a node's exact row is its Wiener state's, one row for a W-free oracle
-        ex_inv = distinct_rows(tree.level_w(level))[1] if oracle.w_dependent else None
         has_q = level < len(q_levels)
-        keys = [u_levels.row_map(level), q_levels.row_map(level) if has_q else None, ex_inv]
-        reps, inv = first_occurrence_keys(keys, tree.level_sizes[level])
-        u_sq, q_sq = np.empty(reps.size), np.empty(reps.size)
-        for block in node_blocks(reps.size, u_ex[:1].nbytes):
-            nodes = reps[block]
+        n_nodes = tree.level_sizes[level]
+        if u_levels.maps[level] is None:
+            # u holds one row per node: every node is its own triple
+            reps, inv = None, None
+        else:
+            # a node's exact row is its Wiener state's, one row for a W-free oracle
+            ex_inv = distinct_rows(tree.level_w(level))[1] if oracle.w_dependent else None
+            keys = [u_levels.maps[level], q_levels.row_map(level) if has_q else None, ex_inv]
+            reps, inv = first_occurrence_keys(keys, n_nodes)
+        count = n_nodes if reps is None else reps.size
+        u_sq, q_sq = np.empty(count), np.empty(count)
+        for block in node_blocks(count, u_ex[:1].nbytes):
+            nodes = block if reps is None else reps[block]
             du = u_levels.at(level, nodes) - u_ex[nodes]
             u_sq[block] = np.sum(du**2, axis=comp_axes_u)
             if has_q:
                 dq = q_levels.at(level, nodes) - q_ex[nodes]
                 q_sq[block] = np.sum(dq**2, axis=q_axes)
+        if inv is not None:
+            u_sq, q_sq = u_sq[inv], q_sq[inv]
         # per-node sums, weighted in node order
-        u_ms = float(np.sum(p * u_sq[inv] * vol))
+        u_ms = float(np.sum(p * u_sq * vol))
         u_level_errors.append(float(np.sqrt(u_ms)))
         u_sup = max(u_sup, np.sqrt(u_ms))
         if has_q:
-            q_ms = float(np.sum(p * q_sq[inv] * vol))
+            q_ms = float(np.sum(p * q_sq * vol))
             q_level_errors.append(float(np.sqrt(q_ms)))
             q_sup = max(q_sup, np.sqrt(q_ms))
             q_int += dt * q_ms

@@ -31,6 +31,9 @@ Two operator kinds share the machinery:
                control.  Central differences make the discrete pairing
                <L phi, psi> = <phi, L* psi> exact, which the duality checks
                rely on.
+
+scipy is imported on the first LU factorisation (splu), so explicit runs
+and 2D constant-a semi-implicit runs, which solve by FFT, never load it.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .coefficients import (
     VERDICT_VIOLATED,
@@ -479,6 +480,13 @@ def _fourier_solve(symbol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(spectrum, s=rhs.shape[1:], axes=axes)
 
 
+def splu(matrix):
+    """SuperLU factors of a CSC matrix (scipy.sparse.linalg.splu, imported on first use)."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(matrix)
+
+
 def _lu_solve(factor, rhs: np.ndarray) -> np.ndarray:
     block = rhs.reshape(rhs.shape[0], -1)
     return factor.solve(block.T).T.reshape(rhs.shape)
@@ -627,6 +635,8 @@ class _LevelOperator:
                         f"dt = {dt}, viscosity = {eps}"
                     )
             return [partial(_fourier_solve, symbol) for symbol in symbols]
+        from scipy import sparse
+
         pattern, data = self._implicit_data()
         data *= -dt
         data[:, pattern.diag] += 1.0
@@ -1032,11 +1042,60 @@ def weak_form_residual(
         scale = max(1.0, math.sqrt(float(np.sum(eta**2)) * vol))
         eta_info.append((eta, geta, scale))
 
+    sq = math.sqrt(dt)
+    rep_axes = tuple(range(2, 2 + d))
+
+    # a block's defects are taken in functions, so their temporaries are
+    # freed before the next part of the pass allocates its own
+
+    def drift_defect(op, level, nodes, u_n, q, ubar, f_nodes, drift):
+        """The running maximum `drift`, taken over the drift residuals of the nodes too."""
+        if config.corrector_iterations > 1:
+            _, star = op.step(ubar, q, f_nodes, level, nodes)
+        else:
+            star = ubar
+        istar = u_n if semi else star
+
+        lc, at = op.coeffs, partial(op._at_nodes, nodes=nodes)
+        du_i = _grad(istar, grid)
+        du_e = du_i if istar is star else _grad(star, grid)
+        flux = component_dot(at(lc.a), du_i[..., None, :]) + component_dot(
+            at(lc.sigma), q[..., None, :]
+        )
+        if config.viscosity:
+            flux = flux + config.viscosity * du_i
+        low = (
+            component_dot(at(lc.b), du_e)
+            + at(lc.c) * star
+            - component_dot(at(op.diva), du_i)
+            + component_dot(at(lc.nu) - at(op.divsigma), q)
+            + f_nodes
+        )
+
+        for eta, geta, scale in eta_info:
+            pairing = (
+                -np.sum(flux * geta, axis=gaxes + (1 + d,))
+                + np.sum(low * eta, axis=gaxes)
+            ) * vol
+            lhs = (np.sum((u_n - ubar) * eta, axis=gaxes)) * vol / dt
+            drift = max(drift, float(np.abs(lhs - pairing).max() / scale))
+        return drift
+
+    def representation_defect(level, nodes, u_next, inv_next, q, ubar, rep_max):
+        """The running maximum `rep_max`, taken over the nodes' per-child remainders too."""
+        # u_child - u_bar - q . dW, in one child-sized buffer
+        rep = np.einsum("n...k,ck->nc...", q, tree.sign_table)
+        rep *= sq
+        rep += ubar[:, None]
+        np.subtract(level_children(tree, u_next, level, nodes, inv_next), rep, out=rep)
+        for eta, _, scale in eta_info:
+            ip = np.abs(np.sum(rep * eta, axis=rep_axes)) * vol
+            rep_max = max(rep_max, float(ip.max() / scale))
+        return rep_max
+
     per_level = [None] * tree.n_steps
     max_drift = 0.0
     max_rep = 0.0
-    sq = math.sqrt(dt)
-    rep_axes = tuple(range(2, 2 + d))
     for level, op in _level_operators(problem, config):
         f, f_inv = level_forcing(problem, level)
         u_next, inv_next = solution.u.levels[level + 1], solution.u.maps[level + 1]
@@ -1049,42 +1108,8 @@ def weak_form_residual(
             q = solution.q.at(level, nodes)
             f_nodes = _rows_at(f, f_inv, nodes)
             ubar = level_conditional_expectation(tree, u_next, level, nodes, inv_next)
-            if config.corrector_iterations > 1:
-                _, star = op.step(ubar, q, f_nodes, level, nodes)
-            else:
-                star = ubar
-            istar = u_n if semi else star
-
-            lc, at = op.coeffs, partial(op._at_nodes, nodes=nodes)
-            du_i = _grad(istar, grid)
-            du_e = du_i if istar is star else _grad(star, grid)
-            flux = component_dot(at(lc.a), du_i[..., None, :]) + component_dot(
-                at(lc.sigma), q[..., None, :]
-            )
-            if config.viscosity:
-                flux = flux + config.viscosity * du_i
-            low = (
-                component_dot(at(lc.b), du_e)
-                + at(lc.c) * star
-                - component_dot(at(op.diva), du_i)
-                + component_dot(at(lc.nu) - at(op.divsigma), q)
-                + f_nodes
-            )
-
-            for eta, geta, scale in eta_info:
-                pairing = (
-                    -np.sum(flux * geta, axis=gaxes + (1 + d,))
-                    + np.sum(low * eta, axis=gaxes)
-                ) * vol
-                lhs = (np.sum((u_n - ubar) * eta, axis=gaxes)) * vol / dt
-                lvl_drift = max(lvl_drift, float(np.abs(lhs - pairing).max() / scale))
-
-            # per child: u_child - u_bar - q . dW
-            kids = level_children(tree, u_next, level, nodes, inv_next)
-            rep = kids - (ubar[:, None] + np.einsum("n...k,ck->nc...", q, tree.sign_table) * sq)
-            for eta, _, scale in eta_info:
-                ip = np.abs(np.sum(rep * eta, axis=rep_axes)) * vol
-                lvl_rep = max(lvl_rep, float(ip.max() / scale))
+            lvl_drift = drift_defect(op, level, nodes, u_n, q, ubar, f_nodes, lvl_drift)
+            lvl_rep = representation_defect(level, nodes, u_next, inv_next, q, ubar, lvl_rep)
 
         per_level[level] = (lvl_drift, lvl_rep)
         max_drift = max(max_drift, lvl_drift)
@@ -1192,6 +1217,18 @@ def problem_from_oracle(oracle: OracleSolution, tree: PathTree) -> ProblemData:
     )
 
 
+def _exact_u_rows(oracle: OracleSolution, tree: PathTree, level: int):
+    """The oracle's u at a level as distinct rows, by first node, and the node -> row map.
+
+    A node's row is its Wiener state's, one row for an oracle that is not
+    w_dependent; the map is an array even then.
+    """
+    u_ex, _ = exact_level_fields(oracle, tree, level)
+    w_inv = distinct_rows(tree.level_w(level))[1] if oracle.w_dependent else None
+    reps, inv = first_occurrence_keys([w_inv], tree.level_sizes[level])
+    return u_ex[reps], inv
+
+
 def oracle_step_residual(
     oracle: OracleSolution,
     n_steps: int,
@@ -1202,6 +1239,8 @@ def oracle_step_residual(
 
     residual = max over levels of sqrt(E ||u_exact - step(u_exact_next)||^2) / dt,
     which a first-order scheme keeps at C (dt + h^2); `constant` is that C.
+    As in solve, nodes whose children hold the same exact rows and that
+    share their coefficient, forcing and exact rows are stepped once.
     """
     tree = build_tree(TimeGrid(oracle.horizon, n_steps), oracle.coefficients.wiener_dim, mode)
     problem = problem_from_oracle(oracle, tree)
@@ -1209,20 +1248,24 @@ def oracle_step_residual(
     grid = oracle.grid
     dt = tree.time_grid.dt
     worst = 0.0
-    u_next, _ = exact_level_fields(oracle, tree, n_steps)
+    u_next, inv_next = _exact_u_rows(oracle, tree, n_steps)
     for level, op in _level_operators(problem, config):
-        u_ex, _ = exact_level_fields(oracle, tree, level)
+        u_ex, ex_inv = _exact_u_rows(oracle, tree, level)
         f, f_inv = level_forcing(problem, level)
-        sq_norms = np.empty(tree.level_sizes[level])
-        for nodes, _ in _level_blocks(problem, level):
-            ubar = level_conditional_expectation(tree, u_next, level, nodes)
-            q = level_martingale_representation(tree, u_next, level, nodes)
+        # nodes sharing their children's exact rows, coefficients, forcing and
+        # exact row share the stepped u and its defect
+        reps, inv = _level_states(tree, level, inv_next, [op.coeffs.inv, f_inv, ex_inv])
+        sq_norms = np.empty(reps.size)
+        for rows, nodes in _level_blocks(problem, level, reps):
+            ubar = level_conditional_expectation(tree, u_next, level, nodes, inv_next)
+            q = level_martingale_representation(tree, u_next, level, nodes, inv_next)
             u_step, _ = op.step(ubar, q, _rows_at(f, f_inv, nodes), level, nodes)
-            sq_norms[nodes] = level_norm_sq(u_step - u_ex[nodes], grid, 0)
+            sq_norms[rows] = level_norm_sq(u_step - u_ex[ex_inv[nodes]], grid, 0)
         p = tree.level_probabilities(level)
-        defect = math.sqrt(float(np.sum(p * sq_norms)))
+        # per-node squared norms, weighted in node order
+        defect = math.sqrt(float(np.sum(p * (sq_norms if inv is None else sq_norms[inv]))))
         worst = max(worst, defect / dt)
-        u_next = u_ex
+        u_next, inv_next = u_ex, ex_inv
     return OracleResidualReport(
         residual=worst, constant=worst / (dt + grid.h**2), dt=dt, h=grid.h
     )

@@ -18,11 +18,11 @@ Core claims:
     - viscosity_continuation validates its schedule, shrinks the
       consecutive gaps on a smooth problem, and records aborts
     - solve is deterministic
-    - oracle_step_residual evaluates the oracle once per level and keeps
-      its numbers bit for bit
+    - oracle_step_residual evaluates the oracle once per level, steps each
+      distinct state once and keeps its numbers bit for bit
     - solve, verify_main_estimates and weak_form_residual each hold under
-      ten node blocks beyond what they keep, on a tree whose leaf level
-      spans 32 blocks
+      ten node blocks beyond what they keep, on a recombining lattice whose
+      every level keeps one row per node and whose leaf level spans 16 blocks
     - a solve stores each distinct node state once, with node arrays `==`
       a solve whose nodes all differ, and the continuation gaps taken per
       distinct row pair equal the gaps of the node arrays
@@ -39,7 +39,7 @@ from pytest import approx
 
 from bspdelab import energy, lattice
 from bspdelab.coefficients import CoefficientSet, builtin_counterexamples, constant_sampler
-from bspdelab.grid import SpatialGrid, batch_gradient, level_norm_sq, random_smooth_field
+from bspdelab.grid import SpatialGrid, batch_gradient, level_norm_sq
 from bspdelab.lattice import TimeGrid, build_tree
 from bspdelab import solver as solver_module
 from bspdelab.oracles import exact_level_fields, heat_oracle, wiener_linear_oracle
@@ -500,6 +500,34 @@ def test_oracle_step_residual_evaluates_each_level_once(monkeypatch, make, n_ste
     assert (rep.dt, rep.h) == (oracle.horizon / n_steps, grid.h)
 
 
+@pytest.mark.parametrize(
+    "make, states, residual, constant",
+    [
+        # W-free: one state per level
+        (lambda g: heat_oracle(g, horizon=0.3), 8, 0.13764828912168042, 1.8098961483356368),
+        # W-dependent: k + 1 Wiener states at level k
+        (lambda g: wiener_linear_oracle(g, horizon=0.5), 36, 0.018412073478037402, 0.1822018898046656),
+    ],
+    ids=["heat", "wiener"],
+)
+def test_oracle_step_residual_steps_each_distinct_state_once(monkeypatch, make, states, residual, constant):
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=32)
+    oracle = make(grid)
+    stepped = []
+    step = solver_module._LevelOperator.step
+
+    def counting(self, ubar, *args):
+        stepped.append(len(ubar))
+        return step(self, ubar, *args)
+
+    monkeypatch.setattr(solver_module._LevelOperator, "step", counting)
+    rep = oracle_step_residual(oracle, 8, mode="full", config=SolverConfig(time_stepping=SEMI_IMPLICIT))
+    # 255 nodes above the leaves
+    assert sum(stepped) == states
+    # the numbers of the version that stepped every node, bit for bit
+    assert (rep.residual, rep.constant) == (residual, constant)
+
+
 def test_problem_from_oracle_horizon_check():
     grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
     oracle = heat_oracle(grid, horizon=0.3)
@@ -512,19 +540,26 @@ def test_problem_from_oracle_horizon_check():
 
 
 def test_every_pass_holds_a_few_blocks_beyond_what_it_keeps(monkeypatch):
-    cap = 2**16
+    cap = 2**15
     # set even where the constant is missing, so an unblocked sweep fails on memory
     monkeypatch.setattr(lattice, "BLOCK_BYTE_BUDGET", cap, raising=False)
-    grid = SpatialGrid(dim=2, half_width=np.pi, points=16)
-    tree = build_tree(TimeGrid(0.02, 5), 2, "full")
-    # the leaf level's u spans 32 blocks, each level's q and r 2 to 8
-    assert tree.level_sizes[-1] * 8 * grid.size >= 32 * cap
-    phi = random_smooth_field(grid, max_mode=3, seed=7)
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=1024)
+    tree = build_tree(TimeGrid(0.003, 63), 1, "recombining")
+    # the leaf level's u spans 16 blocks, and each level's pass walks about 32
+    assert tree.level_sizes[-1] * 8 * grid.size >= 16 * cap
+    x = grid.axis_coordinates()
+
+    def sigma(t, w, g):
+        return (0.5 + 0.25 * np.cos(x))[:, None, None]
+
+    # degenerate, 2a = sigma^2; the W-dependent terminal gives every leaf, and
+    # so every node, its own row
+    coeffs = CoefficientSet(dim=1, wiener_dim=1, a=lambda t, w, g: 0.5 * sigma(t, w, g) ** 2, sigma=sigma)
     problem = ProblemData(
         grid=grid,
         tree=tree,
-        coefficients=builtin_counterexamples()[0],
-        terminal=lambda w, g: phi,
+        coefficients=coeffs,
+        terminal=lambda w, g: np.cos(x) * (1.0 + w[0]),
     )
     etas = default_test_functions(grid)
 
@@ -543,7 +578,11 @@ def test_every_pass_holds_a_few_blocks_beyond_what_it_keeps(monkeypatch):
         _, weak_bytes = transient(lambda: weak_form_residual(sol, problem, etas))
     finally:
         tracemalloc.stop()
-    # whole-level temporaries take 37, 98 and 146 caps here
+    assert sol.meta["level_rows"] == list(tree.level_sizes)
+    assert sol.meta["level_rows"][-1] == tree.level_sizes[-1]
+    # whole-level passes take 7, 49 and 99 caps here; the solve's stored rows
+    # are allocated level by level, so its figure sees only its last levels'
+    # temporaries
     assert solve_bytes < 10 * cap
     assert estimate_bytes < 10 * cap
     assert weak_bytes < 10 * cap
