@@ -178,6 +178,11 @@ class CoefficientSet:
         return arr
 
 
+def _parabolicity_matrix(a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """2a - sigma sigma^T for a (..., d, d) and sigma (..., d, d')."""
+    return 2.0 * a - np.einsum("...ik,...jk->...ij", sigma, sigma)
+
+
 @dataclass(frozen=True)
 class CoefficientSample:
     """Grid arrays of all five coefficients at one (t, W) state.
@@ -197,7 +202,7 @@ class CoefficientSample:
 
     def parabolicity_matrix(self) -> np.ndarray:
         """2a - sigma sigma^T at every grid point."""
-        return 2.0 * self.a - np.einsum("...ik,...jk->...ij", self.sigma, self.sigma)
+        return _parabolicity_matrix(self.a, self.sigma)
 
 
 @dataclass(frozen=True)

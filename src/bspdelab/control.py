@@ -6,12 +6,15 @@ Bernoulli tree the backward solver uses,
     xi_{n+1} = xi_n + dt (L(t, v) xi_n + F) + (M^k(t, v) xi_n + G^k) dW^k,
 
 with L in divergence form, L phi = D_i(a^{ij} D_j phi) + b^i D_i phi + c phi,
-and M^k phi = sigma^{ik} D_i phi + nu^k phi.  On full trees the recursion is
-pathwise, one child per increment sign pattern.  On recombining trees the
-pathwise state is not a function of the lattice node, so the solver evolves
-the probability-weighted conditional means instead; the recursion is affine
-in xi, hence the means are exact, and every downstream functional here (cost,
-Hamiltonian pairings, duality sums) is linear in xi, so nothing is lost.
+and M^k phi = sigma^{ik} D_i phi + nu^k phi.  The solver evolves the
+conditional mean of xi given the node: each child collects the
+probability-weighted steps of its parents, divided by its own probability.
+The recursion is affine in xi, hence the means are exact, and every
+downstream functional here (cost, Hamiltonian pairings, duality sums) is
+linear in xi, so nothing is lost.  On a full tree every child has one parent
+and the weights are equal powers of two, so the push is the pathwise
+recursion bit for bit; on the recombining lattice, where the pathwise state
+is not a function of the node, it is the exact mean over the paths to it.
 
 The adjoint pair (u, q) comes from the backward solver run with the formal
 adjoints L* u = D_i(a^{ij} D_j u) - D_i(b^i u) + c u and
@@ -43,6 +46,7 @@ from .coefficients import (
     CoefficientDataError,
     CoefficientSet,
     ParabolicityError,
+    _parabolicity_matrix,
     constant_sampler,
 )
 from .grid import (
@@ -198,8 +202,7 @@ class ControlProblem:
                     raise CoefficientDataError(
                         f"a sampled at t={t}, v={v!r} is not symmetric"
                     )
-                dp = 2.0 * a - sigma @ sigma.swapaxes(-1, -2)
-                min_eig = float(np.linalg.eigvalsh(dp).min())
+                min_eig = float(np.linalg.eigvalsh(_parabolicity_matrix(a, sigma)).min())
                 if min_eig < -TOL_PSD:
                     raise ParabolicityError(
                         f"2a - sigma sigma^T has eigenvalue {min_eig:.3e} "
@@ -291,9 +294,11 @@ def forward_cfl(problem: ControlProblem, cfl_safety: float = 0.9) -> CflReport:
 class ForwardState:
     """Forward solution: per-level conditional means of xi given the node.
 
-    On full trees the node determines the path, so mean[level] is the
-    pathwise state; on recombining trees it is the exact conditional mean,
-    which every cost and duality functional below needs and nothing more.
+    One conditional-mean push makes every level.  On full trees the node
+    determines the path, so mean[level] is the pathwise state, `==` the
+    pathwise recursion; on recombining trees it is the exact conditional
+    mean, which every cost and duality functional below needs and nothing
+    more.
     """
 
     mean: AdaptedGridField
@@ -321,7 +326,7 @@ def solve_forward(
 ) -> ForwardState:
     """March xi forward from xi0 under the policy; refuses CFL violations.
 
-    The recombining push divides by the node probabilities, so a lattice
+    The push divides by the node probabilities, so a recombining lattice
     whose probabilities underflow to 0.0 (from level 1075 on) is refused
     before the sweep.
     """
@@ -334,7 +339,6 @@ def solve_forward(
             f"forward push divides by them: use n_steps <= {zero - 1} (got {tree.n_steps})"
         )
     dt = tree.time_grid.dt
-    sq = math.sqrt(dt)
     report = forward_cfl(problem, cfl_safety)
     if not report.satisfied:
         raise CflError(
@@ -352,23 +356,21 @@ def solve_forward(
 
     levels = [np.broadcast_to(problem.xi0, (1,) + grid.shape).copy()]
     incr = tree.increments()
+    wshape = (-1,) + (1,) * grid.dim
+    p = tree.level_probabilities(0).reshape(wshape)
     for level in range(tree.n_steps):
         xi = levels[level]
         drift, mart = _forward_level_terms(problem, policy, level, xi)
         stepped = xi + dt * drift
-        if tree.mode == "full":
-            kick = np.einsum("n...k,ck->nc...", mart, incr)
-            new = (stepped[:, None] + kick).reshape((-1,) + grid.shape)
-        else:
-            # push probability-weighted means through the affine step
-            wshape = (-1,) + (1,) * grid.dim
-            w = tree.level_probabilities(level).reshape(wshape)
-            up = stepped + mart[..., 0] * sq
-            down = stepped - mart[..., 0] * sq
-            weighted = np.zeros((xi.shape[0] + 1,) + grid.shape)
-            weighted[1:] += 0.5 * w * up
-            weighted[:-1] += 0.5 * w * down
-            new = weighted / tree.level_probabilities(level + 1).reshape(wshape)
+        kick = np.einsum("n...k,ck->nc...", mart, incr)
+        # push probability-weighted means through the affine step: each child
+        # collects p / k times its parents' stepped states
+        w = p / tree.child_count
+        p = tree.level_probabilities(level + 1).reshape(wshape)
+        new = np.zeros((len(p),) + grid.shape)
+        for c, kids in enumerate(tree.child_ranges(level)):
+            new[kids] += w * (stepped + kick[:, c])
+        new /= p
         if not np.all(np.isfinite(new)):
             raise SolverBlowupError(
                 f"forward state lost finiteness advancing level {level}; "

@@ -336,20 +336,18 @@ def _level_norms(arr: np.ndarray, grid: SpatialGrid, m: int, p: float):
 def _expected_running_sup(tree, values: list[np.ndarray], leaf_probabilities: np.ndarray) -> float:
     """E max over levels of per-node scalars, pushed down the tree.
 
-    Exact on the full tree, where leaves enumerate paths.  On the
-    recombining lattice a node's running record takes the max over both
-    possible parents, an upper bound for the pathwise supremum (exact for
-    per-level-deterministic values).
+    A node's running record is the max over its parents' records and its
+    own value.  Exact on the full tree, where every node has one parent and
+    leaves enumerate paths.  On the recombining lattice a state has up to
+    two parents, so the record is an upper bound for the pathwise supremum
+    (exact for per-level-deterministic values).
     """
     record = np.asarray(values[0], dtype=np.float64)
     for level in range(1, tree.n_steps + 1):
-        x = np.asarray(values[level], dtype=np.float64)
-        if tree.mode == "full":
-            record = np.maximum(np.repeat(record, tree.child_count), x)
-        else:
-            from_up = np.concatenate(([-np.inf], record))
-            from_down = np.concatenate((record, [-np.inf]))
-            record = np.maximum(np.maximum(from_up, from_down), x)
+        inherited = np.full(tree.level_sizes[level], -np.inf)
+        for kids in tree.child_ranges(level - 1):
+            inherited[kids] = np.maximum(inherited[kids], record)
+        record = np.maximum(inherited, np.asarray(values[level], dtype=np.float64))
     return float(np.sum(leaf_probabilities * record))
 
 

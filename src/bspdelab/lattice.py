@@ -14,11 +14,13 @@ c in [0, 2^d') where bit k of c set means the k-th noise component moved up
 recombining lattice, state i at level n carries W = (2*i - n)*sqrt(dt) and
 the children of state i are state i (down, c=0) and state i+1 (up, c=1).
 
-The level operators read the children of a contiguous node range only, so
-callers walk a level in blocks (node_blocks) and never need this layout.
-A level stored as distinct rows plus a node -> row map (AdaptedGridField)
-is read through the map: level_child_rows gives each node's child rows,
-and the same operators then take any set of nodes.
+Only PathTree knows the layout.  child_table gives each node's children in
+that order (child_ranges: its columns for a node range, as slices), level_w
+sums integer signs before scaling by sqrt(dt), so a Wiener state has the
+same bits on every path, and level_probabilities gives the node weights.
+The level operators read a range's children as views, and, through the
+node -> row map of a level stored as distinct rows (AdaptedGridField), any
+nodes' children as one gather through the child table.
 """
 
 from __future__ import annotations
@@ -117,50 +119,59 @@ class PathTree:
                 f"(size {self.level_sizes[node.level]})"
             )
 
+    @property
+    def _child_stride(self) -> int:
+        return self.child_count if self.mode == "full" else 1
+
+    def child_table(self, level: int, nodes=slice(None)) -> np.ndarray:
+        """Children of the nodes `nodes` (a range or an index array), shape (nodes, child_count).
+
+        Column c is the child of sign-table row c: node i's is i * k + c on a
+        full tree, i + c (c = 0 down, 1 up) on the recombining lattice.
+        """
+        if isinstance(nodes, slice):
+            nodes = np.arange(self.level_sizes[level])[nodes]
+        return np.asarray(nodes)[:, None] * self._child_stride + np.arange(self.child_count)
+
+    def child_ranges(self, level: int, nodes: slice = slice(None)) -> list[slice]:
+        """child_table's columns for a range of nodes, as next-level slices (read as views)."""
+        start, stop, step = nodes.indices(self.level_sizes[level])
+        s = self._child_stride
+        return [slice(start * s + c, stop * s + c, step * s) for c in range(self.child_count)]
+
     def children(self, node: NodeId) -> list[NodeId]:
         self.validate_node(node)
         if node.level >= self.n_steps:
             raise ValueError(f"node at terminal level {node.level} has no children")
-        if self.mode == "full":
-            base = node.index * self.child_count
-        else:
-            base = node.index
-        return [NodeId(node.level + 1, base + c) for c in range(self.child_count)]
+        kids = self.child_table(node.level, [node.index])[0]
+        return [NodeId(node.level + 1, int(c)) for c in kids]
 
     def increments(self) -> np.ndarray:
         """Child increment vectors, shape (child_count, wiener_dim)."""
         return self.sign_table * math.sqrt(self.time_grid.dt)
 
+    def _coordinates(self, level: int, nodes) -> np.ndarray:
+        """The integer sign sums W / sqrt(dt) of nodes at a level, (nodes, wiener_dim)."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if self.mode == "recombining":
+            return (2 * nodes - level)[:, None]
+        total = np.zeros((nodes.size, self.wiener_dim), dtype=np.int64)
+        # a full-tree index holds its sign history as base-k digits, the last step lowest
+        for _ in range(level):
+            total += self.sign_table.astype(np.int64)[nodes % self.child_count]
+            nodes = nodes // self.child_count
+        return total
+
     def level_w(self, level: int) -> np.ndarray:
         """Accumulated Wiener states at a level, shape (size, wiener_dim)."""
         if not (0 <= level <= self.n_steps):
             raise ValueError(f"level {level} outside [0, {self.n_steps}]")
-        sq = math.sqrt(self.time_grid.dt)
-        if self.mode == "recombining":
-            i = np.arange(level + 1, dtype=np.float64)
-            return ((2.0 * i - level) * sq)[:, None]
-        # full mode: decode the sign history from the node index
-        idx = np.arange(self.level_sizes[level], dtype=np.int64)
-        w = np.zeros((self.level_sizes[level], self.wiener_dim))
-        shift = idx
-        for step in range(level - 1, -1, -1):
-            c = shift % self.child_count
-            shift = shift // self.child_count
-            w += self.sign_table[c] * sq
-        return w
+        nodes = np.arange(self.level_sizes[level])
+        return self._coordinates(level, nodes) * math.sqrt(self.time_grid.dt)
 
     def w_at(self, node: NodeId) -> np.ndarray:
         self.validate_node(node)
-        sq = math.sqrt(self.time_grid.dt)
-        if self.mode == "recombining":
-            return np.array([(2.0 * node.index - node.level) * sq])
-        w = np.zeros(self.wiener_dim)
-        shift = node.index
-        for _ in range(node.level):
-            c = shift % self.child_count
-            shift //= self.child_count
-            w += self.sign_table[c] * sq
-        return w
+        return self._coordinates(node.level, [node.index])[0] * math.sqrt(self.time_grid.dt)
 
     def level_probabilities(self, level: int) -> np.ndarray:
         """Exact node probabilities at a level (dyadic weights).
@@ -303,17 +314,6 @@ def first_occurrence_keys(columns: list, n_nodes: int) -> tuple[np.ndarray, np.n
     return first[order], rank[np.asarray(inv).reshape(-1)]
 
 
-def level_child_rows(tree: PathTree, inv_next: np.ndarray, level: int) -> np.ndarray:
-    """Rows of the children of every node at `level`, shape (nodes, child_count).
-
-    inv_next is the next level's node -> row map; child c follows the sign
-    table's order, as in child_values.
-    """
-    if tree.mode == "full":
-        return inv_next.reshape(tree.level_sizes[level], tree.child_count)
-    return np.stack([inv_next[:-1], inv_next[1:]], axis=1)
-
-
 def node_blocks(n_nodes: int, node_bytes: int) -> list[slice]:
     """Contiguous node ranges covering 0..n_nodes, each at most BLOCK_BYTE_BUDGET bytes.
 
@@ -324,54 +324,43 @@ def node_blocks(n_nodes: int, node_bytes: int) -> list[slice]:
     return [slice(i, min(i + step, n_nodes)) for i in range(0, n_nodes, step)]
 
 
-def _check_level_field(
-    tree: PathTree, field_values: np.ndarray, level: int, rows: slice = slice(None)
-) -> np.ndarray:
-    """The field as float64, its size checked and its `rows` checked finite."""
+def _check_level_field(tree: PathTree, field_values: np.ndarray, level: int) -> np.ndarray:
+    """The field as float64, its leading size checked against the level's."""
     arr = np.asarray(field_values, dtype=np.float64)
     expected = tree.level_sizes[level]
     if arr.shape[0] != expected:
         raise IncompleteFieldError(
             f"level {level} field has leading size {arr.shape[0]}, expected {expected}"
         )
-    if not np.all(np.isfinite(arr[rows])):
-        raise IncompleteFieldError(f"level {level} field contains non-finite values")
     return arr
 
 
-def child_values(tree: PathTree, field_next: np.ndarray, node: NodeId) -> np.ndarray:
-    """Slice the values on the children of `node` out of a next-level field."""
-    arr = _check_level_field(tree, field_next, node.level + 1)
-    k = tree.child_count
-    base = node.index * k if tree.mode == "full" else node.index
-    return arr[base : base + k]
+def _check_finite(values: np.ndarray, level: int) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise IncompleteFieldError(f"level {level} field contains non-finite values")
+    return values
 
 
 def _children(tree: PathTree, field_next: np.ndarray, level: int, nodes, inv_next=None):
-    """The next-level values the children of `nodes` (at `level`) hold.
+    """Indexed by child c (sign-table order): the next-level values of the c-th children of `nodes`.
 
-    Full trees: (nodes, k, ...).  Recombining: the (down, up) pair of
-    arrays, each (nodes, ...).  With inv_next, field_next holds the next
-    level's rows and inv_next its node -> row map, and `nodes` may be an
-    index array; otherwise field_next holds one row per node and `nodes` is
-    a range, whose children i*k..j*k-1 (full) or states i..j (recombining)
-    are read in place.  The size of a per-node field is checked, and the
-    finiteness of the values read.
+    A per-node field is size-checked and read as views; with inv_next, the
+    next level's rows are gathered through its node -> row map.  The values
+    read are checked finite.
     """
-    if inv_next is not None:
-        kids = np.asarray(field_next, dtype=np.float64)[level_child_rows(tree, inv_next, level)[nodes]]
-        if not np.all(np.isfinite(kids)):
-            raise IncompleteFieldError(f"level {level + 1} field contains non-finite values")
-        return kids if tree.mode == "full" else (kids[:, 0], kids[:, 1])
-    start, stop, _ = nodes.indices(tree.level_sizes[level])
-    if tree.mode == "recombining":
-        rows = slice(start, stop + 1)
-        kids = _check_level_field(tree, field_next, level + 1, rows)[rows]
-        return kids[:-1], kids[1:]
-    k = tree.child_count
-    rows = slice(start * k, stop * k)
-    arr = _check_level_field(tree, field_next, level + 1, rows)
-    return arr[rows].reshape((stop - start, k) + arr.shape[1:])
+    if inv_next is None:
+        arr = _check_level_field(tree, field_next, level + 1)
+        kids = [arr[rows] for rows in tree.child_ranges(level, nodes)]
+    else:
+        kids = np.asarray(field_next, dtype=np.float64)[inv_next[tree.child_table(level, nodes).T]]
+    for kid in kids:
+        _check_finite(kid, level + 1)
+    return kids
+
+
+def child_values(tree: PathTree, field_next: np.ndarray, node: NodeId) -> np.ndarray:
+    """The values on the children of `node` in a next-level field, in sign-table order."""
+    return level_children(tree, field_next, node.level, slice(node.index, node.index + 1))[0]
 
 
 def level_children(
@@ -379,13 +368,10 @@ def level_children(
 ) -> np.ndarray:
     """Next-level values on the children of `nodes`, shape (nodes, child_count, ...).
 
-    Child c follows the sign table's order, as in child_values; `nodes`
-    and inv_next are as in level_conditional_expectation.
+    Child c follows the sign table's order, as in PathTree.child_table;
+    `nodes` and inv_next are as in level_conditional_expectation.
     """
-    kids = _children(tree, field_next, level, nodes, inv_next)
-    if tree.mode == "full":
-        return kids
-    return np.stack(kids, axis=1)
+    return np.stack(_children(tree, field_next, level, nodes, inv_next), axis=1)
 
 
 def level_conditional_expectation(
@@ -398,10 +384,8 @@ def level_conditional_expectation(
     and `nodes` may be an index array.
     """
     kids = _children(tree, field_next, level, nodes, inv_next)
-    if tree.mode == "full":
-        return kids.mean(axis=1)
-    down, up = kids
-    return 0.5 * (down + up)
+    # summed in sign-table order, then scaled: the mean over the child axis, bit for bit
+    return sum(kids[1:], kids[0]) * (1.0 / tree.child_count)
 
 
 def level_martingale_representation(
@@ -415,13 +399,11 @@ def level_martingale_representation(
     residual field - E - q dW is orthogonal to the increments but nonzero.
     """
     kids = _children(tree, field_next, level, nodes, inv_next)
-    dt = tree.time_grid.dt
+    sq = math.sqrt(tree.time_grid.dt)
+    # each layout keeps the rounding its references were made with
     if tree.mode == "full":
-        scale = 1.0 / (tree.child_count * math.sqrt(dt))
-        return np.einsum("nc...,ck->n...k", kids, tree.sign_table) * scale
-    down, up = kids
-    q = (up - down) / (2.0 * math.sqrt(dt))
-    return q[..., None]
+        return np.einsum("cn...,ck->n...k", kids, tree.sign_table) * (1.0 / (tree.child_count * sq))
+    return ((kids[1] - kids[0]) / (2.0 * sq))[..., None]
 
 
 def tree_expectation(tree: PathTree, field_values: np.ndarray, level: int | None = None) -> np.ndarray:
@@ -438,7 +420,7 @@ def tree_expectation(tree: PathTree, field_values: np.ndarray, level: int | None
                 f"cannot infer level from leading size {arr.shape[0]}; pass level explicitly"
             )
         level = matches[0]
-    arr = _check_level_field(tree, arr, level)
+    arr = _check_finite(_check_level_field(tree, arr, level), level)
     p = tree.level_probabilities(level)
     return np.tensordot(p, arr, axes=(0, 0))
 

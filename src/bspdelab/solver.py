@@ -71,7 +71,6 @@ from .lattice import (
     build_tree,
     distinct_rows,
     first_occurrence_keys,
-    level_child_rows,
     level_children,
     level_conditional_expectation,
     level_martingale_representation,
@@ -752,7 +751,7 @@ def _level_states(tree: PathTree, level: int, inv_next, key_maps: list):
     """
     if inv_next is None:
         return None, None
-    kids = level_child_rows(tree, inv_next, level)
+    kids = inv_next[tree.child_table(level)]
     reps, inv = first_occurrence_keys([*kids.T, *key_maps], tree.level_sizes[level])
     return reps, (None if reps.size == inv.size else inv)
 
