@@ -62,7 +62,6 @@ from .expr import (
     ExprEvalError,
     ExprParseError,
     evaluate,
-    evaluate_source,
     expression_variables,
     parse,
     print_expression,

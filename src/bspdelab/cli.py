@@ -102,25 +102,31 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment config; maps to exit code 1."""
 
 
-def _matrix_keys(base: str, rows: int, cols: int, symmetric: bool = False) -> list[str]:
-    keys = []
-    for i in range(1, rows + 1):
-        for j in range(i if symmetric else 1, cols + 1):
-            keys.append(f"{base}{i}{j}")
-    return keys
+def _entry_keys(base: str, shape: tuple, symmetric: bool = False):
+    """(key, index) of each config entry of a coefficient of this shape.
+
+    A scalar is the bare base, a vector base{i}, a matrix base{i}{j} (i <= j
+    when symmetric), all 1-based.
+    """
+    for index in np.ndindex(*shape):
+        if not (symmetric and index[1] < index[0]):
+            yield base + "".join(str(i + 1) for i in index), index
 
 
-def _vector_keys(base: str, n: int) -> list[str]:
-    return [f"{base}{i}" for i in range(1, n + 1)]
+def _coefficient_shapes(d: int, dprime: int) -> dict:
+    """base -> (shape, symmetric) of the generator's coefficients a, b, c, sigma, nu."""
+    return {
+        "a": ((d, d), True),
+        "b": ((d,), False),
+        "c": ((), False),
+        "sigma": ((d, dprime), False),
+        "nu": ((dprime,), False),
+    }
 
 
 def _coefficient_keys(d: int, dprime: int) -> set[str]:
-    keys = set(_matrix_keys("a", d, d, symmetric=True))
-    keys.update(_matrix_keys("sigma", d, dprime))
-    keys.update(_vector_keys("b", d))
-    keys.update(_vector_keys("nu", dprime))
-    keys.add("c")
-    return keys
+    shapes = _coefficient_shapes(d, dprime).items()
+    return {key for base, spec in shapes for key, _ in _entry_keys(base, *spec)}
 
 
 def load_config(path: str) -> tuple[configparser.ConfigParser, str]:
@@ -297,23 +303,11 @@ def _expression_field(
     symmetric: bool = False,
 ) -> _ExpressionField | None:
     """Collect base{i}{j} (or base{i}, or bare base) keys into one sampler."""
-    entries = {}
-    if shape == ():
-        if base in data:
-            entries[()] = _compile_entry(data[base], allowed, f"[{section}] {base}")
-    elif len(shape) == 1:
-        for i in range(1, shape[0] + 1):
-            key = f"{base}{i}"
-            if key in data:
-                entries[(i - 1,)] = _compile_entry(data[key], allowed, f"[{section}] {key}")
-    else:
-        for i in range(1, shape[0] + 1):
-            for j in range(i if symmetric else 1, shape[1] + 1):
-                key = f"{base}{i}{j}"
-                if key in data:
-                    entries[(i - 1, j - 1)] = _compile_entry(
-                        data[key], allowed, f"[{section}] {key}"
-                    )
+    entries = {
+        index: _compile_entry(data[key], allowed, f"[{section}] {key}")
+        for key, index in _entry_keys(base, shape, symmetric)
+        if key in data
+    }
     if not entries:
         return None
     return _ExpressionField(entries, shape, symmetric=symmetric)
@@ -354,11 +348,8 @@ def build_coefficients(parser, grid, tree):
 
     allowed_vars = _problem_allowed_vars(grid, tree)
     fields = {
-        "a": _expression_field(data, "problem", "a", (d, d), allowed_vars, symmetric=True),
-        "b": _expression_field(data, "problem", "b", (d,), allowed_vars),
-        "c": _expression_field(data, "problem", "c", (), allowed_vars),
-        "sigma": _expression_field(data, "problem", "sigma", (d, dprime), allowed_vars),
-        "nu": _expression_field(data, "problem", "nu", (dprime,), allowed_vars),
+        base: _expression_field(data, "problem", base, shape, allowed_vars, symmetric=sym)
+        for base, (shape, sym) in _coefficient_shapes(d, dprime).items()
     }
     if all(f is None for f in fields.values()):
         raise ConfigError(
@@ -489,15 +480,15 @@ def build_control_problem(parser, grid, tree):
     allowed_keys = (
         _CONTROL_STATIC_KEYS
         | _coefficient_keys(d, dprime)
-        | set(_vector_keys("G", dprime))
+        | {key for key, _ in _entry_keys("G", (dprime,))}
     )
     _check_keys("control", data, allowed_keys)
     gamma = _get(data, "control", "gamma", _float_list)
     allowed_vars = {"t", "v"} | {f"x{i + 1}" for i in range(d)}
     spatial_vars = {f"x{i + 1}" for i in range(d)}
 
-    def sampler(base, shape, symmetric=False, allowed=allowed_vars):
-        f = _expression_field(data, "control", base, shape, allowed, symmetric=symmetric)
+    def sampler(base, shape, symmetric=False):
+        f = _expression_field(data, "control", base, shape, allowed_vars, symmetric=symmetric)
         if f is None:
             return None
         return lambda t, v, g: f(t, None, g, v=v)
@@ -515,11 +506,7 @@ def build_control_problem(parser, grid, tree):
             gamma=tuple(gamma),
             terminal_phi=fixed_field("phi"),
             xi0=fixed_field("xi0"),
-            a=sampler("a", (d, d), symmetric=True),
-            b=sampler("b", (d,)),
-            c=sampler("c", ()),
-            sigma=sampler("sigma", (d, dprime)),
-            nu=sampler("nu", (dprime,)),
+            **{base: sampler(base, *spec) for base, spec in _coefficient_shapes(d, dprime).items()},
             big_f=sampler("F", ()),
             big_g=sampler("G", (dprime,)),
             cost_f=sampler("f", ()),

@@ -386,14 +386,10 @@ def solve_forward(
     return ForwardState(mean=AdaptedGridField(levels), tree=tree, meta=meta)
 
 
-def _mean_levels(forward) -> AdaptedGridField:
-    return getattr(forward, "mean", forward)
-
-
 def cost(problem: ControlProblem, policy: ControlPolicy, forward) -> float:
     """J = sum_n dt E<f(t, V), xi(t)> + E<phi, xi(T)>, exact on the tree."""
     _validate_policy(problem, policy)
-    xi = _mean_levels(forward)
+    xi = forward.mean
     tree, grid = problem.tree, problem.grid
     dt, vol = tree.time_grid.dt, grid.cell_volume
     gax = tuple(range(1, 1 + grid.dim))
@@ -501,7 +497,7 @@ def check_max_principle(
     first-order-in-time, second-order-in-space scheme error.
     """
     _validate_policy(problem, policy)
-    xi = _mean_levels(forward)
+    xi = forward.mean
     tree = problem.tree
     dt, h = tree.time_grid.dt, problem.grid.h
     all_h = [
@@ -596,7 +592,7 @@ def duality_check(
 
 def _argmax_policy(problem, forward, adjoint) -> ControlPolicy:
     # np.argmax takes the first maximizer, honoring gamma's declared order
-    xi = _mean_levels(forward)
+    xi = forward.mean
     levels = tuple(
         np.argmax(
             _level_hamiltonians(

@@ -339,7 +339,3 @@ def evaluate(node: Node, env: Mapping[str, object]):
     if arr.ndim == 0:
         return float(arr)
     return arr
-
-
-def evaluate_source(src: str, env: Mapping[str, object]):
-    return evaluate(parse(src), env)

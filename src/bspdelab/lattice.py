@@ -21,6 +21,11 @@ same bits on every path, and level_probabilities gives the node weights.
 The level operators read a range's children as views, and, through the
 node -> row map of a level stored as distinct rows (AdaptedGridField), any
 nodes' children as one gather through the child table.
+
+Every per-level pass (the sweep, the weak form, the oracle scorer and step
+residual, the continuation gaps) walks a level through level_states: nodes
+with equal keys are one state, visited once through its first node, in
+blocks of at most BLOCK_BYTE_BUDGET bytes of one level field.
 """
 
 from __future__ import annotations
@@ -322,6 +327,28 @@ def node_blocks(n_nodes: int, node_bytes: int) -> list[slice]:
     """
     step = max(1, BLOCK_BYTE_BUDGET // max(1, node_bytes))
     return [slice(i, min(i + step, n_nodes)) for i in range(0, n_nodes, step)]
+
+
+def level_states(keys, n_nodes: int, node_bytes: int) -> tuple[int, np.ndarray | None, list]:
+    """The distinct states a per-level pass visits and the blocks it walks them in.
+
+    keys lists per-node integer columns (None: one shared value); nodes
+    holding the same tuple are one state, numbered by first occurrence.
+    keys None makes every node its own state without keying.  Returns
+    (count, inv, blocks): inv maps node -> state, None when every node is
+    its own state; blocks are (rows, nodes) pairs, a range of states and
+    their first nodes (the same range when inv is None), each at most
+    BLOCK_BYTE_BUDGET bytes at node_bytes a node.
+    """
+    reps = inv = None
+    if keys is not None:
+        reps, inv = first_occurrence_keys(keys, n_nodes)
+        if reps.size == n_nodes:
+            # every node its own state: the first nodes are 0..n_nodes - 1
+            reps = inv = None
+    count = n_nodes if reps is None else reps.size
+    blocks = node_blocks(count, node_bytes)
+    return count, inv, [(rows, rows if reps is None else reps[rows]) for rows in blocks]
 
 
 def _check_level_field(tree: PathTree, field_values: np.ndarray, level: int) -> np.ndarray:

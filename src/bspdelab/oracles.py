@@ -16,6 +16,9 @@ Two families:
 
 Both produce a coefficient set, a forcing, a terminal map and exact (t, W)
 field evaluators, so a numeric run can be scored against them node by node.
+exact_level_fields gives a tree level's exact pair as distinct rows plus a
+node -> row map; solution_error and solver.oracle_step_residual key their
+walks by that map.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, constant_sampler
 from .grid import SpatialGrid
-from .lattice import AdaptedGridField, PathTree, distinct_rows, first_occurrence_keys, node_blocks
+from .lattice import AdaptedGridField, PathTree, level_states
 
 TerminalMap = Callable[[np.ndarray, SpatialGrid], np.ndarray]
 
@@ -64,12 +67,6 @@ class OracleSolution:
     exact_fields: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]]
     forcing: Callable[[float, np.ndarray, SpatialGrid], np.ndarray] | None = None
     w_dependent: bool = True
-
-    def u_exact(self, t: float, w: np.ndarray) -> np.ndarray:
-        return np.array(self.exact_fields(t, np.asarray(w, dtype=np.float64).reshape(1, -1))[0][0])
-
-    def q_exact(self, t: float, w: np.ndarray) -> np.ndarray:
-        return np.array(self.exact_fields(t, np.asarray(w, dtype=np.float64).reshape(1, -1))[1][0])
 
 
 def heat_oracle(
@@ -191,41 +188,36 @@ def wiener_linear_oracle(
 
 def exact_level_fields(
     oracle: OracleSolution, tree: PathTree, level: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle u and q stacked over every node of a tree level.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's u and q rows at a tree level and the node -> row map.
 
     The oracle evaluates the level's distinct Wiener states in one batch,
-    or W = 0 alone when it is not w_dependent; the one row then serves
-    every node as a read-only broadcast view.
+    or W = 0 alone, one row for every node, when it is not w_dependent.
+    The map is always an array: node i's pair is u[inv[i]], q[inv[i]].
     """
     t = tree.time_grid.time(level)
-    if not oracle.w_dependent:
-        u_rows, q_rows = oracle.exact_fields(t, np.zeros((1, tree.wiener_dim)))
-        n_nodes = tree.level_sizes[level]
-        return tuple(np.broadcast_to(x, (n_nodes,) + x.shape[1:]) for x in (u_rows, q_rows))
-    states, inv = distinct_rows(tree.level_w(level))
+    if oracle.w_dependent:
+        states, inv = np.unique(tree.level_w(level), axis=0, return_inverse=True)
+    else:
+        states = np.zeros((1, tree.wiener_dim))
+        inv = np.zeros(tree.level_sizes[level], dtype=np.intp)
     u_rows, q_rows = oracle.exact_fields(t, states)
-    if inv is None:
-        return u_rows, q_rows
-    return u_rows[inv], q_rows[inv]
+    return u_rows, q_rows, inv.reshape(-1)
 
 
-def solution_error(u_levels, q_levels, tree: PathTree, oracle: OracleSolution) -> dict:
+def solution_error(
+    u_levels: AdaptedGridField, q_levels: AdaptedGridField, tree: PathTree, oracle: OracleSolution
+) -> dict:
     """Error norms of a numeric pair against the oracle.
 
     Returns u_sup_error = max_n sqrt(E ||u_n - u*_n||_{L2}^2), the analogous
     q_sup_error, and q_integrated_error = sqrt(sum_n dt E ||q_n - q*_n||^2).
     u_level_errors and q_level_errors list the per-level terms
     sqrt(E ||u_n - u*_n||_{L2}^2) and sqrt(E ||q_n - q*_n||_{L2}^2), one per
-    level of u_levels and of q_levels.  u_levels and q_levels are
-    AdaptedGridFields or lists of per-node level arrays; each distinct
-    (u row, q row, exact row) triple of a level is scored once, and a level
-    whose u holds one row per node is scored in node ranges, unkeyed.
+    level of u_levels and of q_levels.  Each distinct (u row, q row, exact
+    row) triple of a level is scored once (lattice.level_states), and a
+    level whose u holds one row per node is walked unkeyed.
     """
-    u_levels, q_levels = (
-        f if isinstance(f, AdaptedGridField) else AdaptedGridField([np.asarray(x) for x in f])
-        for f in (u_levels, q_levels)
-    )
     grid = oracle.grid
     vol = grid.cell_volume
     dt = tree.time_grid.dt
@@ -238,26 +230,19 @@ def solution_error(u_levels, q_levels, tree: PathTree, oracle: OracleSolution) -
     q_level_errors = []
     for level in range(tree.n_steps + 1):
         p = tree.level_probabilities(level)
-        u_ex, q_ex = exact_level_fields(oracle, tree, level)
+        u_ex, q_ex, ex_inv = exact_level_fields(oracle, tree, level)
         has_q = level < len(q_levels)
-        n_nodes = tree.level_sizes[level]
-        if u_levels.maps[level] is None:
-            # u holds one row per node: every node is its own triple
-            reps, inv = None, None
-        else:
-            # a node's exact row is its Wiener state's, one row for a W-free oracle
-            ex_inv = distinct_rows(tree.level_w(level))[1] if oracle.w_dependent else None
+        keys = None
+        if u_levels.maps[level] is not None:
             keys = [u_levels.maps[level], q_levels.row_map(level) if has_q else None, ex_inv]
-            reps, inv = first_occurrence_keys(keys, n_nodes)
-        count = n_nodes if reps is None else reps.size
+        count, inv, blocks = level_states(keys, tree.level_sizes[level], u_ex[:1].nbytes)
         u_sq, q_sq = np.empty(count), np.empty(count)
-        for block in node_blocks(count, u_ex[:1].nbytes):
-            nodes = block if reps is None else reps[block]
-            du = u_levels.at(level, nodes) - u_ex[nodes]
-            u_sq[block] = np.sum(du**2, axis=comp_axes_u)
+        for rows, nodes in blocks:
+            du = u_levels.at(level, nodes) - u_ex[ex_inv[nodes]]
+            u_sq[rows] = np.sum(du**2, axis=comp_axes_u)
             if has_q:
-                dq = q_levels.at(level, nodes) - q_ex[nodes]
-                q_sq[block] = np.sum(dq**2, axis=q_axes)
+                dq = q_levels.at(level, nodes) - q_ex[ex_inv[nodes]]
+                q_sq[rows] = np.sum(dq**2, axis=q_axes)
         if inv is not None:
             u_sq, q_sq = u_sq[inv], q_sq[inv]
         # per-node sums, weighted in node order

@@ -7,6 +7,9 @@ representation gives q, and an Euler application of the generator
 (explicit or semi-implicit in the second-order part) produces u.  Nodes
 with the same inputs (children's values, coefficients and forcing) get
 the same (u, q), so each level stores and steps its distinct states once.
+The sweep, the weak form, the continuation gaps and the oracle step
+residual all walk a level through lattice.level_states; the passes that
+read a node's children key it by their rows too (_level_states).
 
 Second-order terms and the sigma-gradient coupling are applied in
 divergence form minus a lower-order correction,
@@ -74,7 +77,7 @@ from .lattice import (
     level_children,
     level_conditional_expectation,
     level_martingale_representation,
-    node_blocks,
+    level_states,
     row_groups,
 )
 from .oracles import OracleSolution, exact_level_fields
@@ -517,10 +520,10 @@ class _LevelOperator:
     Holds the state's LevelCoefficients with div a and div sigma, and
     applies the backward Euler step and the r-transform at every level
     _level_operators gives it.  Each call covers one block of a level's
-    nodes (a range, or the representatives of a range of states: one of
-    _level_blocks), reading its coefficient rows per node where it uses
-    them; only the solvers of I - dt A, built on the first semi-implicit
-    step, go row by row within the block.
+    nodes (a range, or the first nodes of a range of states: one of the
+    blocks of lattice.level_states), reading its coefficient rows per node
+    where it uses them; only the solvers of I - dt A, built on the first
+    semi-implicit step, go row by row within the block.
     """
 
     def __init__(self, problem: ProblemData, config: SolverConfig, level: int):
@@ -723,37 +726,19 @@ def _varying(problem: ProblemData) -> bool:
     return coeffs.time_dependent or coeffs.w_dependent or problem.level_coefficients is not None
 
 
-def _level_blocks(problem: ProblemData, level: int, reps=None) -> list[tuple]:
-    """The blocks the sweep and the weak form walk at a level: (rows, nodes) pairs.
-
-    rows is a range of the level's states, nodes the nodes stepped for
-    them: the same range when every node is its own state (reps None),
-    else the states' representatives reps[rows] (_level_states).  A
-    block's children hold at most BLOCK_BYTE_BUDGET bytes of one scalar
-    grid field, so with its u, q and the generator's temporaries a pass
-    holds a few such blocks.
-    """
-    tree = problem.tree
-    count = tree.level_sizes[level] if reps is None else reps.size
-    blocks = node_blocks(count, 8 * problem.grid.size * tree.child_count)
-    return [(rows, rows if reps is None else reps[rows]) for rows in blocks]
-
-
-def _level_states(tree: PathTree, level: int, inv_next, key_maps: list):
-    """The states a pass at `level` visits: (reps, inv), or (None, None).
+def _level_states(problem: ProblemData, level: int, inv_next, key_maps: list):
+    """lattice.level_states for a pass at `level` that reads each node's children.
 
     A node's state is the rows of its children in the next level's node ->
     row map inv_next plus its row in each of key_maps (None: one shared
-    row).  reps lists one node per state, by first occurrence, and inv
-    maps node -> state, None when every node is its own state.  (None,
-    None) when the next level holds one row per node (inv_next is None):
-    then every node is its own state and the pass walks node ranges.
+    row).  When the next level holds one row per node (inv_next None),
+    every node is its own state and the pass walks node ranges, unkeyed.
+    A block's children hold at most BLOCK_BYTE_BUDGET bytes of one scalar
+    grid field.
     """
-    if inv_next is None:
-        return None, None
-    kids = inv_next[tree.child_table(level)]
-    reps, inv = first_occurrence_keys([*kids.T, *key_maps], tree.level_sizes[level])
-    return reps, (None if reps.size == inv.size else inv)
+    tree = problem.tree
+    keys = None if inv_next is None else [*inv_next[tree.child_table(level)].T, *key_maps]
+    return level_states(keys, tree.level_sizes[level], 8 * problem.grid.size * tree.child_count)
 
 
 def _level_operators(problem: ProblemData, config: SolverConfig):
@@ -933,12 +918,11 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
         f, f_inv = level_forcing(problem, level)
         u_next, inv_next = u_levels[level + 1], maps[level + 1]
         # nodes sharing their children's rows, coefficients and forcing share u, q and r
-        reps, maps[level] = _level_states(tree, level, inv_next, [op.coeffs.inv, f_inv])
-        shape = (tree.level_sizes[level] if reps is None else reps.size,) + grid.shape
-        u = u_levels[level] = np.empty(shape)
-        q = q_levels[level] = np.empty(shape + (tree.wiener_dim,))
+        count, maps[level], blocks = _level_states(problem, level, inv_next, [op.coeffs.inv, f_inv])
+        u = u_levels[level] = np.empty((count,) + grid.shape)
+        q = q_levels[level] = np.empty((count,) + grid.shape + (tree.wiener_dim,))
         r = r_levels[level] = np.empty_like(q) if "sigma" in op.nonzero else q
-        for rows, nodes in _level_blocks(problem, level, reps):
+        for rows, nodes in blocks:
             ubar = level_conditional_expectation(tree, u_next, level, nodes, inv_next)
             q[rows] = level_martingale_representation(tree, u_next, level, nodes, inv_next)
             u[rows], _ = op.step(ubar, q[rows], _rows_at(f, f_inv, nodes), level, nodes)
@@ -1100,9 +1084,9 @@ def weak_form_residual(
         u_next, inv_next = solution.u.levels[level + 1], solution.u.maps[level + 1]
         # one node per state: nodes with equal inputs have equal residuals
         keys = [solution.u.row_map(level), solution.q.row_map(level), op.coeffs.inv, f_inv]
-        reps, _ = _level_states(tree, level, inv_next, keys)
+        _, _, blocks = _level_states(problem, level, inv_next, keys)
         lvl_drift = lvl_rep = 0.0
-        for _, nodes in _level_blocks(problem, level, reps):
+        for _, nodes in blocks:
             u_n = solution.u.at(level, nodes)
             q = solution.q.at(level, nodes)
             f_nodes = _rows_at(f, f_inv, nodes)
@@ -1163,13 +1147,13 @@ def viscosity_continuation(
 
     def gap_sq_norms(f0: AdaptedGridField, f1: AdaptedGridField, level: int) -> np.ndarray:
         """Per node, ||f0 - f1||_{m1,2}^2 at a level, taken once per distinct row pair."""
-        pairs = [f0.row_map(level), f1.row_map(level)]
-        reps, inv = first_occurrence_keys(pairs, tree.level_sizes[level])
-        out = np.empty(reps.size)
-        for block in node_blocks(reps.size, f0.levels[level][:1].nbytes):
-            nodes = reps[block]
-            out[block] = level_norm_sq(f0.at(level, nodes) - f1.at(level, nodes), grid, m1)
-        return out[inv]
+        keys = [f0.row_map(level), f1.row_map(level)]
+        row_bytes = f0.levels[level][:1].nbytes
+        count, inv, blocks = level_states(keys, tree.level_sizes[level], row_bytes)
+        out = np.empty(count)
+        for rows, nodes in blocks:
+            out[rows] = level_norm_sq(f0.at(level, nodes) - f1.at(level, nodes), grid, m1)
+        return out if inv is None else out[inv]
 
     u_gaps = []
     r_gaps = []
@@ -1216,18 +1200,6 @@ def problem_from_oracle(oracle: OracleSolution, tree: PathTree) -> ProblemData:
     )
 
 
-def _exact_u_rows(oracle: OracleSolution, tree: PathTree, level: int):
-    """The oracle's u at a level as distinct rows, by first node, and the node -> row map.
-
-    A node's row is its Wiener state's, one row for an oracle that is not
-    w_dependent; the map is an array even then.
-    """
-    u_ex, _ = exact_level_fields(oracle, tree, level)
-    w_inv = distinct_rows(tree.level_w(level))[1] if oracle.w_dependent else None
-    reps, inv = first_occurrence_keys([w_inv], tree.level_sizes[level])
-    return u_ex[reps], inv
-
-
 def oracle_step_residual(
     oracle: OracleSolution,
     n_steps: int,
@@ -1247,15 +1219,15 @@ def oracle_step_residual(
     grid = oracle.grid
     dt = tree.time_grid.dt
     worst = 0.0
-    u_next, inv_next = _exact_u_rows(oracle, tree, n_steps)
+    u_next, _, inv_next = exact_level_fields(oracle, tree, n_steps)
     for level, op in _level_operators(problem, config):
-        u_ex, ex_inv = _exact_u_rows(oracle, tree, level)
+        u_ex, _, ex_inv = exact_level_fields(oracle, tree, level)
         f, f_inv = level_forcing(problem, level)
         # nodes sharing their children's exact rows, coefficients, forcing and
         # exact row share the stepped u and its defect
-        reps, inv = _level_states(tree, level, inv_next, [op.coeffs.inv, f_inv, ex_inv])
-        sq_norms = np.empty(reps.size)
-        for rows, nodes in _level_blocks(problem, level, reps):
+        count, inv, blocks = _level_states(problem, level, inv_next, [op.coeffs.inv, f_inv, ex_inv])
+        sq_norms = np.empty(count)
+        for rows, nodes in blocks:
             ubar = level_conditional_expectation(tree, u_next, level, nodes, inv_next)
             q = level_martingale_representation(tree, u_next, level, nodes, inv_next)
             u_step, _ = op.step(ubar, q, _rows_at(f, f_inv, nodes), level, nodes)

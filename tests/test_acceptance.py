@@ -56,7 +56,7 @@ from bspdelab.energy import (
     constant_sweep,
     verify_main_estimates,
 )
-from bspdelab.expr import evaluate_source, parse, print_expression
+from bspdelab.expr import evaluate, parse, print_expression
 from bspdelab.grid import (
     SpatialGrid,
     batch_divergence,
@@ -549,10 +549,10 @@ def test_acceptance_9_expression_parser(capsys):
     mismatches = []
     unstable = []
     for text, env, expected in cases:
-        got = evaluate_source(text, env)
+        node = parse(text)
+        got = evaluate(node, env)
         if got != approx(expected, rel=1e-12, abs=1e-12):
             mismatches.append(text)
-        node = parse(text)
         if parse(print_expression(node)) != node:
             unstable.append(text)
     checks = [

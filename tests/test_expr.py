@@ -30,7 +30,6 @@ from bspdelab.expr import (
     Unary,
     Var,
     evaluate,
-    evaluate_source,
     expression_variables,
     parse,
     print_expression,
@@ -230,28 +229,28 @@ def test_expression_variables():
 
 
 def test_evaluate_basic_values():
-    assert evaluate_source("1 + 2 * 3", {}) == approx(7.0)
-    assert evaluate_source("2 ^ 3 ^ 2", {}) == approx(512.0)
-    assert evaluate_source("-2 ^ 2", {}) == approx(-4.0)
-    assert evaluate_source("sin(t) ^ 2 + cos(t) ^ 2", {"t": 0.7}) == approx(1.0)
-    assert evaluate_source("max(1, min(2, 3))", {}) == approx(2.0)
-    assert evaluate_source("tanh(0)", {}) == approx(0.0)
+    assert evaluate(parse("1 + 2 * 3"), {}) == approx(7.0)
+    assert evaluate(parse("2 ^ 3 ^ 2"), {}) == approx(512.0)
+    assert evaluate(parse("-2 ^ 2"), {}) == approx(-4.0)
+    assert evaluate(parse("sin(t) ^ 2 + cos(t) ^ 2"), {"t": 0.7}) == approx(1.0)
+    assert evaluate(parse("max(1, min(2, 3))"), {}) == approx(2.0)
+    assert evaluate(parse("tanh(0)"), {}) == approx(0.0)
 
 
 def test_evaluate_broadcasts_arrays():
     x = np.linspace(-1, 1, 7)
-    out = evaluate_source("x1 ^ 2 + 1", {"x1": x})
+    out = evaluate(parse("x1 ^ 2 + 1"), {"x1": x})
     assert isinstance(out, np.ndarray)
     assert out == approx(x ** 2 + 1)
 
 
 def test_evaluate_rejects_unbound_and_nonfinite():
     with pytest.raises(ExprEvalError):
-        evaluate_source("x1 + 1", {})
+        evaluate(parse("x1 + 1"), {})
     with pytest.raises(ExprEvalError):
-        evaluate_source("1 / 0", {})
+        evaluate(parse("1 / 0"), {})
     with pytest.raises(ExprEvalError):
-        evaluate_source("sqrt(0 - 1)", {})
+        evaluate(parse("sqrt(0 - 1)"), {})
 
 
 # -- randomized agreement with the reference ----------------------------------
@@ -290,7 +289,7 @@ def test_randomized_sources_match_reference():
     for _ in range(300):
         src = _random_source(rng)
         expected = _ref_eval(src, env)
-        got = evaluate_source(src, env)
+        got = evaluate(parse(src), env)
         assert got == approx(expected, rel=1e-12, abs=1e-12)
         checked += 1
     assert checked == 300

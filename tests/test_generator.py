@@ -23,6 +23,9 @@ Core claims:
       level), on the full d' = 2 tree and the recombining lattice, explicit
       and semi-implicit with two corrector passes; an operator on shared
       rows stores no per-node array
+    - solution_error, the viscosity-continuation gaps and
+      oracle_step_residual are == whatever the block size, keyed (full
+      tree) and unkeyed (lattice)
     - bspdelab solve evaluates the oracle once per level, and its
       oracle_u_l2 / oracle_q_l2 columns are solution_error's per-level terms
     - bspdelab check probes the same (t, W) states as bspdelab solve, so a
@@ -456,6 +459,34 @@ def test_results_do_not_depend_on_how_nodes_share_rows(monkeypatch, stepping, vi
                         assert np.array_equal(x, y), (shared.tree.mode, nodes, name)
                 assert weak == reference[1], (shared.tree.mode, nodes)
                 assert entries == reference[2], (shared.tree.mode, nodes)
+
+
+@pytest.mark.parametrize("mode", ["full", "recombining"])
+def test_scores_do_not_depend_on_the_block_size(monkeypatch, mode):
+    # the full tree stores k + 1 Wiener states at level k, keyed; the lattice
+    # stores the W-dependent oracle one row per node, unkeyed
+    grid = _grid(M=16)
+    tree = build_tree(TimeGrid(0.5, 6), 1, mode)
+    config = SolverConfig(time_stepping=solver.SEMI_IMPLICIT)
+    reference = None
+    for nodes in BLOCK_NODES[::-1]:
+
+        def cap(node_bytes):
+            return 2**62 if nodes is None else nodes * node_bytes
+
+        got = []
+        for oracle in (oracles.heat_oracle(grid, 0.5), oracles.wiener_linear_oracle(grid, 0.5)):
+            problem = solver.problem_from_oracle(oracle, tree)
+            # the scorer and the gaps read one u row a node, the step residual its children
+            monkeypatch.setattr(lattice, "BLOCK_BYTE_BUDGET", cap(8 * grid.size))
+            cont = solver.viscosity_continuation(problem, [0.1, 0.05], config)
+            got += [oracles.solution_error(s.u, s.q, tree, oracle) for s in cont.solutions]
+            got += [cont.u_gaps, cont.r_gaps]
+            monkeypatch.setattr(lattice, "BLOCK_BYTE_BUDGET", cap(8 * grid.size * tree.child_count))
+            got.append(solver.oracle_step_residual(oracle, tree.n_steps, mode, config))
+        if reference is None:
+            reference = got
+        assert got == reference, nodes
 
 
 def _held_arrays(obj):

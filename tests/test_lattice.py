@@ -22,6 +22,9 @@ Core claims:
     - AdaptedGridField validates per-level shapes; its node access is the
       rows at the node -> row map
     - first_occurrence_keys numbers distinct column tuples by first node
+    - level_states walks node ranges unkeyed or when every node is its own
+      state (inv None), else each distinct key tuple once through its first
+      node, in blocks under BLOCK_BYTE_BUDGET
 """
 
 import math
@@ -44,6 +47,7 @@ from bspdelab.lattice import (
     level_children,
     level_conditional_expectation,
     level_martingale_representation,
+    level_states,
     node_blocks,
     tree_expectation,
 )
@@ -364,3 +368,40 @@ def test_wrong_level_size_is_refused():
         level_conditional_expectation(tree, np.zeros(9), 1)
     with pytest.raises(IncompleteFieldError):
         level_conditional_expectation(tree, np.array([np.nan, 0.0, 0.0]), 1)
+
+
+def _walked(blocks):
+    """The states and the nodes a level_states walk visits, in order."""
+    rows = np.concatenate([np.arange(r.start, r.stop) for r, _ in blocks])
+    nodes = [np.arange(n.start, n.stop) if isinstance(n, slice) else n for _, n in blocks]
+    return rows, np.concatenate(nodes)
+
+
+def test_level_states_walks_each_state_once_under_the_cap(monkeypatch):
+    # 30 bytes a node: three nodes a block
+    monkeypatch.setattr(lattice, "BLOCK_BYTE_BUDGET", 100)
+    # unkeyed: every node its own state, in node ranges
+    count, inv, blocks = level_states(None, 7, 30)
+    assert (count, inv) == (7, None)
+    assert blocks == [(r, r) for r in (slice(0, 3), slice(3, 6), slice(6, 7))]
+    # keys telling every node apart walk the same ranges, with no map
+    assert level_states([np.array([4, 2, 0, 6, 5, 1, 3])], 7, 30) == (7, None, blocks)
+
+    # collapsed keys: (a, b) tuples, numbered by first node
+    a = np.array([3, 1, 3, 1, 0, 3, 1, 0])
+    b = np.array([0, 0, 0, 1, 0, 0, 0, 0])
+    count, inv, blocks = level_states([a, None, b], 8, 30)
+    assert count == 4 and inv.tolist() == [0, 1, 0, 2, 3, 0, 1, 3]
+    rows, nodes = _walked(blocks)
+    # every state once, through its first node
+    assert rows.tolist() == [0, 1, 2, 3]
+    assert nodes.tolist() == [0, 1, 3, 4]
+    assert np.array_equal(inv[nodes], rows)
+    # blocks under the cap: at most three states of 30 bytes each
+    assert [r.stop - r.start for r, _ in blocks] == [3, 1]
+    assert all(len(n) * 30 <= 100 for _, n in blocks)
+
+    # one key shared by every node: one state
+    count, inv, blocks = level_states([np.zeros(5, dtype=int)], 5, 30)
+    assert count == 1 and inv.tolist() == [0] * 5
+    assert _walked(blocks)[1].tolist() == [0]

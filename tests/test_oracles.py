@@ -10,12 +10,13 @@ Core claims:
       expectation taken over a Bernoulli increment (an independent
       two-point quadrature, not the solver)
     - the wiener-linear q is the martingale coefficient of u in w
-    - exact_level_fields evaluates per unique Wiener state and matches
-      direct evaluation at every node, bit for bit, with one field FFT per
-      level whatever the number of Wiener states
-    - a W-free oracle is evaluated at W = 0 alone
-    - solution_error returns zero when fed the oracle's own fields, and
-      scoring a solve's stored rows equals scoring its node arrays
+    - exact_level_fields evaluates per unique Wiener state, and its rows
+      through its node -> row map match direct evaluation at every node,
+      bit for bit, with one field FFT per level whatever the number of
+      Wiener states
+    - a W-free oracle is evaluated at W = 0 alone, one row for every node
+    - solution_error returns zero when fed the oracle's own rows and map,
+      and scoring a solve's stored rows equals scoring its node arrays
     - convergence_constant divides by dt + h^2
 """
 
@@ -27,7 +28,7 @@ import pytest
 from pytest import approx
 
 from bspdelab.grid import SpatialGrid, axis_derivative, level_norm_sq
-from bspdelab.lattice import TimeGrid, build_tree
+from bspdelab.lattice import AdaptedGridField, TimeGrid, build_tree
 from bspdelab.oracles import (
     convergence_constant,
     exact_level_fields,
@@ -42,6 +43,12 @@ def _grid(M=64):
     return SpatialGrid(dim=1, half_width=np.pi, points=M)
 
 
+def _exact(oracle, t, w):
+    """The oracle's (u, q) at one Wiener state w."""
+    u, q = oracle.exact_fields(t, np.asarray(w, dtype=np.float64).reshape(1, -1))
+    return u[0], q[0]
+
+
 # -- heat ---------------------------------------------------------------
 
 
@@ -51,8 +58,8 @@ def test_heat_terminal_and_no_noise():
     w = np.zeros(1)
     x = grid.axis_coordinates()
     phi = np.cos(x) + 0.5 * np.cos(2 * x)
-    assert oracle.u_exact(0.3, w) == approx(phi, abs=1e-12)
-    assert np.all(oracle.q_exact(0.1, w) == 0)
+    assert _exact(oracle, 0.3, w)[0] == approx(phi, abs=1e-12)
+    assert np.all(_exact(oracle, 0.1, w)[1] == 0)
     assert oracle.terminal(w, grid) == approx(phi, abs=1e-12)
 
 
@@ -62,8 +69,8 @@ def test_heat_satisfies_backward_pde():
     oracle = heat_oracle(grid, horizon=0.5, diffusion=0.5)
     w = np.zeros(1)
     t, dt = 0.2, 1e-5
-    du_dt = (oracle.u_exact(t + dt, w) - oracle.u_exact(t - dt, w)) / (2 * dt)
-    u = oracle.u_exact(t, w)
+    du_dt = (_exact(oracle, t + dt, w)[0] - _exact(oracle, t - dt, w)[0]) / (2 * dt)
+    u = _exact(oracle, t, w)[0]
     # spectral second derivative of the band-limited profile
     k = np.fft.fftfreq(grid.points, d=grid.h) * 2 * np.pi
     u_xx = np.fft.ifft(-(k ** 2) * np.fft.fft(u)).real
@@ -75,7 +82,7 @@ def test_heat_semigroup_decay_rates():
     grid = _grid(128)
     oracle = heat_oracle(grid, horizon=1.0, diffusion=0.5)
     w = np.zeros(1)
-    u0 = oracle.u_exact(0.0, w)
+    u0 = _exact(oracle, 0.0, w)[0]
     c1 = np.fft.fft(u0)[1] / grid.points
     c2 = np.fft.fft(u0)[2] / grid.points
     assert abs(c1) == approx(0.5 * math.exp(-0.5), rel=1e-10)
@@ -91,7 +98,7 @@ def test_wiener_linear_terminal_is_w_times_profile():
     x = grid.axis_coordinates()
     for wval in (-0.7, 0.0, 1.3):
         w = np.array([wval])
-        assert oracle.u_exact(1.0, w) == approx(wval * np.cos(x), abs=1e-12)
+        assert _exact(oracle, 1.0, w)[0] == approx(wval * np.cos(x), abs=1e-12)
         assert oracle.terminal(w, grid) == approx(wval * np.cos(x), abs=1e-12)
 
 
@@ -104,12 +111,12 @@ def test_wiener_linear_one_step_backward_relation():
     for t, dt in [(0.3, 1e-4), (0.7, 1e-4)]:
         sq = math.sqrt(dt)
         mean = 0.5 * (
-            oracle.u_exact(t + dt, w + sq) + oracle.u_exact(t + dt, w - sq)
+            _exact(oracle, t + dt, w + sq)[0] + _exact(oracle, t + dt, w - sq)[0]
         )
-        q = oracle.q_exact(t, w)[:, 0]
-        u = oracle.u_exact(t, w)
+        u, q = _exact(oracle, t, w)
+        q = q[:, 0]
         k = np.fft.fftfreq(grid.points, d=grid.h) * 2 * np.pi
-        u_xx = np.fft.ifft(-(k ** 2) * np.fft.fft(oracle.u_exact(t + dt, w))).real
+        u_xx = np.fft.ifft(-(k ** 2) * np.fft.fft(_exact(oracle, t + dt, w)[0])).real
         q_x = np.fft.ifft(1j * k * np.fft.fft(q)).real
         recon = mean + dt * (0.5 * u_xx + 1.0 * q_x)
         assert np.max(np.abs(recon - u)) < 5e-7
@@ -120,10 +127,10 @@ def test_wiener_linear_q_is_w_slope():
     oracle = wiener_linear_oracle(grid, horizon=1.0)
     t = 0.25
     dw = 1e-6
-    up = oracle.u_exact(t, np.array([0.5 + dw]))
-    down = oracle.u_exact(t, np.array([0.5 - dw]))
+    up = _exact(oracle, t, np.array([0.5 + dw]))[0]
+    down = _exact(oracle, t, np.array([0.5 - dw]))[0]
     slope = (up - down) / (2 * dw)
-    assert slope == approx(oracle.q_exact(t, np.array([0.5]))[:, 0], abs=1e-8)
+    assert slope == approx(_exact(oracle, t, np.array([0.5]))[1][:, 0], abs=1e-8)
 
 
 def test_wiener_linear_needs_1d():
@@ -140,13 +147,16 @@ def test_exact_level_fields_match_direct_evaluation():
     oracle = wiener_linear_oracle(grid, horizon=0.5)
     tree = build_tree(TimeGrid(0.5, 6), 1, "recombining")
     for level in (0, 3, 6):
-        u, q = exact_level_fields(oracle, tree, level)
+        u_rows, q_rows, inv = exact_level_fields(oracle, tree, level)
+        assert len(u_rows) == len(q_rows) == level + 1
+        u, q = u_rows[inv], q_rows[inv]
         t = tree.time_grid.time(level)
         wlev = tree.level_w(level)
         assert u.shape == (tree.level_sizes[level],) + grid.shape
         for i in range(tree.level_sizes[level]):
-            assert u[i] == approx(oracle.u_exact(t, wlev[i]), abs=1e-13)
-            assert q[i] == approx(oracle.q_exact(t, wlev[i]), abs=1e-13)
+            u_i, q_i = _exact(oracle, t, wlev[i])
+            assert u[i] == approx(u_i, abs=1e-13)
+            assert q[i] == approx(q_i, abs=1e-13)
 
 
 def _oracle_cases():
@@ -179,12 +189,13 @@ def test_exact_level_fields_batch_equals_per_row_calls(monkeypatch, case, mode):
         calls[0] = 0
         with monkeypatch.context() as m:
             m.setattr(np.fft, fft_name, counting)
-            u, q = exact_level_fields(oracle, tree, level)
+            u_rows, q_rows, inv = exact_level_fields(oracle, tree, level)
         assert calls[0] == per_level
+        u, q = u_rows[inv], q_rows[inv]
         t = tree.time_grid.time(level)
         w = tree.level_w(level)
-        assert np.array_equal(u, np.stack([oracle.u_exact(t, row) for row in w]))
-        assert np.array_equal(q, np.stack([oracle.q_exact(t, row) for row in w]))
+        assert np.array_equal(u, np.stack([_exact(oracle, t, row)[0] for row in w]))
+        assert np.array_equal(q, np.stack([_exact(oracle, t, row)[1] for row in w]))
 
 
 def test_w_free_oracle_is_evaluated_at_one_state(monkeypatch):
@@ -199,8 +210,9 @@ def test_w_free_oracle_is_evaluated_at_one_state(monkeypatch):
 
     exact = oracle.exact_fields
     oracle = dataclasses.replace(oracle, exact_fields=recording)
-    u, q = exact_level_fields(oracle, tree, 3)
-    assert u.shape == (8,) + oracle.grid.shape and q.shape == (8,) + oracle.grid.shape + (1,)
+    u, q, inv = exact_level_fields(oracle, tree, 3)
+    assert u.shape == (1,) + oracle.grid.shape and q.shape == (1,) + oracle.grid.shape + (1,)
+    assert inv.tolist() == [0] * 8
     assert [w.tolist() for w in seen] == [[[0.0]]]
 
 
@@ -210,8 +222,8 @@ def test_solution_error_of_stored_rows_equals_node_arrays(mode):
     tree = build_tree(TimeGrid(0.5, 8), 1, mode)
     for oracle in (heat_oracle(grid, horizon=0.5), wiener_linear_oracle(grid, horizon=0.5)):
         sol = solve(problem_from_oracle(oracle, tree), SolverConfig(time_stepping=SEMI_IMPLICIT))
-        nodes_u = [sol.u[k] for k in range(len(sol.u))]
-        nodes_q = [sol.q[k] for k in range(len(sol.q))]
+        nodes_u = AdaptedGridField([sol.u[k] for k in range(len(sol.u))])
+        nodes_q = AdaptedGridField([sol.q[k] for k in range(len(sol.q))])
         assert solution_error(sol.u, sol.q, tree, oracle) == solution_error(nodes_u, nodes_q, tree, oracle)
 
 
@@ -219,13 +231,10 @@ def test_solution_error_zero_on_oracle_fields():
     grid = _grid(32)
     oracle = wiener_linear_oracle(grid, horizon=0.5)
     tree = build_tree(TimeGrid(0.5, 5), 1, "recombining")
-    u_levels = []
-    q_levels = []
-    for level in range(6):
-        u, q = exact_level_fields(oracle, tree, level)
-        u_levels.append(u)
-        if level < 5:
-            q_levels.append(q)
+    # the oracle's own rows and map: every level is scored keyed
+    fields = [exact_level_fields(oracle, tree, level) for level in range(6)]
+    u_levels = AdaptedGridField([u for u, _, _ in fields], [inv for _, _, inv in fields])
+    q_levels = AdaptedGridField([q for _, q, _ in fields[:5]], [inv for _, _, inv in fields[:5]])
     err = solution_error(u_levels, q_levels, tree, oracle)
     assert err["u_sup_error"] == approx(0.0, abs=1e-13)
     assert err["q_sup_error"] == approx(0.0, abs=1e-13)
@@ -238,11 +247,11 @@ def test_solution_error_scales_with_perturbation():
     tree = build_tree(TimeGrid(0.4, 4), 1, "recombining")
     u_levels, q_levels = [], []
     for level in range(5):
-        u, q = exact_level_fields(oracle, tree, level)
-        u_levels.append(u + 0.01)
+        u, q, inv = exact_level_fields(oracle, tree, level)
+        u_levels.append(u[inv] + 0.01)
         if level < 4:
-            q_levels.append(q)
-    err = solution_error(u_levels, q_levels, tree, oracle)
+            q_levels.append(q[inv])
+    err = solution_error(AdaptedGridField(u_levels), AdaptedGridField(q_levels), tree, oracle)
     # constant offset has L2 norm 0.01 * sqrt(2 pi)
     assert err["u_sup_error"] == approx(0.01 * math.sqrt(2 * np.pi), rel=1e-10)
 
