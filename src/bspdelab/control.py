@@ -62,7 +62,6 @@ from .lattice import (
     BudgetExceededError,
     PathTree,
     UnsupportedModeError,
-    distinct_rows,
     level_conditional_expectation,
     row_groups,
 )
@@ -306,11 +305,22 @@ class ForwardState:
     meta: dict = field(default_factory=dict)
 
 
+def _played_controls(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The controls a level's policy indices play, ascending, and the node -> row
+    map (None when one control serves every node), as lattice.distinct_rows
+    gives them: indices are small non-negative integers, so counting groups them."""
+    counts = np.bincount(indices)
+    controls = np.flatnonzero(counts)
+    if controls.size == 1:
+        return controls, None
+    return controls, (np.cumsum(counts > 0) - 1)[indices]
+
+
 def _forward_level_terms(problem, policy, level, xi):
     """Drift L xi + F and martingale loading M xi + G, grouped by control."""
     drift = np.empty_like(xi)
     mart = np.empty(xi.shape + (problem.tree.wiener_dim,))
-    controls, inv = distinct_rows(policy.indices[level])
+    controls, inv = _played_controls(policy.indices[level])
     for row, sel in row_groups(inv):
         smp = problem._table[level, int(controls[row])]
         l_xi, m_xi = _generator_apply(xi[sel], smp, problem.grid)
@@ -427,7 +437,7 @@ def solve_adjoint(
     )
 
     def level_coeffs(level: int) -> LevelCoefficients:
-        controls, inv = distinct_rows(policy.indices[level])
+        controls, inv = _played_controls(policy.indices[level])
         rows = table[level, controls]
         return LevelCoefficients(
             a=rows.a, b=rows.b, c=rows.c, sigma=rows.sigma, nu=rows.nu, inv=inv

@@ -35,8 +35,10 @@ Two operator kinds share the machinery:
                <L phi, psi> = <phi, L* psi> exact, which the duality checks
                rely on.
 
-scipy is imported on the first LU factorisation (splu), so explicit runs
-and 2D constant-a semi-implicit runs, which solve by FFT, never load it.
+scipy is imported on the first factorisation: scipy.linalg for the banded
+LU of a 1D level (band_lu), scipy.sparse for the SuperLU factors of a 2D
+level with varying a (splu).  Explicit runs and 2D constant-a
+semi-implicit runs, which solve by FFT, never load it.
 """
 
 from __future__ import annotations
@@ -450,6 +452,54 @@ def _implicit_pattern(grid: SpatialGrid, kind: str) -> _ImplicitPattern:
     )
 
 
+def _fold(x: np.ndarray) -> np.ndarray:
+    """Grid values x (..., M) in the folded order of their indices 0, M-1, 1, M-2, ..."""
+    half = x.shape[-1] // 2
+    out = np.empty_like(x)
+    out[..., 0::2] = x[..., :half]
+    out[..., 1::2] = x[..., : half - 1 : -1]
+    return out
+
+
+def _unfold(y: np.ndarray) -> np.ndarray:
+    """Inverse of _fold: folded values y (..., M) in grid order."""
+    half = y.shape[-1] // 2
+    out = np.empty_like(y)
+    out[..., :half] = y[..., 0::2]
+    out[..., half:] = y[..., ::-2]
+    return out
+
+
+@dataclass(frozen=True)
+class _BandLayout:
+    """LAPACK band storage of a 1D I - dt A, unknowns in the folded order.
+
+    Folding the periodic grid (_fold) turns the cyclic couplings i +- 1,
+    i +- 2 into a band of kl = ku = width, with no wrapped corner.  A row's
+    band is a C-ordered (M, depth) array, depth = 3 width + 1, whose
+    transpose is the Fortran band dgbtrf reads; CSC entry e of
+    _implicit_pattern sits at its flat index slots[e].
+    """
+
+    width: int
+    depth: int
+    slots: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _band_layout(grid: SpatialGrid, kind: str) -> _BandLayout:
+    pattern = _implicit_pattern(grid, kind)
+    m = grid.size
+    pos = _unfold(np.arange(m))  # the unknown of each grid index
+    row = pos[pattern.indices]
+    col = pos[np.repeat(np.arange(m), np.diff(pattern.indptr))]
+    width = int(np.abs(row - col).max())
+    depth = 3 * width + 1
+    # A(i, j) is band entry (2 width + i - j, j)
+    slots = col * depth + 2 * width + row - col
+    return _BandLayout(width=width, depth=depth, slots=slots)
+
+
 def _constant_a(op: "_LevelOperator", grid: SpatialGrid) -> np.ndarray | None:
     """The operator's a as (U, d, d) when every row is constant over the grid, else None."""
     d = grid.dim
@@ -475,10 +525,14 @@ def _fourier_symbol(grid: SpatialGrid, a: np.ndarray, eps: float, dt: float) -> 
     return 1.0 + dt * symbol
 
 
-def _fourier_solve(symbol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+# Each solver below maps (rhs, rows) to the solution: rhs holds a block of
+# nodes (nodes, *grid) and rows their coefficient rows (None: row 0 serves all).
+
+
+def _fourier_solve(symbols: np.ndarray, rhs: np.ndarray, rows) -> np.ndarray:
     axes = tuple(range(1, rhs.ndim))
     spectrum = np.fft.rfftn(rhs, axes=axes)
-    spectrum /= symbol
+    spectrum /= symbols[0 if rows is None else rows]
     return np.fft.irfftn(spectrum, s=rhs.shape[1:], axes=axes)
 
 
@@ -489,9 +543,52 @@ def splu(matrix):
     return superlu(matrix)
 
 
-def _lu_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    block = rhs.reshape(rhs.shape[0], -1)
-    return factor.solve(block.T).T.reshape(rhs.shape)
+def _lu_solve(factors: list, rhs: np.ndarray, rows) -> np.ndarray:
+    out = np.empty_like(rhs)
+    for row, sel in row_groups(rows):
+        part = rhs[sel]
+        out[sel] = factors[row].solve(part.reshape(len(part), -1).T).T.reshape(part.shape)
+    return out
+
+
+def band_lu(band: np.ndarray, width: int):
+    """(lu, ipiv, info) of a Fortran-ordered band with kl = ku = width, factorised
+    in place (scipy.linalg.lapack.dgbtrf, imported on first use)."""
+    from scipy.linalg.lapack import dgbtrf
+
+    return dgbtrf(band, width, width, overwrite_ab=1)
+
+
+def _band_solve(width: int, lu: np.ndarray, ipiv: np.ndarray, rhs, rows) -> np.ndarray:
+    """Solve every node of rhs (nodes, M) with its row's block of the stacked band.
+
+    The nodes of one row are columns of one dgbtrs call, over the blocks
+    of the rows the nodes use (lo ... hi - 1).  The blocks share no entry
+    and no pivot, so the solve never reads another block.
+    """
+    from scipy.linalg.lapack import dgbtrs
+
+    m = rhs.shape[1]
+    folded = _fold(rhs)
+    if rows is None:
+        lo, hi, at, b = 0, 1, slice(None), folded
+    else:
+        lo, hi = int(rows.min()), int(rows.max()) + 1
+        local = rows - lo
+        # a node's column is its rank among the nodes of its row; b holds
+        # (column, row) right-hand sides, flattened
+        order = np.argsort(local, kind="stable")
+        counts = np.bincount(local)
+        col = np.empty_like(local)
+        col[order] = np.arange(local.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        at = col * (hi - lo) + local
+        b = np.zeros((counts.max() * (hi - lo), m))
+        b[at] = folded
+    x, _ = dgbtrs(
+        lu[:, lo * m : hi * m], width, width, b.reshape(-1, (hi - lo) * m).T,
+        ipiv[lo * m : hi * m] - lo * m, overwrite_b=1,
+    )
+    return _unfold(x.T.reshape(-1, m)[at])
 
 
 # -- the level operator ------------------------------------------------------------
@@ -522,8 +619,9 @@ class _LevelOperator:
     _level_operators gives it.  Each call covers one block of a level's
     nodes (a range, or the first nodes of a range of states: one of the
     blocks of lattice.level_states), reading its coefficient rows per node
-    where it uses them; only the solvers of I - dt A, built on the first
-    semi-implicit step, go row by row within the block.
+    where it uses them.  The solver of I - dt A, built on the first
+    semi-implicit step, takes a block's right-hand sides with their rows in
+    one call per corrector pass.
     """
 
     def __init__(self, problem: ProblemData, config: SolverConfig, level: int):
@@ -544,7 +642,7 @@ class _LevelOperator:
             if "sigma" in self.nonzero:
                 self.divsigma += axis_derivative(lc.sigma[..., i, :], 1, 1 + i, grid.h)
         self.nonzero |= _nonzero(diva=self.diva, divsigma=self.divsigma)
-        self._solvers = None
+        self._solve = None
 
     def _at_nodes(self, x, nodes):
         """Coefficient row array x per node of the range `nodes` (_rows_at)."""
@@ -618,13 +716,15 @@ class _LevelOperator:
             data[:, slots] += outer * (coef[:, field, at] * inner)
         return pattern, data
 
-    def _build_solvers(self, level: int) -> list:
-        """Solvers of I - dt A, one per coefficient row: (nodes, *grid) -> (nodes, *grid).
+    def _build_solver(self, level: int):
+        """The solver (rhs, rows) -> u of I - dt A for every coefficient row.
 
-        In 2D with a constant over the grid on every row, I - dt A is
-        circulant and each row is solved by FFT.  Otherwise each row gets
-        its LU factors; in 1D the banded LU already costs O(M) per
-        right-hand side.
+        In 1D every row's I - dt A, folded to a band (_band_layout), is one
+        diagonal block of a level band, and the level is factorised by one
+        dgbtrf call: pivots never leave a block, so each block holds its
+        row's own LU.  In 2D with a constant over the grid on every row,
+        I - dt A is circulant and each row is solved by FFT.  A 2D level with
+        varying a gets SuperLU factors per row.
         """
         grid, dt, eps = self.grid, self.dt, self.config.viscosity
         a = _constant_a(self, grid) if grid.dim == 2 else None
@@ -636,18 +736,32 @@ class _LevelOperator:
                         f"implicit symbol vanishes or is not finite at level {level} (row {row}); "
                         f"dt = {dt}, viscosity = {eps}"
                     )
-            return [partial(_fourier_solve, symbol) for symbol in symbols]
-        from scipy import sparse
+            return partial(_fourier_solve, symbols)
 
         pattern, data = self._implicit_data()
         data *= -dt
         data[:, pattern.diag] += 1.0
+        if grid.dim == 1:
+            layout = _band_layout(grid, self.kind)
+            rows, m = data.shape[0], grid.size
+            band = np.zeros((rows, m * layout.depth))
+            band[:, layout.slots] = data
+            lu, ipiv, info = band_lu(band.reshape(rows * m, layout.depth).T, layout.width)
+            if info:
+                row, unknown = divmod(info - 1, m)
+                raise SingularOperatorError(
+                    f"implicit factorisation failed at level {level} (row {row}): zero pivot "
+                    f"at grid index {_fold(np.arange(m))[unknown]}; dt = {dt}, viscosity = {eps}"
+                )
+            return partial(_band_solve, layout.width, lu, ipiv)
+        from scipy import sparse
+
         # one matrix, its data swapped per row: SuperLU copies what it
         # factorises, and a matrix built per row re-validates the same pattern
         shared = sparse.csc_matrix(
             (data[0], pattern.indices, pattern.indptr), shape=(grid.size, grid.size)
         )
-        solvers = []
+        factors = []
         for row, row_data in enumerate(data):
             shared.data = row_data
             system = shared
@@ -656,13 +770,13 @@ class _LevelOperator:
                 system = shared.copy()
                 system.eliminate_zeros()
             try:
-                solvers.append(partial(_lu_solve, splu(system)))
+                factors.append(splu(system))
             except RuntimeError as exc:
                 raise SingularOperatorError(
                     f"implicit factorisation failed at level {level} (row {row}): {exc}; "
                     f"dt = {dt}, viscosity = {eps}"
                 ) from exc
-        return solvers
+        return partial(_lu_solve, factors)
 
     def step(self, ubar, q, f, level, nodes):
         """One backward Euler step on the level's node range `nodes`.
@@ -671,8 +785,8 @@ class _LevelOperator:
         row); returns (u_n, last explicit-part field) on them.
         """
         semi = self.config.time_stepping == SEMI_IMPLICIT
-        if semi and self._solvers is None:
-            self._solvers = self._build_solvers(level)
+        if semi and self._solve is None:
+            self._solve = self._build_solver(level)
 
         qf = self._q_part(q, nodes)
         if np.any(f):
@@ -700,10 +814,8 @@ class _LevelOperator:
             if not semi:
                 u_cur = rhs
             else:
-                u_cur = np.empty_like(ubar)
                 inv = self.coeffs.inv
-                for row, sel in row_groups(None if inv is None else inv[nodes]):
-                    u_cur[sel] = self._solvers[row](rhs[sel])
+                u_cur = self._solve(rhs, None if inv is None else inv[nodes])
         if not np.all(np.isfinite(u_cur)):
             raise SolverBlowupError(
                 f"non-finite values after the step at level {level}; "

@@ -515,7 +515,7 @@ def test_operator_holds_no_per_node_array():
     op.step(ubar, q, solver.level_forcing(problem, level)[0], level, nodes)
     op.r_transform(ubar, q, nodes)
     held = [arr for arr in _held_arrays(op) if arr is not op.coeffs.inv]
-    assert op.coeffs.a.shape[0] == 16 and len(op._solvers) == 16
+    assert op.coeffs.a.shape[0] == 16 and len(op._solve.args[0]) == 16
     assert held and all(arr.shape[:1] != (n_nodes,) for arr in held)
 
 

@@ -4,9 +4,14 @@ Core claims:
     - the pattern-filled I - dt A matches a sparse-product construction of
       the second-order part: exactly in 1D without viscosity, to 1e-14 of
       the largest entry otherwise, and A u equals the stencil form
-    - a semi-implicit sweep with coefficients varying in W and t factorises
-      each (level, coefficient row) operator once and keeps at most one
-      level of factors alive, across corrector iterations
+    - in 1D the folded operator has bandwidth 4 for every M >= 8, and the
+      banded LAPACK solve of a level equals spsolve of each row's CSC system
+      to 1e-13 relative, for nodes sharing a row and rows the block leaves
+      unused; a zero pivot raises SingularOperatorError naming the level
+      and the row
+    - a 1D semi-implicit sweep with coefficients varying in W and t makes
+      one banded factorisation per level and keeps at most one level's
+      factor alive, across corrector iterations
     - solve, weak_form_residual and oracle_step_residual build the level
       coefficients once per sweep when they are constant, and once per
       level when they vary in t or W or come from level_coefficients
@@ -25,13 +30,14 @@ Core claims:
       scheme keeps it undamped (a known limit of the scheme), in 1D and on
       the 2D FFT path
     - in 2D with a constant over the grid, the FFT solve matches the LU
-      solve to 1e-12 relative and factorises nothing; 1D grids and varying a
-      keep one factorisation per (level, coefficient row)
+      solve to 1e-12 relative and factorises nothing; SuperLU (splu) serves
+      only 2D levels with varying a, one factorisation per (level, row)
     - a vanishing FFT symbol raises SingularOperatorError naming the level
       and the row
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -173,37 +179,89 @@ def _varying_problem(n):
     return ProblemData(grid=grid, tree=tree, coefficients=coeffs, terminal=lambda w, g: np.cos(x))
 
 
-def test_varying_solve_factorises_each_level_row_once(monkeypatch):
+def test_varying_solve_factorises_each_level_once(monkeypatch):
     n = 6
     live = [0]
     peak = [0]
     calls = [0]
-    real_splu = solver.splu
+    real_band_lu = solver.band_lu
 
-    class CountedFactor:
-        def __init__(self, factor):
-            self.factor = factor
-            live[0] += 1
-            peak[0] = max(peak[0], live[0])
+    def released():
+        live[0] -= 1
 
-        def __del__(self):
-            live[0] -= 1
-
-        def solve(self, rhs):
-            return self.factor.solve(rhs)
-
-    def counting_splu(matrix):
+    def counting_band_lu(band, width):
         calls[0] += 1
-        return CountedFactor(real_splu(matrix))
+        lu, ipiv, info = real_band_lu(band, width)
+        live[0] += 1
+        peak[0] = max(peak[0], live[0])
+        weakref.finalize(lu, released)
+        return lu, ipiv, info
 
-    monkeypatch.setattr(solver, "splu", counting_splu)
+    monkeypatch.setattr(solver, "band_lu", counting_band_lu)
     problem = _varying_problem(n)
     sol = solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT, corrector_iterations=3))
     assert np.all(np.isfinite(sol.u[0]))
-    # a recombining level k holds k + 1 distinct Wiener states, one row each
-    assert calls[0] == sum(k + 1 for k in range(n))
-    assert peak[0] <= n
+    # one band per level stacks its rows (k + 1 Wiener states at level k)
+    assert calls[0] == n
+    assert peak[0] == 1
     assert live[0] == 0
+
+
+# -- the banded 1D solve ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", [KIND_BSPDE, KIND_ADJOINT])
+def test_folded_bandwidth_is_four(kind):
+    for m in [*range(8, 66, 2), 128, 256]:
+        grid = SpatialGrid(dim=1, half_width=np.pi, points=m)
+        assert solver._band_layout(grid, kind).width == 4, m
+
+
+@pytest.mark.parametrize("m", [8, 10, 128])
+@pytest.mark.parametrize("kind", [KIND_BSPDE, KIND_ADJOINT])
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_band_solve_matches_spsolve(m, kind, eps):
+    from scipy.sparse.linalg import spsolve
+
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=m)
+    op = _random_operator(grid, rows=5, seed=7, eps=eps, kind=kind)
+    pattern, data = op._implicit_data()
+    systems = [
+        sparse.identity(m, format="csc")
+        - op.dt * sparse.csc_matrix((row_data, pattern.indices, pattern.indptr), shape=(m, m))
+        for row_data in data
+    ]
+    solve_level = op._build_solver(op.coeffs.a.shape[0] - 1)
+    rhs = np.random.default_rng(m).standard_normal((6, m))
+    # nodes 0, 2 and 5 share row 3; rows 0 and 2 are left unused; None: row 0 for all
+    for rows in (np.array([3, 1, 3, 4, 1, 3]), np.array([2, 2, 2, 2, 2, 2]), None):
+        got = solve_level(rhs, rows)
+        for node, row in enumerate(np.zeros(6, dtype=int) if rows is None else rows):
+            ref = spsolve(systems[row], rhs[node])
+            assert np.abs(got[node] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_zero_pivot_raises_singular_operator_error():
+    # h = 1, dt = 1/2 and a = -4: I - dt A is 0.5 (S^2 + S^-2) on each parity, singular
+    grid = SpatialGrid(dim=1, half_width=4.0, points=8)
+
+    def rows(values):
+        shape = (len(values),) + grid.shape
+        return LevelCoefficients(
+            a=np.multiply.outer(values, np.ones(grid.shape + (1, 1))),
+            b=np.zeros(shape + (1,)), c=np.zeros(shape), sigma=np.zeros(shape + (1, 1)),
+            nu=np.zeros(shape + (1,)), inv=np.arange(len(values)) if len(values) > 1 else None,
+        )
+
+    problem = ProblemData(
+        grid=grid,
+        tree=build_tree(TimeGrid(1.0, 2), 1, "recombining"),
+        coefficients=CoefficientSet(dim=1, wiener_dim=1, a=constant_sampler(np.eye(1), (1, 1))),
+        terminal=lambda w, g: np.ones(g.shape),
+        level_coefficients=lambda level: rows([0.5, -4.0] if level else [0.5]),
+    )
+    with pytest.raises(SingularOperatorError, match=r"level 1 \(row 1\): zero pivot"):
+        solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT))
 
 
 # -- one operator per coefficient state ---------------------------------------------
@@ -356,9 +414,9 @@ def test_corrector_passes_without_explicit_part_solve_once(monkeypatch):
     calls = []
     real = solver._fourier_solve
 
-    def counting(symbol, rhs):
+    def counting(symbols, rhs, rows):
         calls.append(rhs.shape)
-        return real(symbol, rhs)
+        return real(symbols, rhs, rows)
 
     monkeypatch.setattr(solver, "_fourier_solve", counting)
     solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT, corrector_iterations=3))
@@ -377,7 +435,7 @@ def test_corrector_passes_without_explicit_part_solve_once(monkeypatch):
     three = SolverConfig(time_stepping=SEMI_IMPLICIT, corrector_iterations=3)
     op = _LevelOperator(problem, three, level)
     u3, star3 = op.step(ubar, q, f, level, slice(0, 1))
-    again = op._solvers[0](ubar)
+    again = op._solve(ubar, None)
     assert np.array_equal(u3, u1)
     assert np.array_equal(star3, u1)
     assert np.array_equal(again, u1)
@@ -538,14 +596,15 @@ def test_fft_solve_matches_lu_solve(monkeypatch, a, kind, eps, w_dependent):
         assert np.abs(fft.u[level] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_splu_is_kept_for_1d_and_for_varying_a(monkeypatch):
+def test_splu_is_kept_only_for_2d_varying_a(monkeypatch):
     n = 4
     config = SolverConfig(time_stepping=SEMI_IMPLICIT)
     calls = _counting_splu(monkeypatch)
 
-    # 1D, a constant in space but not in W: one factorisation per (level, row)
+    # 1D, a constant in space but not in W, or varying in space: banded, no splu
     solve(_constant_a_problem([[0.5]], KIND_BSPDE, w_dependent=True, d=1, n=n), config)
-    assert calls[0] == sum(k + 1 for k in range(n))
+    solve(_varying_problem(n), config)
+    assert calls[0] == 0
 
     # 2D, a varying in space and in t: one factorisation per level
     calls[0] = 0

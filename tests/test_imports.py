@@ -4,8 +4,9 @@ Core claims:
     - import bspdelab, an explicit solve with its estimates and weak form,
       an exhaustive policy search and a 2D constant-a semi-implicit solve
       (the FFT path) load no scipy module
-    - a 1D semi-implicit solve loads scipy.sparse.linalg on its first LU
-      factorisation, and its result is `==` the same solve run in this process
+    - a 1D semi-implicit solve loads scipy.linalg, and no scipy.sparse
+      module, on its first banded LU factorisation, and its result is `==`
+      the same solve run in this process
 
 Each check runs in a fresh interpreter, since the test process itself may
 have imported scipy already.
@@ -105,10 +106,10 @@ def test_first_lu_factorisation_loads_scipy_and_changes_no_result():
     lines = _run_fresh(
         SEMI_IMPLICIT_1D
         + "import sys\n"
-        + "print('scipy.sparse.linalg' in sys.modules)\n"
+        + "print('scipy.linalg' in sys.modules, any(m.startswith('scipy.sparse') for m in sys.modules))\n"
         + "print(fields.tobytes().hex())\n"
     )
     here = {}
     exec(SEMI_IMPLICIT_1D, here)
-    assert lines[0] == "True"
+    assert lines[0] == "True False"
     assert np.array_equal(np.frombuffer(bytes.fromhex(lines[1])), here["fields"])
