@@ -55,6 +55,7 @@ from .energy import (
     check_basic_estimate,
     constant_sweep,
     energy_fields,
+    main_estimate_reports,
     theta,
     verify_main_estimates,
 )

@@ -34,7 +34,7 @@ from .coefficients import (
     oleinik_constant,
 )
 from .control import ControlProblem, constant_policy, control_report
-from .energy import SWEEP_COLUMNS, SWEEP_VISCOSITY, constant_sweep, verify_main_estimates
+from .energy import SWEEP_COLUMNS, SWEEP_VISCOSITY, constant_sweep, main_estimate_reports
 from .expr import ExprParseError, evaluate, expression_variables, parse
 from .grid import (
     MAX_DERIVATIVE_ORDER,
@@ -57,7 +57,6 @@ from .solver import (
     problem_from_oracle,
     solve,
     viscosity_continuation,
-    weak_form_residual,
 )
 
 EXIT_OK = 0
@@ -669,12 +668,10 @@ def cmd_solve(args) -> int:
     m1, p_list = _energy_settings(parser)
     out, dump, formats = _output_settings(parser, args)
 
-    solution = solve(problem, config)
-    weak = None
-    if problem.operator_kind == "bspde":
-        weak = weak_form_residual(solution, problem, default_test_functions(grid))
-
-    reports = [verify_main_estimates(solution, problem, m1=m1, p=p) for p in p_list]
+    # the sweep checks the weak form as it steps, and one pass measures every exponent
+    solution = solve(problem, config, default_test_functions(grid))
+    weak = solution.weak_form
+    reports = main_estimate_reports(solution, problem, m1, p_list)
     rows = _level_norms(solution, problem, m1)
     if oracle is not None:
         err = solution_error(solution.u, solution.q, tree, oracle)
@@ -708,9 +705,7 @@ def cmd_solve(args) -> int:
             "level_sizes": list(tree.level_sizes),
         },
         "solver": _jsonable(solution.meta),
-        "weak_form": None
-        if weak is None
-        else {
+        "weak_form": {
             "max_residual": weak.max_residual,
             "max_representation_residual": weak.max_representation_residual,
             "n_test_functions": weak.n_test_functions,

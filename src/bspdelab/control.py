@@ -307,8 +307,9 @@ class ForwardState:
 
 def _played_controls(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The controls a level's policy indices play, ascending, and the node -> row
-    map (None when one control serves every node), as lattice.distinct_rows
-    gives them: indices are small non-negative integers, so counting groups them."""
+    map (None when one control serves every node), in the form
+    PathTree.level_states gives Wiener states: indices are small non-negative
+    integers, so counting groups them."""
     counts = np.bincount(indices)
     controls = np.flatnonzero(counts)
     if controls.size == 1:

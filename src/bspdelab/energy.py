@@ -315,22 +315,25 @@ def _entry(name: str, lhs: float, rhs: float) -> EstimateEntry:
     return EstimateEntry(name, lhs, rhs, math.nan, VERDICT_TRIVIAL)
 
 
-def _level_norms(arr: np.ndarray, grid: SpatialGrid, m: int, p: float):
-    """Batched squared W^{m,2} norms and W^{m,p} norms to the p-th power.
+def _level_norms(arr: np.ndarray, grid: SpatialGrid, m: int, exponents: tuple):
+    """Batched squared W^{m,2} norms and, per exponent p, W^{m,p} norms to the p-th power.
 
-    One pass over the derivatives of each node block feeds both sums; each
+    One pass over the derivatives of each node block feeds every sum; each
     equals its own separate reduction (`level_norm_sq` for the first) bit
-    for bit.
+    for bit.  Returns (squared norms, [p-th-power norms per exponent]).
     """
     arr = np.asarray(arr)
     reduce_axes = tuple(range(1, arr.ndim))
     total_sq = np.zeros(arr.shape[0])
-    total_p = np.zeros(arr.shape[0])
+    total_p = [np.zeros(arr.shape[0]) for _ in exponents]
     for nodes in node_blocks(arr.shape[0], arr[:1].nbytes):
         for d in level_derivatives(arr[nodes], grid, m):
             total_sq[nodes] += np.sum(d * d, axis=reduce_axes)
-            total_p[nodes] += np.sum(np.abs(d) ** p, axis=reduce_axes)
-    return total_sq * grid.cell_volume, total_p * grid.cell_volume
+            magnitude = np.abs(d)
+            for total, p in zip(total_p, exponents):
+                total[nodes] += np.sum(magnitude**p, axis=reduce_axes)
+    vol = grid.cell_volume
+    return total_sq * vol, [total * vol for total in total_p]
 
 
 def _expected_running_sup(tree, values: list[np.ndarray], leaf_probabilities: np.ndarray) -> float:
@@ -368,56 +371,83 @@ def verify_main_estimates(
                   E(||phi||_{m1,p}^p + sum_n dt ||f_n||_{m1,p}^p).
 
     A zero right side with a positive left side is flagged as a violation:
-    zero data admits only the zero solution.
+    zero data admits only the zero solution.  The one-exponent case of
+    main_estimate_reports.
     """
+    return _estimate_reports(solution, problem, m1, (p,))[0]
+
+
+def main_estimate_reports(
+    solution: SolutionPair, problem: ProblemData, m1: int, exponents
+) -> list[EstimateReport]:
+    """verify_main_estimates for every exponent p in `exponents`, in one pass.
+
+    Each report is == verify_main_estimates(solution, problem, m1, p): one
+    derivative pass over each row of u, r and f feeds the squared sums and
+    every p-th-power sum, and the forcing is sampled once per level.
+    """
+    return _estimate_reports(solution, problem, m1, tuple(exponents))
+
+
+def _estimate_reports(
+    solution: SolutionPair, problem: ProblemData, m1: int, exponents: tuple
+) -> list[EstimateReport]:
     if not (0 <= m1 <= MAX_DERIVATIVE_ORDER):
         raise ValueError(f"m1 must lie in [0, {MAX_DERIVATIVE_ORDER}], got {m1}")
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    for p in exponents:
+        if p < 2:
+            raise ValueError(f"p must be >= 2, got {p}")
     tree, grid = problem.tree, problem.grid
     n = tree.n_steps
     dt = tree.time_grid.dt
 
-    # norms per stored row, expanded to nodes before any weighted sum
+    # norms per stored row, expanded to nodes before any weighted sum; the
+    # lists and terms indexed by exponent follow `exponents`
     u, r = solution.u, solution.r
-    u_sq, u_p = [], []
+    u_sq, u_p = [], [[] for _ in exponents]
     for level in range(n + 1):
-        sq, pw = _level_norms(u.levels[level], grid, m1, p)
+        sq, powers = _level_norms(u.levels[level], grid, m1, exponents)
         u_sq.append(u.per_node(level, sq))
-        u_p.append(u.per_node(level, pw))
-    r_term = f_sq_term = f_p_term = 0.0
+        for levels, pw in zip(u_p, powers):
+            levels.append(u.per_node(level, pw))
+    r_term = f_sq_term = 0.0
+    f_p_terms = [0.0] * len(exponents)
     for level in range(n):
         prob = tree.level_probabilities(level)
         r_term += dt * _expected(prob, r.per_node(level, level_norm_sq(r.levels[level], grid, m1)))
         f_rows, f_inv = level_forcing(problem, level)
-        f_sq, f_p = _level_norms(f_rows, grid, m1, p)
+        f_sq, f_powers = _level_norms(f_rows, grid, m1, exponents)
         if f_inv is not None:
-            f_sq, f_p = f_sq[f_inv], f_p[f_inv]
+            f_sq, f_powers = f_sq[f_inv], [f_p[f_inv] for f_p in f_powers]
         f_sq_term += dt * _expected(prob, f_sq)
-        f_p_term += dt * _expected(prob, f_p)
+        for i, f_p in enumerate(f_powers):
+            f_p_terms[i] += dt * _expected(prob, f_p)
 
     leaf = tree.level_probabilities(n)
-    lhs_sup_sq = _expected_running_sup(tree, u_sq, leaf)
-    phi_sq = _expected(leaf, u_sq[n])
-    lhs_p = _expected_running_sup(tree, u_p, leaf)
-    phi_p = _expected(leaf, u_p[n])
-
-    entries = {
-        "energy_l2": _entry("energy_l2", lhs_sup_sq + r_term, phi_sq + f_sq_term),
-        "sup_p": _entry("sup_p", lhs_p, phi_p + f_p_term),
-    }
-    return EstimateReport(
-        entries=entries,
-        m1=m1,
-        p=p,
-        viscosity=float(solution.meta.get("viscosity", 0.0)),
-        dt=dt,
-        h=grid.h,
-        grid_points=grid.points,
-        grid_dim=grid.dim,
-        n_steps=n,
-        tree_mode=tree.mode,
+    energy_l2 = _entry(
+        "energy_l2",
+        _expected_running_sup(tree, u_sq, leaf) + r_term,
+        _expected(leaf, u_sq[n]) + f_sq_term,
     )
+    reports = []
+    for p, levels, f_p_term in zip(exponents, u_p, f_p_terms):
+        lhs_p = _expected_running_sup(tree, levels, leaf)
+        phi_p = _expected(leaf, levels[n])
+        reports.append(
+            EstimateReport(
+                entries={"energy_l2": energy_l2, "sup_p": _entry("sup_p", lhs_p, phi_p + f_p_term)},
+                m1=m1,
+                p=p,
+                viscosity=float(solution.meta.get("viscosity", 0.0)),
+                dt=dt,
+                h=grid.h,
+                grid_points=grid.points,
+                grid_dim=grid.dim,
+                n_steps=n,
+                tree_mode=tree.mode,
+            )
+        )
+    return reports
 
 
 # -- sweeps -------------------------------------------------------------------------
@@ -474,9 +504,9 @@ def constant_sweep(
         if any(v < 2 for v in vals):
             raise ValueError(f"exponents must be >= 2, got {vals}")
         sol = solve(problem, base)
-        for pv in vals:
-            entry = verify_main_estimates(sol, problem, m1=m1, p=pv).entry("sup_p")
-            rows.append((pv, entry.lhs, entry.rhs, entry.c_fit))
+        for rep in main_estimate_reports(sol, problem, m1, vals):
+            entry = rep.entry("sup_p")
+            rows.append((rep.p, entry.lhs, entry.rhs, entry.c_fit))
     else:
         raise ValueError(f"kind must be '{SWEEP_VISCOSITY}' or '{SWEEP_EXPONENT}', got {kind!r}")
     return SweepTable(kind=kind, rows=rows, m1=m1)

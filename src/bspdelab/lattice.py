@@ -174,6 +174,24 @@ class PathTree:
         nodes = np.arange(self.level_sizes[level])
         return self._coordinates(level, nodes) * math.sqrt(self.time_grid.dt)
 
+    def level_states(self, level: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The distinct Wiener states of a level, sorted, and the node -> state map.
+
+        Bitwise what np.unique(level_w(level), axis=0, return_inverse=True)
+        gives, found from the integer coordinates: each lies in
+        [-level, level], so a base-(2 level + 1) number keys a row in
+        lexicographic order, and scaling by sqrt(dt) > 0 keeps that order.
+        The map is None when one state serves every node.  Callers evaluate
+        once per state and expand with rows[inv].
+        """
+        coords = self._coordinates(level, np.arange(self.level_sizes[level]))
+        key = np.zeros(len(coords), dtype=np.int64)
+        for column in coords.T:
+            key = key * (2 * level + 1) + (column + level)
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        states = coords[first] * math.sqrt(self.time_grid.dt)
+        return states, (None if len(states) == 1 else inv.reshape(-1))
+
     def w_at(self, node: NodeId) -> np.ndarray:
         self.validate_node(node)
         return self._coordinates(node.level, [node.index])[0] * math.sqrt(self.time_grid.dt)
@@ -277,18 +295,6 @@ class AdaptedGridField:
         """Per-row values of a level (leading axis = rows) expanded to its nodes."""
         inv = self.maps[level]
         return values if inv is None else values[inv]
-
-
-def distinct_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sorted distinct rows of `states` along axis 0 and the node -> row map.
-
-    The map is None when a single row is shared by every node.  Callers
-    evaluate once per distinct row and expand with rows[inv].
-    """
-    rows, inv = np.unique(states, axis=0, return_inverse=True)
-    if len(rows) == 1:
-        return rows, None
-    return rows, np.asarray(inv).reshape(-1)
 
 
 def row_groups(inv: np.ndarray | None) -> list:

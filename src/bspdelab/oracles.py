@@ -197,12 +197,13 @@ def exact_level_fields(
     """
     t = tree.time_grid.time(level)
     if oracle.w_dependent:
-        states, inv = np.unique(tree.level_w(level), axis=0, return_inverse=True)
+        states, inv = tree.level_states(level)
     else:
-        states = np.zeros((1, tree.wiener_dim))
+        states, inv = np.zeros((1, tree.wiener_dim)), None
+    if inv is None:
         inv = np.zeros(tree.level_sizes[level], dtype=np.intp)
     u_rows, q_rows = oracle.exact_fields(t, states)
-    return u_rows, q_rows, inv.reshape(-1)
+    return u_rows, q_rows, inv
 
 
 def solution_error(

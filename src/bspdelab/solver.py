@@ -25,7 +25,9 @@ difference holds to rounding on the periodic grid, so
       = dt * ( -<a grad u + sigma q, grad eta> - eps <grad u, grad eta>
                + <(b - div a) . grad u + c u + (nu - div sigma) . q + f, eta> )
 
-for every test function eta.  weak_form_residual checks exactly this.
+for every test function eta.  Given test functions, the sweep checks
+exactly this as it steps each level (solve), and weak_form_residual checks
+it on a stored solution.
 
 Two operator kinds share the machinery:
     "bspde"    the backward equation for (u, q) itself;
@@ -74,7 +76,6 @@ from .lattice import (
     PathTree,
     TimeGrid,
     build_tree,
-    distinct_rows,
     first_occurrence_keys,
     level_children,
     level_conditional_expectation,
@@ -211,13 +212,15 @@ class SolutionPair:
     where sigma = 0, r holds q's arrays themselves, so treat both as
     read-only.  meta records dt, h, viscosity, stepping mode, CFL and
     parabolicity diagnostics, the stored rows per level (level_rows), and
-    any warnings raised during the sweep.
+    any warnings raised during the sweep.  weak_form is the WeakFormReport
+    the sweep took when solve was given test functions, None otherwise.
     """
 
     u: AdaptedGridField
     q: AdaptedGridField
     r: AdaptedGridField
     meta: dict
+    weak_form: WeakFormReport | None = None
 
 
 @dataclass(frozen=True)
@@ -340,15 +343,18 @@ def _given_level_coefficients(problem: ProblemData, level: int) -> LevelCoeffici
     return LevelCoefficients(a=a, b=b, c=c, sigma=sig, nu=nu, inv=inv)
 
 
+def _wiener_states(tree: PathTree, level: int, w_dependent: bool):
+    """tree.level_states(level) for data that read W, else W = 0 alone: one row for every node."""
+    return tree.level_states(level) if w_dependent else (np.zeros((1, tree.wiener_dim)), None)
+
+
 def _level_coefficients(problem: ProblemData, level: int) -> LevelCoefficients:
     """The caller's override if set, else one sampled row per distinct Wiener state."""
     if problem.level_coefficients is not None:
         return _given_level_coefficients(problem, level)
     tree, coeffs = problem.tree, problem.coefficients
     t = float(tree.time_grid.time(level))
-    # W-free coefficients are the one-row case, sampled at W = 0
-    w = tree.level_w(level) if coeffs.w_dependent else np.zeros((1, tree.wiener_dim))
-    states, inv = distinct_rows(w)
+    states, inv = _wiener_states(tree, level, coeffs.w_dependent)
     smp = coeffs.sample(t, states, problem.grid)
     return LevelCoefficients(a=smp.a, b=smp.b, c=smp.c, sigma=smp.sigma, nu=smp.nu, inv=inv)
 
@@ -373,8 +379,7 @@ def level_forcing(problem: ProblemData, level: int) -> tuple[np.ndarray, np.ndar
     elif problem.forcing is None:
         f, inv = np.zeros((1,) + grid.shape), None
     else:
-        w = tree.level_w(level) if problem.forcing_w_dependent else np.zeros((1, tree.wiener_dim))
-        states, inv = distinct_rows(w)
+        states, inv = _wiener_states(tree, level, problem.forcing_w_dependent)
         f = sample_rows(problem.forcing, t, states, grid)
     if f.shape[1:] != grid.shape:
         raise ValueError(f"level {level}: forcing grid shape {f.shape[1:]} != {grid.shape}")
@@ -909,7 +914,7 @@ def _terminal_values(problem: ProblemData) -> tuple[np.ndarray, np.ndarray | Non
     """
     tree, grid = problem.tree, problem.grid
     n_leaves = tree.level_sizes[tree.n_steps]
-    states, inv = distinct_rows(tree.level_w(tree.n_steps))
+    states, inv = tree.level_states(tree.n_steps)
     rows, row_of_bits, state_row = [], {}, []
     for wrow in states:
         val = np.asarray(problem.terminal(wrow, grid), dtype=np.float64)
@@ -954,7 +959,9 @@ def _parabolicity_precheck(problem: ProblemData, config: SolverConfig):
     return report
 
 
-def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionPair:
+def solve(
+    problem: ProblemData, config: SolverConfig | None = None, test_functions=None
+) -> SolutionPair:
     """Full backward sweep from the leaves to the root.
 
     The solve stores each level's distinct states once.  The terminal's
@@ -977,6 +984,14 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
     sampling), and the explicit CFL bounds when stepping explicitly.
     Superparabolicity with margin 2 * viscosity comes for free from the
     added eps Laplacian, and the effective margin is recorded in meta.
+
+    With test functions (arrays of the grid's shape), the sweep also checks
+    the weak form block by block as it steps each level, from the level's
+    operator, u_bar, q, the forcing and the field the last corrector pass
+    acted on, and stores the report in SolutionPair.weak_form: the report
+    is == weak_form_residual's on the stored solution, and nothing is
+    re-sampled or re-stepped for it.  Only the primal kind states a weak
+    form; an adjoint problem with test functions raises ValueError.
     """
     config = config or SolverConfig()
     tree, grid = problem.tree, problem.grid
@@ -991,6 +1006,7 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
             f"over the budget of {WORKSPACE_BYTE_BUDGET} bytes"
         )
 
+    check = None if test_functions is None else _WeakFormCheck(problem, config, test_functions)
     para = None
     if problem.level_coefficients is None:
         para = _parabolicity_precheck(problem, config)
@@ -1037,9 +1053,16 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
         for rows, nodes in blocks:
             ubar = level_conditional_expectation(tree, u_next, level, nodes, inv_next)
             q[rows] = level_martingale_representation(tree, u_next, level, nodes, inv_next)
-            u[rows], _ = op.step(ubar, q[rows], _rows_at(f, f_inv, nodes), level, nodes)
+            f_nodes = _rows_at(f, f_inv, nodes)
+            u[rows], star = op.step(ubar, q[rows], f_nodes, level, nodes)
             if r is not q:
                 r[rows] = op.r_transform(u[rows], q[rows], nodes)
+            if check is not None:
+                check.block(
+                    op, level, nodes, u[rows], q[rows], ubar, star, f_nodes, u_next, inv_next
+                )
+        if check is not None:
+            check.end_level(level)
 
     meta = {
         "dt": dt,
@@ -1074,6 +1097,7 @@ def solve(problem: ProblemData, config: SolverConfig | None = None) -> SolutionP
         q=AdaptedGridField(q_levels, maps[:n]),
         r=AdaptedGridField(r_levels, maps[:n]),
         meta=meta,
+        weak_form=None if check is None else check.report(),
     )
 
 
@@ -1100,12 +1124,13 @@ def default_test_functions(grid: SpatialGrid, count: int = 3, seed: int = 0) -> 
     return out
 
 
-def weak_form_residual(
-    solution: SolutionPair, problem: ProblemData, test_functions: list[np.ndarray]
-) -> WeakFormReport:
-    """Defect of the stored solution in the summation-by-parts weak form.
+class _WeakFormCheck:
+    """The weak-form defects of a solve, taken block by block as its levels are walked.
 
-    Per node and test function eta the drift residual is
+    solve runs one inside its sweep when given test functions, and
+    weak_form_residual runs one over a stored solution; both hand it the
+    same fields per block, so their reports are ==.  Per node and test
+    function eta the drift residual is
 
         | <u_n - u_bar, eta> / dt
           + <a grad u* + sigma q + eps grad u*, grad eta>
@@ -1113,43 +1138,57 @@ def weak_form_residual(
         / max(1, ||eta||)
 
     where u* is the field the second-order part acted on (u_n when stepping
-    semi-implicitly) and u' the field the first-order part acted on.  The
-    per-child representation remainder is reported separately; conditional
-    averaging over children removes it along with the q dW pairing.
+    semi-implicitly) and u' the field the first-order part acted on (the
+    `star` of _LevelOperator.step).  The per-child representation remainder
+    is reported separately; conditional averaging over children removes it
+    along with the q dW pairing.
     """
-    if problem.operator_kind != KIND_BSPDE:
-        raise ValueError("the weak form is stated for the primal operator kind")
-    config = SolverConfig(**{f.name: solution.meta[f.name] for f in fields(SolverConfig)})
-    tree, grid = problem.tree, problem.grid
-    d, dt = grid.dim, tree.time_grid.dt
-    vol = grid.cell_volume
-    gaxes = tuple(range(1, 1 + d))
-    semi = config.time_stepping == SEMI_IMPLICIT
 
-    etas = [np.asarray(e, dtype=np.float64) for e in test_functions]
-    if not etas:
-        raise ValueError("need at least one test function")
-    eta_info = []
-    for eta in etas:
-        if eta.shape != grid.shape:
-            raise ValueError(f"test function shape {eta.shape} != {grid.shape}")
-        geta = _grad(eta[None], grid)[0]
-        scale = max(1.0, math.sqrt(float(np.sum(eta**2)) * vol))
-        eta_info.append((eta, geta, scale))
+    def __init__(self, problem: ProblemData, config: SolverConfig, test_functions):
+        if problem.operator_kind != KIND_BSPDE:
+            raise ValueError("the weak form is stated for the primal operator kind")
+        self.tree, self.grid, self.config = problem.tree, problem.grid, config
+        etas = [np.asarray(e, dtype=np.float64) for e in test_functions]
+        if not etas:
+            raise ValueError("need at least one test function")
+        self.eta_info = []
+        for eta in etas:
+            if eta.shape != self.grid.shape:
+                raise ValueError(f"test function shape {eta.shape} != {self.grid.shape}")
+            geta = _grad(eta[None], self.grid)[0]
+            scale = max(1.0, math.sqrt(float(np.sum(eta**2)) * self.grid.cell_volume))
+            self.eta_info.append((eta, geta, scale))
+        self.per_level = [None] * self.tree.n_steps
+        self.level_drift = self.level_rep = 0.0
+        self.max_drift = self.max_rep = 0.0
 
-    sq = math.sqrt(dt)
-    rep_axes = tuple(range(2, 2 + d))
-
-    # a block's defects are taken in functions, so their temporaries are
+    # a block's defects are taken in methods, so their temporaries are
     # freed before the next part of the pass allocates its own
 
-    def drift_defect(op, level, nodes, u_n, q, ubar, f_nodes, drift):
-        """The running maximum `drift`, taken over the drift residuals of the nodes too."""
-        if config.corrector_iterations > 1:
-            _, star = op.step(ubar, q, f_nodes, level, nodes)
-        else:
-            star = ubar
-        istar = u_n if semi else star
+    def block(self, op, level, nodes, u_n, q, ubar, star, f_nodes, u_next, inv_next):
+        """Take the nodes' drift residuals and per-child remainders into the level's maxima."""
+        self.level_drift = self._drift_defect(op, nodes, u_n, q, ubar, star, f_nodes)
+        self.level_rep = self._representation_defect(level, nodes, u_next, inv_next, q, ubar)
+
+    def end_level(self, level: int) -> None:
+        self.per_level[level] = (self.level_drift, self.level_rep)
+        self.max_drift = max(self.max_drift, self.level_drift)
+        self.max_rep = max(self.max_rep, self.level_rep)
+        self.level_drift = self.level_rep = 0.0
+
+    def report(self) -> WeakFormReport:
+        return WeakFormReport(
+            max_residual=self.max_drift,
+            max_representation_residual=self.max_rep,
+            per_level=self.per_level,
+            n_test_functions=len(self.eta_info),
+        )
+
+    def _drift_defect(self, op, nodes, u_n, q, ubar, star, f_nodes) -> float:
+        grid, config = self.grid, self.config
+        d, dt, vol = grid.dim, self.tree.time_grid.dt, grid.cell_volume
+        gaxes = tuple(range(1, 1 + d))
+        istar = u_n if config.time_stepping == SEMI_IMPLICIT else star
 
         lc, at = op.coeffs, partial(op._at_nodes, nodes=nodes)
         du_i = _grad(istar, grid)
@@ -1167,7 +1206,8 @@ def weak_form_residual(
             + f_nodes
         )
 
-        for eta, geta, scale in eta_info:
+        drift = self.level_drift
+        for eta, geta, scale in self.eta_info:
             pairing = (
                 -np.sum(flux * geta, axis=gaxes + (1 + d,))
                 + np.sum(low * eta, axis=gaxes)
@@ -1176,46 +1216,51 @@ def weak_form_residual(
             drift = max(drift, float(np.abs(lhs - pairing).max() / scale))
         return drift
 
-    def representation_defect(level, nodes, u_next, inv_next, q, ubar, rep_max):
-        """The running maximum `rep_max`, taken over the nodes' per-child remainders too."""
+    def _representation_defect(self, level, nodes, u_next, inv_next, q, ubar) -> float:
+        tree, vol = self.tree, self.grid.cell_volume
+        rep_axes = tuple(range(2, 2 + self.grid.dim))
         # u_child - u_bar - q . dW, in one child-sized buffer
         rep = np.einsum("n...k,ck->nc...", q, tree.sign_table)
-        rep *= sq
+        rep *= math.sqrt(tree.time_grid.dt)
         rep += ubar[:, None]
         np.subtract(level_children(tree, u_next, level, nodes, inv_next), rep, out=rep)
-        for eta, _, scale in eta_info:
+        rep_max = self.level_rep
+        for eta, _, scale in self.eta_info:
             ip = np.abs(np.sum(rep * eta, axis=rep_axes)) * vol
             rep_max = max(rep_max, float(ip.max() / scale))
         return rep_max
 
-    per_level = [None] * tree.n_steps
-    max_drift = 0.0
-    max_rep = 0.0
+
+def weak_form_residual(
+    solution: SolutionPair, problem: ProblemData, test_functions: list[np.ndarray]
+) -> WeakFormReport:
+    """Defect of a stored solution in the summation-by-parts weak form (_WeakFormCheck).
+
+    The after-the-fact form of the check solve runs in its sweep when given
+    test functions: it rebuilds each level's operator, re-takes u_bar and,
+    with more than one corrector pass, re-steps the block for the field the
+    last pass acted on.
+    """
+    config = SolverConfig(**{f.name: solution.meta[f.name] for f in fields(SolverConfig)})
+    check = _WeakFormCheck(problem, config, test_functions)
+    tree = problem.tree
     for level, op in _level_operators(problem, config):
         f, f_inv = level_forcing(problem, level)
         u_next, inv_next = solution.u.levels[level + 1], solution.u.maps[level + 1]
         # one node per state: nodes with equal inputs have equal residuals
         keys = [solution.u.row_map(level), solution.q.row_map(level), op.coeffs.inv, f_inv]
         _, _, blocks = _level_states(problem, level, inv_next, keys)
-        lvl_drift = lvl_rep = 0.0
         for _, nodes in blocks:
             u_n = solution.u.at(level, nodes)
             q = solution.q.at(level, nodes)
             f_nodes = _rows_at(f, f_inv, nodes)
             ubar = level_conditional_expectation(tree, u_next, level, nodes, inv_next)
-            lvl_drift = drift_defect(op, level, nodes, u_n, q, ubar, f_nodes, lvl_drift)
-            lvl_rep = representation_defect(level, nodes, u_next, inv_next, q, ubar, lvl_rep)
-
-        per_level[level] = (lvl_drift, lvl_rep)
-        max_drift = max(max_drift, lvl_drift)
-        max_rep = max(max_rep, lvl_rep)
-
-    return WeakFormReport(
-        max_residual=max_drift,
-        max_representation_residual=max_rep,
-        per_level=per_level,
-        n_test_functions=len(etas),
-    )
+            star = ubar
+            if config.corrector_iterations > 1:
+                _, star = op.step(ubar, q, f_nodes, level, nodes)
+            check.block(op, level, nodes, u_n, q, ubar, star, f_nodes, u_next, inv_next)
+        check.end_level(level)
+    return check.report()
 
 
 # -- vanishing viscosity -----------------------------------------------------------

@@ -15,9 +15,15 @@ Core claims:
     - verify_main_estimates fits finite constants on a real solve, flags
       zero-data-zero-solution as trivial, and flags a positive left side
       over a zero right side as violated
+    - main_estimate_reports for p in (2, 4, 8) and m1 in {0, 1, 2} is ==
+      one verify_main_estimates call per exponent, with a W-dependent
+      forcing it samples once per level
     - constant_sweep re-solves per viscosity, solves once per exponent
-      sweep, and validates its inputs
+      sweep, whose rows are those of one verify_main_estimates call per
+      exponent, and validates its inputs
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -37,11 +43,13 @@ from bspdelab.energy import (
     check_basic_estimate,
     constant_sweep,
     energy_fields,
+    main_estimate_reports,
     theta,
     verify_main_estimates,
 )
 from bspdelab.grid import SpatialGrid, random_smooth_field
 from bspdelab.lattice import TimeGrid, build_tree
+from bspdelab import energy, solver
 from bspdelab.solver import ProblemData, solve
 
 
@@ -331,6 +339,26 @@ def test_main_estimates_flag_unaccounted_mass():
     assert rep.entry("energy_l2").c_fit == np.inf
 
 
+@pytest.mark.parametrize("m1", [0, 1, 2])
+def test_one_pass_estimates_equal_one_call_per_exponent(monkeypatch, m1):
+    x = _grid(32).axis_coordinates()
+    problem, _ = _solved_instance(forcing=lambda t, w, g: np.sin(x) * (1.0 + w[0]) + t)
+    problem = dataclasses.replace(problem, forcing_w_dependent=True)
+    sol = solve(problem)
+    exponents = (2.0, 4.0, 8.0)
+    separate = [verify_main_estimates(sol, problem, m1=m1, p=p) for p in exponents]
+    levels = []
+    level_forcing = solver.level_forcing
+
+    def counting(problem, level):
+        levels.append(level)
+        return level_forcing(problem, level)
+
+    monkeypatch.setattr(energy, "level_forcing", counting)
+    assert main_estimate_reports(sol, problem, m1, exponents) == separate
+    assert sorted(levels) == list(range(problem.tree.n_steps))
+
+
 def test_main_estimates_validation():
     problem, sol = _solved_instance()
     with pytest.raises(ValueError, match="m1"):
@@ -359,6 +387,12 @@ def test_exponent_sweep_single_solve():
     table = constant_sweep(problem, "exponent", [2.0, 3.0, 4.0], m1=0)
     fits = table.column("c_fit")
     assert all(np.isfinite(fits)) and all(f > 0 for f in fits)
+    sol = solve(problem)
+    rows = []
+    for p in (2.0, 3.0, 4.0):
+        entry = verify_main_estimates(sol, problem, m1=0, p=p).entry("sup_p")
+        rows.append((p, entry.lhs, entry.rhs, entry.c_fit))
+    assert table.rows == rows
 
 
 def test_sweep_rejections():

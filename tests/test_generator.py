@@ -21,8 +21,11 @@ Core claims:
       whether a level's nodes share sampled rows or each node has a row of
       its own, and whatever the node block size (one node, three, a whole
       level), on the full d' = 2 tree and the recombining lattice, explicit
-      and semi-implicit with two corrector passes; an operator on shared
-      rows stores no per-node array
+      and semi-implicit with two corrector passes and eps in {0, 0.05}; an
+      operator on shared rows stores no per-node array
+    - the weak-form report solve takes in its sweep is == weak_form_residual's
+      on the stored solution, per_level included, in every run above and
+      with one node per block at one and three corrector passes
     - solution_error, the viscosity-continuation gaps and
       oracle_step_residual are == whatever the block size, keyed (full
       tree) and unkeyed (lattice)
@@ -424,20 +427,30 @@ def _block_cap(problem, nodes):
 
 
 def _results(problem, config, etas):
-    """u, q, r, the weak-form levels and every estimate entry of one solve."""
-    sol = solver.solve(problem, config)
+    """u, q, r, the weak-form levels and every estimate entry of one solve.
+
+    The weak form the sweep checks is == weak_form_residual's on the
+    stored solution, the whole report.
+    """
+    sol = solver.solve(problem, config, etas)
     fields = {}
     for name in ("u", "q", "r"):
         f = getattr(sol, name)
         fields[name] = [f[l] for l in range(len(f))]
-    weak = solver.weak_form_residual(sol, problem, etas).per_level
+    assert sol.weak_form == solver.weak_form_residual(sol, problem, etas)
     entries = energy.verify_main_estimates(sol, problem, m1=1, p=4.0).entries
-    return fields, weak, entries
+    return fields, sol.weak_form.per_level, entries
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize(
-    "stepping, viscosity", [(solver.EXPLICIT, 0.0), (solver.SEMI_IMPLICIT, 0.05)]
+    "stepping, viscosity",
+    [
+        (solver.EXPLICIT, 0.0),
+        (solver.SEMI_IMPLICIT, 0.05),
+        (solver.EXPLICIT, 0.05),
+        (solver.SEMI_IMPLICIT, 0.0),
+    ],
 )
 def test_results_do_not_depend_on_how_nodes_share_rows(monkeypatch, stepping, viscosity, reverse):
     full = _shared_rows_problem()
@@ -459,6 +472,10 @@ def test_results_do_not_depend_on_how_nodes_share_rows(monkeypatch, stepping, vi
                         assert np.array_equal(x, y), (shared.tree.mode, nodes, name)
                 assert weak == reference[1], (shared.tree.mode, nodes)
                 assert entries == reference[2], (shared.tree.mode, nodes)
+        # one node per block, as the loop left it: one and three corrector
+        # passes next to the two above
+        for passes in (1, 3):
+            _results(shared, dataclasses.replace(config, corrector_iterations=passes), etas)
 
 
 @pytest.mark.parametrize("mode", ["full", "recombining"])

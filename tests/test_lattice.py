@@ -8,6 +8,9 @@ Core claims:
     - recombining mode is scalar-noise only
     - increments are +-sqrt(dt) columns covering every sign pattern
     - level_w matches replaying increments along the parent chain
+    - PathTree.level_states gives bitwise the distinct rows of level_w and
+      their node map that np.unique gives, on full d' = 1 and 2 trees and
+      the lattice with a non-dyadic sqrt(dt), and no map for one row
     - level probabilities are binomial (recombining) or uniform (full) and sum to 1;
       recombining rows are the exactly rounded C(n, i) / 2^n for every n <= 1100,
       and the first level holding a 0.0 is 1075
@@ -151,6 +154,22 @@ def test_w_at_matches_level_w():
     lw = tree.level_w(2)
     for idx in range(tree.level_sizes[2]):
         assert np.array_equal(tree.w_at(NodeId(2, idx)), lw[idx])
+
+
+@pytest.mark.parametrize("mode, dprime, n", [("full", 1, 7), ("full", 2, 5), ("recombining", 1, 12)])
+def test_tree_level_states_are_the_distinct_rows_of_level_w(mode, dprime, n):
+    # T = 0.37: sqrt(dt) is not dyadic, so a state's bits depend on its rounding
+    tree = build_tree(TimeGrid(0.37, n), wiener_dim=dprime, mode=mode)
+    for level in range(n + 1):
+        states, inv = tree.level_states(level)
+        rows, want = np.unique(tree.level_w(level), axis=0, return_inverse=True)
+        assert states.dtype == rows.dtype and states.tobytes() == rows.tobytes(), level
+        assert states.shape == rows.shape
+        if level == 0:
+            # the one-row case: no map
+            assert len(rows) == 1 and inv is None
+        else:
+            assert inv.dtype == want.dtype and np.array_equal(inv, want.reshape(-1)), level
 
 
 # -- probabilities ---------------------------------------------------------------

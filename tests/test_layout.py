@@ -152,7 +152,7 @@ def test_sup_p_is_the_expected_max_over_leaf_paths():
     sol = solve(problem)
     est = energy.verify_main_estimates(sol, problem, m1=1, p=4.0)
     n, k = tree.n_steps, tree.child_count
-    norms = [sol.u.per_node(lv, energy._level_norms(sol.u.levels[lv], grid, 1, 4.0)[1]) for lv in range(n + 1)]
+    norms = [sol.u.per_node(lv, energy._level_norms(sol.u.levels[lv], grid, 1, (4.0,))[1][0]) for lv in range(n + 1)]
     leaves = np.arange(tree.level_sizes[n])
     # a leaf's ancestor at a level is its index // k^(levels between)
     path_max = np.max([norms[lv][leaves // k ** (n - lv)] for lv in range(n + 1)], axis=0)

@@ -10,7 +10,10 @@ Core claims:
       and level_forcing, one row per distinct state expanded by its node
       map, equals the stacked per-state forcing
     - a W-dependent CLI config evaluates each expression entry once per
-      level, whatever the number of Wiener rows on the level
+      level, whatever the number of Wiener rows on the level, and a CLI
+      solve with two exponents samples each level's coefficients once and
+      its forcing twice (the sweep, which checks the weak form, and one
+      estimate pass)
     - a CoefficientDataError from a row sample names t, the offending
       Wiener row and, where there is one, the grid index
 """
@@ -236,6 +239,32 @@ def test_w_dependent_cli_config_evaluates_each_entry_once_per_level(tmp_path, mo
         calls.clear()
         level_forcing(problem, level)
         assert len(calls) == 1
+
+
+def test_cli_solve_samples_each_level_once(tmp_path, monkeypatch):
+    # n = 5 levels; 8 probes: five (t, W) parabolicity states and three CFL levels
+    path = tmp_path / "rows.ini"
+    path.write_text(_CONFIG + "\n[energy]\np = 2 4\n", encoding="utf-8")
+    coefficient_calls, forcing_calls = [], []
+    sample, sample_rows = CoefficientSet.sample, solver.sample_rows
+
+    def counting_sample(self, t, w, grid):
+        coefficient_calls.append(t)
+        return sample(self, t, w, grid)
+
+    def counting_rows(sampler, t, states, grid):
+        forcing_calls.append(t)
+        return sample_rows(sampler, t, states, grid)
+
+    monkeypatch.setattr(CoefficientSet, "sample", counting_sample)
+    monkeypatch.setattr(solver, "sample_rows", counting_rows)
+    argv = ["solve", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_OK
+    # the sweep samples each level's coefficients, and checks the weak form
+    # on them, once: n + 8, not 2n + 8
+    assert len(coefficient_calls) == 5 + 8
+    # the sweep and one estimate pass for both exponents: 2n, not 4n
+    assert len(forcing_calls) == 2 * 5
 
 
 # -- errors name the state ----------------------------------------------------------------

@@ -20,10 +20,12 @@ Core claims:
     - solve is deterministic
     - oracle_step_residual evaluates the oracle once per level, steps each
       distinct state once and keeps its numbers bit for bit
-    - solve (on every level, beyond the rows stored so far),
-      verify_main_estimates and weak_form_residual each hold under ten node
-      blocks beyond what they keep, on a recombining lattice whose every
-      level keeps one row per node and whose leaf level spans 16 blocks
+    - solve (on every level, beyond the rows stored so far, with and
+      without the weak form checked in the sweep), verify_main_estimates,
+      main_estimate_reports with two exponents and weak_form_residual each
+      hold under ten node blocks beyond what they keep, on a recombining
+      lattice whose every level keeps one row per node and whose leaf
+      level spans 16 blocks
     - a solve stores each distinct node state once, with node arrays `==`
       a solve whose nodes all differ, and the continuation gaps taken per
       distinct row pair equal the gaps of the node arrays
@@ -395,6 +397,11 @@ def test_weak_form_rejections():
     )
     with pytest.raises(ValueError, match="primal"):
         weak_form_residual(sol, adj, [np.ones(16)])
+    # the sweep refuses the same test functions before it steps
+    with pytest.raises(ValueError, match="test function"):
+        solve(problem, None, [])
+    with pytest.raises(ValueError, match="primal"):
+        solve(adj, None, [np.ones(16)])
 
 
 def test_default_test_functions_supported_inside():
@@ -590,16 +597,25 @@ def test_every_pass_holds_a_few_blocks_beyond_what_it_keeps(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(solver_module, "_level_operators", measured)
             sol = solve(problem)
+            solve_bytes, level_bytes = level_bytes, []
+            # the weak form checked inside the sweep
+            checked = solve(problem, None, etas)
         _, estimate_bytes = transient(lambda: energy.verify_main_estimates(sol, problem, m1=1))
-        _, weak_bytes = transient(lambda: weak_form_residual(sol, problem, etas))
+        _, estimates_bytes = transient(
+            lambda: energy.main_estimate_reports(sol, problem, 1, (2.0, 4.0))
+        )
+        weak, weak_bytes = transient(lambda: weak_form_residual(sol, problem, etas))
     finally:
         tracemalloc.stop()
     assert sol.meta["level_rows"] == list(tree.level_sizes)
     assert sol.meta["level_rows"][-1] == tree.level_sizes[-1]
-    assert len(level_bytes) == tree.n_steps
+    assert len(solve_bytes) == len(level_bytes) == tree.n_steps
+    assert checked.weak_form == weak
     # whole-level passes take 97, 49 and 99 caps here
+    assert max(solve_bytes) < 10 * cap
     assert max(level_bytes) < 10 * cap
     assert estimate_bytes < 10 * cap
+    assert estimates_bytes < 10 * cap
     assert weak_bytes < 10 * cap
 
 
