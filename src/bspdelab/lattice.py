@@ -17,15 +17,17 @@ the children of state i are state i (down, c=0) and state i+1 (up, c=1).
 Only PathTree knows the layout.  child_table gives each node's children in
 that order (child_ranges: its columns for a node range, as slices), level_w
 sums integer signs before scaling by sqrt(dt), so a Wiener state has the
-same bits on every path, and level_probabilities gives the node weights.
+same bits on every path, level_states keys a level's distinct Wiener
+states by those integers, and level_probabilities gives the node weights.
 The level operators read a range's children as views, and, through the
 node -> row map of a level stored as distinct rows (AdaptedGridField), any
 nodes' children as one gather through the child table.
 
 Every per-level pass (the sweep, the weak form, the oracle scorer and step
-residual, the continuation gaps) walks a level through level_states: nodes
-with equal keys are one state, visited once through its first node, in
-blocks of at most BLOCK_BYTE_BUDGET bytes of one level field.
+residual, the continuation gaps) walks a level through the function
+level_states: nodes with equal keys are one state, visited once through
+its first node, in blocks of at most BLOCK_BYTE_BUDGET bytes of one level
+field.
 """
 
 from __future__ import annotations

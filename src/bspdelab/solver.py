@@ -1160,7 +1160,6 @@ class _WeakFormCheck:
             self.eta_info.append((eta, geta, scale))
         self.per_level = [None] * self.tree.n_steps
         self.level_drift = self.level_rep = 0.0
-        self.max_drift = self.max_rep = 0.0
 
     # a block's defects are taken in methods, so their temporaries are
     # freed before the next part of the pass allocates its own
@@ -1172,14 +1171,13 @@ class _WeakFormCheck:
 
     def end_level(self, level: int) -> None:
         self.per_level[level] = (self.level_drift, self.level_rep)
-        self.max_drift = max(self.max_drift, self.level_drift)
-        self.max_rep = max(self.max_rep, self.level_rep)
         self.level_drift = self.level_rep = 0.0
 
     def report(self) -> WeakFormReport:
+        drifts, reps = zip(*self.per_level)
         return WeakFormReport(
-            max_residual=self.max_drift,
-            max_representation_residual=self.max_rep,
+            max_residual=max(0.0, *drifts),
+            max_representation_residual=max(0.0, *reps),
             per_level=self.per_level,
             n_test_functions=len(self.eta_info),
         )
@@ -1206,13 +1204,14 @@ class _WeakFormCheck:
             + f_nodes
         )
 
+        increment = u_n - ubar
         drift = self.level_drift
         for eta, geta, scale in self.eta_info:
             pairing = (
                 -np.sum(flux * geta, axis=gaxes + (1 + d,))
                 + np.sum(low * eta, axis=gaxes)
             ) * vol
-            lhs = (np.sum((u_n - ubar) * eta, axis=gaxes)) * vol / dt
+            lhs = np.sum(increment * eta, axis=gaxes) * vol / dt
             drift = max(drift, float(np.abs(lhs - pairing).max() / scale))
         return drift
 
