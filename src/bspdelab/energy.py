@@ -392,6 +392,7 @@ def main_estimate_reports(
 def _estimate_reports(
     solution: SolutionPair, problem: ProblemData, m1: int, exponents: tuple
 ) -> list[EstimateReport]:
+    """The pass both public entries run; one EstimateReport per exponent, in order."""
     if not (0 <= m1 <= MAX_DERIVATIVE_ORDER):
         raise ValueError(f"m1 must lie in [0, {MAX_DERIVATIVE_ORDER}], got {m1}")
     for p in exponents:

@@ -1125,23 +1125,12 @@ def default_test_functions(grid: SpatialGrid, count: int = 3, seed: int = 0) -> 
 
 
 class _WeakFormCheck:
-    """The weak-form defects of a solve, taken block by block as its levels are walked.
+    """The weak-form defects weak_form_residual states, taken block by block as levels are walked.
 
     solve runs one inside its sweep when given test functions, and
     weak_form_residual runs one over a stored solution; both hand it the
-    same fields per block, so their reports are ==.  Per node and test
-    function eta the drift residual is
-
-        | <u_n - u_bar, eta> / dt
-          + <a grad u* + sigma q + eps grad u*, grad eta>
-          - <b . grad u' + c u' - (div a) . grad u* + (nu - div sigma) . q + f, eta> |
-        / max(1, ||eta||)
-
-    where u* is the field the second-order part acted on (u_n when stepping
-    semi-implicitly) and u' the field the first-order part acted on (the
-    `star` of _LevelOperator.step).  The per-child representation remainder
-    is reported separately; conditional averaging over children removes it
-    along with the q dW pairing.
+    same fields per block, so their reports are ==.  `star` is the field
+    the first-order part acted on, as _LevelOperator.step returns it.
     """
 
     def __init__(self, problem: ProblemData, config: SolverConfig, test_functions):
@@ -1233,12 +1222,24 @@ class _WeakFormCheck:
 def weak_form_residual(
     solution: SolutionPair, problem: ProblemData, test_functions: list[np.ndarray]
 ) -> WeakFormReport:
-    """Defect of a stored solution in the summation-by-parts weak form (_WeakFormCheck).
+    """Defect of the stored solution in the summation-by-parts weak form.
 
-    The after-the-fact form of the check solve runs in its sweep when given
-    test functions: it rebuilds each level's operator, re-takes u_bar and,
-    with more than one corrector pass, re-steps the block for the field the
-    last pass acted on.
+    Per node and test function eta the drift residual is
+
+        | <u_n - u_bar, eta> / dt
+          + <a grad u* + sigma q + eps grad u*, grad eta>
+          - <b . grad u' + c u' - (div a) . grad u* + (nu - div sigma) . q + f, eta> |
+        / max(1, ||eta||)
+
+    where u* is the field the second-order part acted on (u_n when stepping
+    semi-implicitly) and u' the field the first-order part acted on.  The
+    per-child representation remainder is reported separately; conditional
+    averaging over children removes it along with the q dW pairing.
+
+    This is the after-the-fact form of the check solve runs in its sweep
+    when given test functions, and its report is == the sweep's: it
+    rebuilds each level's operator, re-takes u_bar and, with more than one
+    corrector pass, re-steps each block for u'.
     """
     config = SolverConfig(**{f.name: solution.meta[f.name] for f in fields(SolverConfig)})
     check = _WeakFormCheck(problem, config, test_functions)
