@@ -34,12 +34,11 @@ from .coefficients import (
     oleinik_constant,
 )
 from .control import ControlProblem, constant_policy, control_report
-from .energy import SWEEP_COLUMNS, SWEEP_VISCOSITY, constant_sweep, main_estimate_reports
+from .energy import SWEEP_COLUMNS, constant_sweep, main_estimate_reports
 from .expr import ExprParseError, evaluate, expression_variables, parse
 from .grid import (
     MAX_DERIVATIVE_ORDER,
     SpatialGrid,
-    level_norm_sq,
     random_smooth_field,
     sobolev_norm,
     write_field_binary,
@@ -56,7 +55,6 @@ from .solver import (
     parabolicity_probes,
     problem_from_oracle,
     solve,
-    viscosity_continuation,
 )
 
 EXIT_OK = 0
@@ -634,30 +632,6 @@ def cmd_check(args) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def _level_norms(solution, problem, m1: int):
-    """Per-level expected norms: sqrt(E ||u||^2_{0,2} / _{m1,2}) and r rows."""
-    tree, grid = problem.tree, problem.grid
-    rows = []
-
-    def expected(p, field, level, m):
-        # norms per stored row, expanded to nodes before the weighted sum
-        return float(p @ field.per_node(level, level_norm_sq(field.levels[level], grid, m)))
-
-    for level in range(tree.n_steps + 1):
-        p = tree.level_probabilities(level)
-        row = {
-            "level": level,
-            "t": tree.time_grid.time(level),
-            "u_l2": math.sqrt(expected(p, solution.u, level, 0)),
-            "u_m1": math.sqrt(expected(p, solution.u, level, m1)),
-            "r_l2": "",
-        }
-        if level < tree.n_steps:
-            row["r_l2"] = math.sqrt(expected(p, solution.r, level, 0))
-        rows.append(row)
-    return rows
-
-
 def cmd_solve(args) -> int:
     """Solve, verify the solution estimates, and write deterministic artifacts."""
     parser, digest = load_config(args.config)
@@ -668,17 +642,20 @@ def cmd_solve(args) -> int:
     m1, p_list = _energy_settings(parser)
     out, dump, formats = _output_settings(parser, args)
 
-    # the sweep checks the weak form as it steps, and one pass measures every exponent
+    # the sweep checks the weak form as it steps; one pass takes every estimate and norm
     solution = solve(problem, config, default_test_functions(grid))
     weak = solution.weak_form
     reports = main_estimate_reports(solution, problem, m1, p_list)
-    rows = _level_norms(solution, problem, m1)
+    # csv writes the None of level n's r_l2 and oracle_q_l2 as an empty cell
+    rows = [
+        dict(level=level, t=tree.time_grid.time(level), u_l2=u_l2, u_m1=u_m1, r_l2=r_l2)
+        for level, (u_l2, u_m1, r_l2) in enumerate(reports[0].level_norms)
+    ]
     if oracle is not None:
         err = solution_error(solution.u, solution.q, tree, oracle)
-        q_errors = err["q_level_errors"] + [""]
+        q_errors = err["q_level_errors"] + [None]
         for row, u_error, q_error in zip(rows, err["u_level_errors"], q_errors):
-            row["oracle_u_l2"] = u_error
-            row["oracle_q_l2"] = q_error
+            row.update(oracle_u_l2=u_error, oracle_q_l2=q_error)
 
     columns = list(rows[0].keys()) + ["config_hash"]
     norms_path = out / "norms.csv"
@@ -815,16 +792,13 @@ def cmd_sweep(args) -> int:
         "c_fit_max_over_min": (max(finite) / min(finite)) if finite and min(finite) > 0 else None,
         "out": str(sweep_path),
     }
-    if kind == SWEEP_VISCOSITY and len(values) >= 2 and all(v > 0 for v in values):
-        schedule = sorted(values, reverse=True)
-        cont = viscosity_continuation(problem, schedule, config=config, m1=m1, keep_solutions=False)
+    cont = table.continuation
+    if cont is not None:
         gaps = [float(g) for g in cont.u_gaps]
         summary["continuation"] = {
-            "eps_schedule": schedule,
+            "eps_schedule": list(cont.eps_schedule),
             "u_gaps": gaps,
-            "u_gaps_strictly_decreasing": all(
-                gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1)
-            ),
+            "u_gaps_strictly_decreasing": all(b < a for a, b in zip(gaps, gaps[1:])),
             "aborted_at": cont.aborted_at,
         }
     _print_json(summary)

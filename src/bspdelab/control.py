@@ -618,7 +618,10 @@ def _argmax_policy(problem, forward, adjoint) -> ControlPolicy:
 
 @dataclass
 class PolicyIterationRecord:
-    """History of successive Hamiltonian maximization from a starting policy."""
+    """History of successive Hamiltonian maximization from a starting policy.
+
+    final_checks: the final iterate's (DualityReport, MaxPrincipleReport) under diagnostics.
+    """
 
     final_policy: ControlPolicy
     js: list
@@ -626,6 +629,7 @@ class PolicyIterationRecord:
     n_iterations: int
     converged: bool
     oscillated: bool
+    final_checks: tuple | None = None
 
 
 def policy_iteration(
@@ -649,6 +653,7 @@ def policy_iteration(
     iteration_rows: list = []
     best_j = math.inf
     best_policy = policy
+    checks = best_checks = None
     converged = oscillated = False
     for it in range(max_iters):
         fwd = solve_forward(problem, policy)
@@ -658,6 +663,7 @@ def policy_iteration(
         if diagnostics:
             duality = duality_check(problem, policy, fwd, adj)
             principle = check_max_principle(problem, policy, fwd, adj, tol)
+            checks = (duality, principle)
             iteration_rows.append(
                 {
                     "iteration": it,
@@ -668,6 +674,8 @@ def policy_iteration(
             )
         if j < best_j:
             best_j, best_policy = j, policy
+        if policy is best_policy:
+            best_checks = checks
         new = _argmax_policy(problem, fwd, adj)
         if policies_equal(new, policy):
             converged = True
@@ -690,6 +698,7 @@ def policy_iteration(
         n_iterations=len(js),
         converged=converged,
         oscillated=oscillated,
+        final_checks=checks if converged else best_checks,
     )
 
 
@@ -818,8 +827,8 @@ def control_report(
 ) -> dict:
     """JSON-shaped experiment record: per-iteration J, defect, pass fraction.
 
-    The final block re-solves under the returned policy and dumps it node by
-    node.
+    The final block is the final iterate's checks (no solve is repeated)
+    and dumps the final policy node by node.
     """
     record = policy_iteration(
         problem,
@@ -830,10 +839,10 @@ def control_report(
         diagnostics=True,
     )
     final = record.final_policy
-    fwd = solve_forward(problem, final)
-    adj = solve_adjoint(problem, final, solver_config)
-    duality = duality_check(problem, final, fwd, adj)
-    principle = check_max_principle(problem, final, fwd, adj, tol)
+    checks = record.final_checks
+    if checks is None:  # max_iters = 0: one diagnostic iteration from the final policy
+        checks = policy_iteration(problem, final, 1, solver_config, tol, True).final_checks
+    duality, principle = checks
     return {
         "name": problem.name,
         "n_steps": problem.tree.n_steps,

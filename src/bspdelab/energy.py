@@ -30,17 +30,10 @@ from .coefficients import (
     check_parabolicity,
     derive_from_sample,
 )
-from .grid import (
-    MAX_DERIVATIVE_ORDER,
-    SpatialGrid,
-    component_dot,
-    diff,
-    level_derivatives,
-    level_norm_sq,
-    multi_indices,
-)
-from .lattice import node_blocks
-from .solver import ProblemData, SolutionPair, SolverConfig, level_forcing, solve
+from .grid import MAX_DERIVATIVE_ORDER, SpatialGrid, component_dot, diff, multi_indices
+from .grid import _level_norms
+from .solver import ContinuationResult, ProblemData, SolutionPair, SolverConfig
+from .solver import continuation_gaps, level_forcing, solve
 
 
 @dataclass(frozen=True)
@@ -290,7 +283,12 @@ class EstimateEntry:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Solution estimates with the run's discretisation metadata attached."""
+    """Solution estimates with the run's discretisation metadata attached.
+
+    level_norms holds norms.csv's (u_l2, u_m1, r_l2) for levels 0..n, the
+    same for every p: sqrt(E ||u_n||^2_{0,2}), sqrt(E ||u_n||^2_{m1,2}) and
+    sqrt(E ||r_n||^2_{0,2}), with r_l2 None at level n.
+    """
 
     entries: dict
     m1: int
@@ -302,6 +300,7 @@ class EstimateReport:
     grid_dim: int
     n_steps: int
     tree_mode: str
+    level_norms: tuple
 
     def entry(self, name: str) -> EstimateEntry:
         return self.entries[name]
@@ -313,27 +312,6 @@ def _entry(name: str, lhs: float, rhs: float) -> EstimateEntry:
     if lhs > 0:
         return EstimateEntry(name, lhs, rhs, math.inf, VERDICT_ESTIMATE_VIOLATED)
     return EstimateEntry(name, lhs, rhs, math.nan, VERDICT_TRIVIAL)
-
-
-def _level_norms(arr: np.ndarray, grid: SpatialGrid, m: int, exponents: tuple):
-    """Batched squared W^{m,2} norms and, per exponent p, W^{m,p} norms to the p-th power.
-
-    One pass over the derivatives of each node block feeds every sum; each
-    equals its own separate reduction (`level_norm_sq` for the first) bit
-    for bit.  Returns (squared norms, [p-th-power norms per exponent]).
-    """
-    arr = np.asarray(arr)
-    reduce_axes = tuple(range(1, arr.ndim))
-    total_sq = np.zeros(arr.shape[0])
-    total_p = [np.zeros(arr.shape[0]) for _ in exponents]
-    for nodes in node_blocks(arr.shape[0], arr[:1].nbytes):
-        for d in level_derivatives(arr[nodes], grid, m):
-            total_sq[nodes] += np.sum(d * d, axis=reduce_axes)
-            magnitude = np.abs(d)
-            for total, p in zip(total_p, exponents):
-                total[nodes] += np.sum(magnitude**p, axis=reduce_axes)
-    vol = grid.cell_volume
-    return total_sq * vol, [total * vol for total in total_p]
 
 
 def _expected_running_sup(tree, values: list[np.ndarray], leaf_probabilities: np.ndarray) -> float:
@@ -383,8 +361,9 @@ def main_estimate_reports(
     """verify_main_estimates for every exponent p in `exponents`, in one pass.
 
     Each report is == verify_main_estimates(solution, problem, m1, p): one
-    derivative pass over each row of u, r and f feeds the squared sums and
-    every p-th-power sum, and the forcing is sampled once per level.
+    derivative pass over each row of u, r and f feeds the squared sums,
+    every p-th-power sum and the per-level rows in level_norms, and the
+    forcing is sampled once per level.
     """
     return _estimate_reports(solution, problem, m1, tuple(exponents))
 
@@ -403,21 +382,29 @@ def _estimate_reports(
     dt = tree.time_grid.dt
 
     # norms per stored row, expanded to nodes before any weighted sum; the
-    # lists and terms indexed by exponent follow `exponents`
+    # lists and terms indexed by exponent follow `exponents`.  level_norms
+    # keeps norms.csv's p @ per-node sums, which can round apart from _expected
     u, r = solution.u, solution.r
     u_sq, u_p = [], [[] for _ in exponents]
+    level_norms = []
+    r_term = f_sq_term = 0.0
+    f_p_terms = [0.0] * len(exponents)
     for level in range(n + 1):
-        sq, powers = _level_norms(u.levels[level], grid, m1, exponents)
+        prob = tree.level_probabilities(level)
+        sq, powers, l2 = _level_norms(u.levels[level], grid, m1, exponents)
         u_sq.append(u.per_node(level, sq))
         for levels, pw in zip(u_p, powers):
             levels.append(u.per_node(level, pw))
-    r_term = f_sq_term = 0.0
-    f_p_terms = [0.0] * len(exponents)
-    for level in range(n):
-        prob = tree.level_probabilities(level)
-        r_term += dt * _expected(prob, r.per_node(level, level_norm_sq(r.levels[level], grid, m1)))
+        u_l2 = math.sqrt(float(prob @ u.per_node(level, l2)))
+        u_m1 = math.sqrt(float(prob @ u_sq[level]))
+        if level == n:
+            level_norms.append((u_l2, u_m1, None))
+            break
+        r_sq, _, r_l2 = _level_norms(r.levels[level], grid, m1)
+        r_term += dt * _expected(prob, r.per_node(level, r_sq))
+        level_norms.append((u_l2, u_m1, math.sqrt(float(prob @ r.per_node(level, r_l2)))))
         f_rows, f_inv = level_forcing(problem, level)
-        f_sq, f_powers = _level_norms(f_rows, grid, m1, exponents)
+        f_sq, f_powers, _ = _level_norms(f_rows, grid, m1, exponents)
         if f_inv is not None:
             f_sq, f_powers = f_sq[f_inv], [f_p[f_inv] for f_p in f_powers]
         f_sq_term += dt * _expected(prob, f_sq)
@@ -446,6 +433,7 @@ def _estimate_reports(
                 grid_dim=grid.dim,
                 n_steps=n,
                 tree_mode=tree.mode,
+                level_norms=tuple(level_norms),
             )
         )
     return reports
@@ -462,11 +450,15 @@ SWEEP_EXPONENT = "exponent"
 
 @dataclass(frozen=True)
 class SweepTable:
-    """C_fit rows over a parameter sweep; columns as in SWEEP_COLUMNS."""
+    """C_fit rows over a parameter sweep; columns as in SWEEP_COLUMNS.
+
+    continuation: a viscosity sweep's gaps (two or more positive values), or None.
+    """
 
     kind: str
     rows: list
     m1: int
+    continuation: ContinuationResult | None = None
 
     def column(self, name: str) -> list:
         idx = SWEEP_COLUMNS.index(name)
@@ -479,7 +471,6 @@ def constant_sweep(
     values,
     config: SolverConfig | None = None,
     m1: int = 0,
-    p: float = 2.0,
 ) -> SweepTable:
     """Fit the estimate constant along a viscosity or exponent sweep.
 
@@ -488,19 +479,28 @@ def constant_sweep(
     discrete shadow of the constant being independent of the degeneracy
     margin.  An exponent sweep solves once and reads the p-power entry per
     value, where the constant may grow like a fixed exponential rate in p.
+    A viscosity sweep of two or more positive values also takes the
+    continuation gaps, largest viscosity first, from the same solves.
     """
     base = config or SolverConfig()
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("sweep values are empty")
     rows = []
+    continuation = None
     if kind == SWEEP_VISCOSITY:
         if any(v < 0 for v in vals):
             raise ValueError(f"viscosities must be >= 0, got {vals}")
-        for eps in vals:
-            sol = solve(problem, dc_replace(base, viscosity=eps))
-            entry = verify_main_estimates(sol, problem, m1=m1, p=p).entry("energy_l2")
+        if len(set(vals)) < len(vals):
+            raise ValueError(f"viscosities must be distinct, got {vals}")
+        solutions = {eps: solve(problem, dc_replace(base, viscosity=eps)) for eps in vals}
+        for eps, sol in solutions.items():
+            entry = verify_main_estimates(sol, problem, m1=m1).entry("energy_l2")
             rows.append((eps, entry.lhs, entry.rhs, entry.c_fit))
+        if len(vals) >= 2 and min(vals) > 0:
+            schedule = sorted(vals, reverse=True)
+            gaps = continuation_gaps(problem, [solutions[eps] for eps in schedule], m1)
+            continuation = ContinuationResult(tuple(schedule), *gaps, None, len(schedule))
     elif kind == SWEEP_EXPONENT:
         if any(v < 2 for v in vals):
             raise ValueError(f"exponents must be >= 2, got {vals}")
@@ -510,4 +510,4 @@ def constant_sweep(
             rows.append((rep.p, entry.lhs, entry.rhs, entry.c_fit))
     else:
         raise ValueError(f"kind must be '{SWEEP_VISCOSITY}' or '{SWEEP_EXPONENT}', got {kind!r}")
-    return SweepTable(kind=kind, rows=rows, m1=m1)
+    return SweepTable(kind=kind, rows=rows, m1=m1, continuation=continuation)

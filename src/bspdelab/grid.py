@@ -235,13 +235,32 @@ def level_norm_sq(arr: np.ndarray, grid: SpatialGrid, m: int) -> np.ndarray:
     summed into the same norm.  Returns one squared norm per batch entry,
     differentiating the batch in node blocks (lattice.node_blocks).
     """
+    return _level_norms(arr, grid, m)[0]
+
+
+def _level_norms(arr: np.ndarray, grid: SpatialGrid, m: int, exponents: tuple = ()):
+    """level_norm_sq plus, from the same derivatives, W^{m,p} norms to the p-th power and L2 norms.
+
+    Returns (squared norms, [p-th-power norms per exponent], squared L2 norms).  The L2
+    sum is the first term (alpha = 0 comes first): level_norm_sq at order 0 bit for bit.
+    """
     arr = np.asarray(arr)
     reduce_axes = tuple(range(1, arr.ndim))
-    total = np.zeros(arr.shape[0])
+    total_sq = np.zeros(arr.shape[0])
+    total_l2 = np.zeros(arr.shape[0])
+    total_p = [np.zeros(arr.shape[0]) for _ in exponents]
     for nodes in node_blocks(arr.shape[0], arr[:1].nbytes):
-        for d in level_derivatives(arr[nodes], grid, m):
-            total[nodes] += np.sum(d * d, axis=reduce_axes)
-    return total * grid.cell_volume
+        for k, d in enumerate(level_derivatives(arr[nodes], grid, m)):
+            sq = np.sum(d * d, axis=reduce_axes)
+            if k == 0:
+                total_l2[nodes] = sq
+            total_sq[nodes] += sq
+            if exponents:
+                magnitude = np.abs(d)
+                for total, p in zip(total_p, exponents):
+                    total[nodes] += np.sum(magnitude**p, axis=reduce_axes)
+    vol = grid.cell_volume
+    return total_sq * vol, [total * vol for total in total_p], total_l2 * vol
 
 
 def random_smooth_field(

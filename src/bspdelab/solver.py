@@ -1266,12 +1266,34 @@ def weak_form_residual(
 # -- vanishing viscosity -----------------------------------------------------------
 
 
+def continuation_gaps(problem: ProblemData, solutions: list, m1: int = 0) -> tuple[list, list]:
+    """u and r Cauchy gaps between consecutive solutions, as in ContinuationResult."""
+    tree, grid = problem.tree, problem.grid
+
+    def expected_gap_sq(f0: AdaptedGridField, f1: AdaptedGridField, level: int) -> float:
+        """E ||f0 - f1||_{m1,2}^2 at a level, each norm taken once per distinct row pair."""
+        keys = [f0.row_map(level), f1.row_map(level)]
+        row_bytes = f0.levels[level][:1].nbytes
+        count, inv, blocks = level_states(keys, tree.level_sizes[level], row_bytes)
+        out = np.empty(count)
+        for rows, nodes in blocks:
+            out[rows] = level_norm_sq(f0.at(level, nodes) - f1.at(level, nodes), grid, m1)
+        return float(np.sum(tree.level_probabilities(level) * (out if inv is None else out[inv])))
+
+    dt, n = tree.time_grid.dt, tree.n_steps
+    u_gaps, r_gaps = [], []
+    for s0, s1 in zip(solutions, solutions[1:]):
+        u_sq = [expected_gap_sq(s0.u, s1.u, k) for k in range(n + 1)]
+        u_gaps.append(max([0.0] + [math.sqrt(x) for x in u_sq]))
+        r_gaps.append(sum(dt * expected_gap_sq(s0.r, s1.r, k) for k in range(n)))
+    return u_gaps, r_gaps
+
+
 def viscosity_continuation(
     problem: ProblemData,
     eps_schedule,
     config: SolverConfig | None = None,
     m1: int = 0,
-    keep_solutions: bool = True,
 ) -> ContinuationResult:
     """Solve along a strictly decreasing positive viscosity schedule.
 
@@ -1289,8 +1311,6 @@ def viscosity_continuation(
     if any(y >= x for x, y in zip(eps_list, eps_list[1:])):
         raise ValueError(f"eps_schedule must be strictly decreasing, got {eps_list}")
 
-    tree, grid = problem.tree, problem.grid
-    dt = tree.time_grid.dt
     solutions: list[SolutionPair] = []
     aborted_at = None
     failure = ""
@@ -1301,38 +1321,13 @@ def viscosity_continuation(
             aborted_at = i
             failure = f"{type(exc).__name__}: {exc}"
             break
-
-    def gap_sq_norms(f0: AdaptedGridField, f1: AdaptedGridField, level: int) -> np.ndarray:
-        """Per node, ||f0 - f1||_{m1,2}^2 at a level, taken once per distinct row pair."""
-        keys = [f0.row_map(level), f1.row_map(level)]
-        row_bytes = f0.levels[level][:1].nbytes
-        count, inv, blocks = level_states(keys, tree.level_sizes[level], row_bytes)
-        out = np.empty(count)
-        for rows, nodes in blocks:
-            out[rows] = level_norm_sq(f0.at(level, nodes) - f1.at(level, nodes), grid, m1)
-        return out if inv is None else out[inv]
-
-    u_gaps = []
-    r_gaps = []
-    for s0, s1 in zip(solutions, solutions[1:]):
-        gap = 0.0
-        for level in range(tree.n_steps + 1):
-            p = tree.level_probabilities(level)
-            sq_norms = gap_sq_norms(s0.u, s1.u, level)
-            gap = max(gap, math.sqrt(float(np.sum(p * sq_norms))))
-        u_gaps.append(gap)
-        acc = 0.0
-        for level in range(tree.n_steps):
-            p = tree.level_probabilities(level)
-            sq_norms = gap_sq_norms(s0.r, s1.r, level)
-            acc += dt * float(np.sum(p * sq_norms))
-        r_gaps.append(acc)
+    u_gaps, r_gaps = continuation_gaps(problem, solutions, m1)
 
     return ContinuationResult(
         eps_schedule=tuple(eps_list),
         u_gaps=u_gaps,
         r_gaps=r_gaps,
-        solutions=solutions if keep_solutions else None,
+        solutions=solutions,
         n_solved=len(solutions),
         aborted_at=aborted_at,
         failure=failure,

@@ -7,6 +7,11 @@ Core claims:
       environment
     - solve writes norms.csv with oracle error columns plus the config
       hash, and a manifest whose artifact list matches the files written
+    - norms.csv's u_l2, u_m1 and r_l2 are == the expected squared norms
+      of the stored rows taken directly, on a W-dependent recombining
+      config whose levels hold several rows
+    - solve differentiates each stored row of u, r and f once: 3n + 1
+      level_derivatives calls on an n-step config of one block per level
     - reruns of one config produce byte-identical artifacts
     - field dumps appear in the requested formats and agree across them
     - check reports the symmetry violation of the built-in degenerate
@@ -14,13 +19,18 @@ Core claims:
     - a CFL-infeasible explicit solve exits 2 with a machine-readable
       suggestion on stderr
     - sweep writes the constant table and a continuation block with
-      strictly decreasing gaps
+      strictly decreasing gaps, solving each viscosity once; a repeated
+      viscosity exits 1 before any solve
     - control writes the policy iteration record with full certification
     - the seed flag overrides the config seed and changes the data
 """
 
+import argparse
+import csv
 import json
+import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +180,89 @@ def test_solve_field_dumps_agree_across_formats(tmp_path, capsys):
     assert grid_back == SpatialGrid(dim=1, half_width=np.pi, points=32)
     field_csv = read_field_csv(out / "u_L000_N000000.csv", grid_back)
     assert field_bin == approx(field_csv, abs=1e-12)
+
+
+def _w_dependent_config(n_steps=8):
+    sigma = "0.25 * (1 + 0.3 * sin(x1 + w1))"
+    return f"""
+[grid]
+d = 1
+R = {PI}
+M = 32
+
+[tree]
+T = 0.25
+n_steps = {n_steps}
+dprime = 1
+mode = recombining
+
+[problem]
+time_stepping = semi_implicit
+a11 = 0.5 * ({sigma}) ^ 2 + 0.1 * (1 + 0.5 * cos(x1 - w1))
+sigma11 = {sigma}
+b1 = 0.4 * sin(x1 + t)
+f = 0.3 * cos(x1) * tanh(w1)
+phi_random_modes = 3
+phi_normalize = 1
+seed = 3
+
+[energy]
+m1 = 1
+p = 2 4
+"""
+
+
+def test_solve_norms_match_direct_norms(tmp_path, capsys):
+    from bspdelab.grid import level_norm_sq
+    from bspdelab.solver import solve
+
+    cfg = _write(tmp_path, _w_dependent_config())
+    out = tmp_path / "run"
+    code, _, _ = _run(capsys, ["solve", "--config", cfg, "--out", str(out)])
+    assert code == 0
+    with open(out / "norms.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+
+    parser, _ = cli.load_config(cfg)
+    grid = cli.build_grid(parser)
+    tree = cli.build_tree(parser)
+    problem, _, _ = cli.build_problem(parser, grid, tree, argparse.Namespace(seed=None))
+    solution = solve(problem, cli.build_solver_config(parser))
+    assert max(len(solution.u.levels[k]) for k in range(tree.n_steps + 1)) > 1
+
+    def expected(field, level, m):
+        p = tree.level_probabilities(level)
+        return math.sqrt(float(p @ field.per_node(level, level_norm_sq(field.levels[level], grid, m))))
+
+    assert len(rows) == tree.n_steps + 1
+    for level, row in enumerate(rows):
+        assert float(row["u_l2"]) == expected(solution.u, level, 0)
+        assert float(row["u_m1"]) == expected(solution.u, level, 1)
+        if level < tree.n_steps:
+            assert float(row["r_l2"]) == expected(solution.r, level, 0)
+        else:
+            assert row["r_l2"] == ""
+
+
+def test_solve_differentiates_each_row_once(tmp_path, capsys, monkeypatch):
+    from bspdelab import grid as grid_module
+
+    original = grid_module.level_derivatives
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bspdelab") and getattr(module, "level_derivatives", None) is original:
+            monkeypatch.setattr(module, "level_derivatives", counted)
+    n = 4
+    cfg = _write(tmp_path, _w_dependent_config(n_steps=n))
+    code, _, _ = _run(capsys, ["solve", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 0
+    # u on levels 0..n, r and f on levels 0..n-1, one node block each
+    assert len(calls) == 3 * n + 1
 
 
 def test_solve_cfl_failure_exits_two_with_suggestion(tmp_path, capsys):
@@ -412,6 +505,46 @@ def test_sweep_table_and_continuation(tmp_path, capsys):
     assert lines[0] == "sweep_value,lhs,rhs,c_fit,config_hash"
     assert len(lines) == 4
     assert lines[1].startswith("0.1,")
+
+
+def _count_solves(monkeypatch, fail=False):
+    from bspdelab import energy, solver
+
+    original = solver.solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        if fail:
+            raise AssertionError("solved before the sweep values were checked")
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (cli, energy, solver):
+        monkeypatch.setattr(module, "solve", counted)
+    return calls
+
+
+def test_sweep_solves_each_viscosity_once(tmp_path, capsys, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    values = "0.1 0.05 0.025 0.0125"
+    cfg = _write(tmp_path, _heat_config(extra=f"\n[sweep]\nkind = viscosity\nvalues = {values}\n"))
+    code, stdout, _ = _run(capsys, ["sweep", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert len(calls) == 4
+    cont = json.loads(stdout)["continuation"]
+    assert cont["eps_schedule"] == [0.1, 0.05, 0.025, 0.0125]
+    assert len(cont["u_gaps"]) == 3
+
+
+def test_sweep_repeated_viscosity_exits_one_before_solving(tmp_path, capsys, monkeypatch):
+    _count_solves(monkeypatch, fail=True)
+    cfg = _write(tmp_path, _heat_config(extra="\n[sweep]\nkind = viscosity\nvalues = 0.1 0.05 0.05\n"))
+    out = tmp_path / "run"
+    code, _, stderr = _run(capsys, ["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    assert stderr.startswith("usage error:")
+    assert "distinct" in stderr
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_bad_kind_exits_one(tmp_path, capsys):

@@ -29,7 +29,11 @@ Core claims:
       the generator is applied
     - the forward CFL bound and the degeneracy check see a coefficient
       spike on any step level, not only at t = 0, T/2 and T
-    - control_report assembles the full experiment record
+    - control_report assembles the full experiment record, making one
+      forward and one adjoint solve per iteration: its final block is the
+      final iterate's checks, == a fresh solve of the final policy, and a
+      zero-iteration report solves the starting policy once; without
+      diagnostics, policy_iteration keeps no checks
 """
 
 import collections
@@ -639,3 +643,56 @@ def test_control_report_shape():
     assert final["pass_fraction"] == 1.0
     for row in rep["iterations"]:
         assert set(row) == {"iteration", "j", "defect", "pass_fraction"}
+
+
+def _count_calls(monkeypatch, names):
+    calls = collections.Counter()
+    for name in names:
+        fn = getattr(control, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(control, name, counted)
+    return calls
+
+
+def _fresh_final(problem, policy):
+    forward = solve_forward(problem, policy)
+    adjoint = solve_adjoint(problem, policy)
+    duality = duality_check(problem, policy, forward, adjoint)
+    principle = check_max_principle(problem, policy, forward, adjoint)
+    return {
+        "j": duality.j_direct,
+        "defect": duality.defect,
+        "predictor_gap": duality.predictor_gap,
+        "pass_fraction": principle.pass_fraction,
+        "flat_fraction": principle.flat_fraction,
+        "tol": principle.tol,
+        "policy": policy.dump(problem.gamma),
+    }
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 5], ids=["unsolved", "capped", "converged"])
+def test_control_report_solves_once_per_iteration(monkeypatch, max_iters):
+    problem = _steering_problem(M=16, T=0.1, n=4, mode="full")
+    names = ("solve_forward", "solve_adjoint", "duality_check", "check_max_principle")
+    calls = _count_calls(monkeypatch, names)
+    rep = control_report(problem, max_iters=max_iters)
+    solved = max(rep["n_iterations"], 1)
+    assert dict(calls) == {name: solved for name in names}
+    assert rep["converged"] is (max_iters == 5)
+    monkeypatch.undo()
+    start = constant_policy(problem.tree)
+    final = policy_iteration(problem, start, max_iters=max_iters).final_policy
+    assert rep["final"] == _fresh_final(problem, final)
+
+
+def test_policy_iteration_without_diagnostics_keeps_no_checks(monkeypatch):
+    problem = _steering_problem(M=16, T=0.1, n=4, mode="full")
+    calls = _count_calls(monkeypatch, ("duality_check", "check_max_principle"))
+    record = policy_iteration(problem, max_iters=5)
+    assert record.converged
+    assert record.final_checks is None
+    assert not calls

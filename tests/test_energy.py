@@ -20,7 +20,9 @@ Core claims:
       forcing it samples once per level
     - constant_sweep re-solves per viscosity, solves once per exponent
       sweep, whose rows are those of one verify_main_estimates call per
-      exponent, and validates its inputs
+      exponent, and validates its inputs, repeated viscosities included
+    - a viscosity sweep's continuation gaps, taken from its own solves in
+      any value order, are == viscosity_continuation's
 """
 
 import dataclasses
@@ -50,7 +52,7 @@ from bspdelab.energy import (
 from bspdelab.grid import SpatialGrid, random_smooth_field
 from bspdelab.lattice import TimeGrid, build_tree
 from bspdelab import energy, solver
-from bspdelab.solver import ProblemData, solve
+from bspdelab.solver import ProblemData, solve, viscosity_continuation
 
 
 def _const_coeffs(d=1, dprime=1, a=0.5, b=0.0, c=0.0, sigma=0.0, nu=0.0):
@@ -382,6 +384,18 @@ def test_viscosity_sweep_bounded_constants():
     assert len(table.rows[0]) == len(SWEEP_COLUMNS)
 
 
+def test_viscosity_sweep_gaps_are_the_continuation_gaps():
+    problem, _ = _solved_instance()
+    table = constant_sweep(problem, "viscosity", [1e-2, 1e-1, 1e-3], m1=1)
+    assert table.column("sweep_value") == [1e-2, 1e-1, 1e-3]
+    cont = viscosity_continuation(problem, [1e-1, 1e-2, 1e-3], m1=1)
+    assert table.continuation.eps_schedule == cont.eps_schedule
+    assert table.continuation.u_gaps == cont.u_gaps
+    assert table.continuation.r_gaps == cont.r_gaps
+    assert table.continuation.solutions is None
+    assert constant_sweep(problem, "viscosity", [1e-1, 0.0]).continuation is None
+
+
 def test_exponent_sweep_single_solve():
     problem, _ = _solved_instance()
     table = constant_sweep(problem, "exponent", [2.0, 3.0, 4.0], m1=0)
@@ -401,6 +415,8 @@ def test_sweep_rejections():
         constant_sweep(problem, "viscosity", [])
     with pytest.raises(ValueError, match=">= 0"):
         constant_sweep(problem, "viscosity", [-0.1])
+    with pytest.raises(ValueError, match="distinct"):
+        constant_sweep(problem, "viscosity", [0.1, 0.05, 0.05])
     with pytest.raises(ValueError, match=">= 2"):
         constant_sweep(problem, "exponent", [1.5])
     with pytest.raises(ValueError, match="kind"):

@@ -453,10 +453,6 @@ def test_continuation_gaps_shrink():
     assert res.u_gaps[1] < res.u_gaps[0]
     assert res.r_gaps[1] < res.r_gaps[0]
     assert len(res.solutions) == 3
-    thin = viscosity_continuation(
-        problem, [1e-1, 1e-2], keep_solutions=False
-    )
-    assert thin.solutions is None
 
 
 def test_continuation_records_abort():
