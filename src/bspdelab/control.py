@@ -66,14 +66,12 @@ from .lattice import (
     row_groups,
 )
 from .solver import (
-    CflError,
     CflReport,
     LevelCoefficients,
     ProblemData,
     SolutionPair,
     SolverBlowupError,
     SolverConfig,
-    StochasticCouplingWarning,
     solve,
 )
 
@@ -277,16 +275,16 @@ def _generator_apply(xi, smp: _ControlTable, grid: SpatialGrid):
     return l_xi, m_xi
 
 
-def forward_cfl(problem: ControlProblem, cfl_safety: float = 0.9) -> CflReport:
+def forward_cfl(problem: ControlProblem) -> CflReport:
     """Explicit step bounds for the forward scheme, maximized over gamma.
 
     The bound reads the whole sample table, every step time plus T/2 and T,
     so a coefficient spike on any level the forward sweep steps through
-    shows in it.
+    shows in it.  The margin is SolverConfig's default cfl_safety, 0.9.
     """
     table = problem._table
     samples = [(table.a, table.b, table.sigma)]
-    return CflReport.from_samples(samples, problem.tree.time_grid, problem.grid, 0.0, cfl_safety)
+    return CflReport.from_samples(samples, problem.tree.time_grid, problem.grid, 0.0, SolverConfig().cfl_safety)
 
 
 @dataclass
@@ -330,12 +328,8 @@ def _forward_level_terms(problem, policy, level, xi):
     return drift, mart
 
 
-def solve_forward(
-    problem: ControlProblem,
-    policy: ControlPolicy,
-    cfl_safety: float = 0.9,
-) -> ForwardState:
-    """March xi forward from xi0 under the policy; refuses CFL violations.
+def solve_forward(problem: ControlProblem, policy: ControlPolicy) -> ForwardState:
+    """March xi forward from xi0 under the policy; CflReport.enforce checks the explicit step.
 
     The push divides by the node probabilities, so a recombining lattice
     whose probabilities underflow to 0.0 (from level 1075 on) is refused
@@ -350,20 +344,8 @@ def solve_forward(
             f"forward push divides by them: use n_steps <= {zero - 1} (got {tree.n_steps})"
         )
     dt = tree.time_grid.dt
-    report = forward_cfl(problem, cfl_safety)
-    if not report.satisfied:
-        raise CflError(
-            f"forward step dt = {report.dt:.3e} exceeds the explicit bound "
-            f"min({report.dt_parabolic:.3e}, {report.dt_transport:.3e}); "
-            f"n_steps >= {report.suggested_n_steps} would satisfy it",
-            report,
-        )
-    if report.coupling_indicator > 1.0:
-        warnings.warn(
-            f"stochastic coupling number {report.coupling_indicator:.2f} > 1; "
-            "multiplicative noise may amplify faster than the drift smooths",
-            StochasticCouplingWarning,
-        )
+    report = forward_cfl(problem)
+    report.enforce(explicit=True)
 
     levels = [np.broadcast_to(problem.xi0, (1,) + grid.shape).copy()]
     incr = tree.increments()
@@ -425,9 +407,10 @@ def solve_adjoint(
     The adjoint operators are D_i(a^{ij} D_j u) - D_i(b^i u) + c u and
     -D_i(sigma^{ik} q^k) + nu^k q^k; terminal data is phi and the forcing is
     the running cost density evaluated along the policy.  Each level's
-    coefficients are the sample table's rows of the controls it plays, one
-    row per distinct control, so the backward solver sees exactly the fields
-    the forward sweep used.
+    coefficients and forcing are the sample table's rows of the controls it
+    plays, one row per distinct control under one node -> row map, so the
+    backward solver sees exactly the fields the forward sweep used and steps
+    each distinct (children rows, played control) state once.
     """
     _validate_policy(problem, policy)
     grid, tree, table = problem.grid, problem.tree, problem._table
@@ -444,12 +427,16 @@ def solve_adjoint(
             a=rows.a, b=rows.b, c=rows.c, sigma=rows.sigma, nu=rows.nu, inv=inv
         )
 
+    def level_cost(level: int):
+        controls, inv = _played_controls(policy.indices[level])
+        return table.cost_f[level, controls], inv
+
     adjoint_data = ProblemData(
         grid=grid,
         tree=tree,
         coefficients=dimensions,
         terminal=lambda w, g: problem.terminal_phi,
-        forcing_level=lambda level: table.cost_f[level, policy.indices[level]],
+        forcing_level=level_cost,
         level_coefficients=level_coeffs,
         operator_kind="adjoint",
     )
@@ -508,13 +495,21 @@ def check_max_principle(
     first-order-in-time, second-order-in-space scheme error.
     """
     _validate_policy(problem, policy)
+    return _max_principle(problem, policy, _hamiltonians(problem, forward, adjoint), tol)
+
+
+def _hamiltonians(problem, forward, adjoint) -> list:
+    """_level_hamiltonians on every level 0..n-1."""
     xi = forward.mean
-    tree = problem.tree
-    dt, h = tree.time_grid.dt, problem.grid.h
-    all_h = [
+    return [
         _level_hamiltonians(problem, level, xi[level], adjoint.u[level], adjoint.q[level])
-        for level in range(tree.n_steps)
+        for level in range(problem.tree.n_steps)
     ]
+
+
+def _max_principle(problem, policy, all_h: list, tol) -> MaxPrincipleReport:
+    """check_max_principle's report from the policy's Hamiltonians, one array per level."""
+    dt, h = problem.tree.time_grid.dt, problem.grid.h
     h_scale = max(1.0, max(float(np.abs(hl).max()) for hl in all_h))
     if tol is None:
         tol = 5.0 * (dt + h * h) * h_scale
@@ -601,21 +596,6 @@ def duality_check(
     )
 
 
-def _argmax_policy(problem, forward, adjoint) -> ControlPolicy:
-    # np.argmax takes the first maximizer, honoring gamma's declared order
-    xi = forward.mean
-    levels = tuple(
-        np.argmax(
-            _level_hamiltonians(
-                problem, level, xi[level], adjoint.u[level], adjoint.q[level]
-            ),
-            axis=1,
-        )
-        for level in range(problem.tree.n_steps)
-    )
-    return ControlPolicy(levels)
-
-
 @dataclass
 class PolicyIterationRecord:
     """History of successive Hamiltonian maximization from a starting policy.
@@ -660,9 +640,11 @@ def policy_iteration(
         adj = solve_adjoint(problem, policy, solver_config)
         j = cost(problem, policy, fwd)
         js.append(j)
+        # one Hamiltonian evaluation per iterate feeds the check and the argmax
+        hams = _hamiltonians(problem, fwd, adj)
         if diagnostics:
             duality = duality_check(problem, policy, fwd, adj)
-            principle = check_max_principle(problem, policy, fwd, adj, tol)
+            principle = _max_principle(problem, policy, hams, tol)
             checks = (duality, principle)
             iteration_rows.append(
                 {
@@ -676,7 +658,8 @@ def policy_iteration(
             best_j, best_policy = j, policy
         if policy is best_policy:
             best_checks = checks
-        new = _argmax_policy(problem, fwd, adj)
+        # np.argmax takes the first maximizer, honoring gamma's declared order
+        new = ControlPolicy(tuple(np.argmax(hl, axis=1) for hl in hams))
         if policies_equal(new, policy):
             converged = True
             break
@@ -770,9 +753,7 @@ def exhaustive_policy_search(
         raise BudgetExceededError(
             f"exhaustive sweep needs {need} bytes for its largest level, over {workspace_bytes}"
         )
-    report = forward_cfl(problem)
-    if not report.satisfied:
-        raise CflError("forward CFL bound fails for the exhaustive sweep", report)
+    forward_cfl(problem).enforce(explicit=True)
 
     dt, vol = tree.time_grid.dt, grid.cell_volume
     gax = tuple(range(2, 2 + grid.dim))

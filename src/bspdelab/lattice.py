@@ -310,11 +310,12 @@ def first_occurrence_keys(columns: list, n_nodes: int) -> tuple[np.ndarray, np.n
     """The distinct tuples of per-node integer columns, numbered by first occurrence.
 
     Returns (reps, inv): reps[j] is the first node holding tuple j, so reps
-    ascends, and inv maps node -> tuple.  A None column is constant.
+    ascends, and inv maps node -> tuple.  None and all-zero columns (the
+    children of a one-row level) split no tuple, so they are skipped.
     """
     ids = np.zeros(n_nodes, dtype=np.int64)
     for col in columns:
-        if col is None:
+        if col is None or not np.any(col):
             continue
         col = np.asarray(col, dtype=np.int64)
         # pair the ids so far with the column, then renumber densely: every

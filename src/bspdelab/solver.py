@@ -151,7 +151,8 @@ class LevelCoefficients:
     one per level from one CoefficientSet.sample call at the level's
     distinct Wiener rows; callers whose coefficients depend on
     per-node state the samplers cannot see, e.g. a control policy, pass
-    their own through ProblemData.level_coefficients.
+    their own through ProblemData.level_coefficients.  ProblemData.forcing_level
+    returns (rows, inv) under the same map convention.
     """
 
     a: np.ndarray
@@ -168,8 +169,10 @@ class ProblemData:
 
     Terminal data comes from `terminal(w, grid)` per leaf state.  Forcing
     comes from a sampler `forcing(t, w, grid)`, sampled like a coefficient
-    (a `rows` method takes all of a level's Wiener rows at once), or from
-    `forcing_level(level) -> (nodes, *grid)` or `(1, *grid)`.
+    (a `rows` method takes all of a level's Wiener rows at once, and only a
+    forcing_w_dependent sampler is read at W other than 0), or from
+    `forcing_level(level) -> (rows, inv)`: rows (U, *grid) and the node ->
+    row map of LevelCoefficients (None: U = 1, one row for every node).
     `level_coefficients` overrides the coefficient sampling per level;
     parabolicity checking is then the caller's responsibility.
     """
@@ -180,7 +183,7 @@ class ProblemData:
     terminal: Callable[[np.ndarray, SpatialGrid], np.ndarray] | None = None
     forcing: Callable[[float, np.ndarray, SpatialGrid], np.ndarray] | None = None
     forcing_w_dependent: bool = False
-    forcing_level: Callable[[int], np.ndarray] | None = None
+    forcing_level: Callable[[int], tuple[np.ndarray, np.ndarray | None]] | None = None
     level_coefficients: Callable[[int], LevelCoefficients] | None = None
     operator_kind: str = KIND_BSPDE
 
@@ -276,6 +279,38 @@ class CflReport:
             suggested_n_steps=suggested,
         )
 
+    def enforce(self, explicit: bool, alternative: str = "") -> list[str]:
+        """The one step-size check; returns the warning messages it issued.
+
+        Raises CflError for an explicit step above the bound, suggesting
+        suggested_n_steps or `alternative`.  Warns on the advective bound
+        when not explicit, and on a coupling indicator above 1.
+        """
+        warns = []
+        if explicit and not self.satisfied:
+            also = f" or {alternative}" if alternative else ""
+            raise CflError(
+                f"dt = {self.dt:.3e} exceeds the explicit bound "
+                f"min({self.dt_parabolic:.3e}, {self.dt_transport:.3e}); "
+                f"use >= {self.suggested_n_steps} steps{also}",
+                self,
+            )
+        if not explicit and self.dt > self.dt_transport * (1.0 + 1e-12):
+            msg = (
+                f"dt = {self.dt:.3e} exceeds the advective bound {self.dt_transport:.3e}; "
+                "the implicit step damps only the second-order part"
+            )
+            warnings.warn(msg, TransportCflWarning)
+            warns.append(msg)
+        if self.coupling_indicator > 1.0:
+            msg = (
+                f"stochastic coupling indicator {self.coupling_indicator:.2f} > 1: "
+                "the explicit sigma grad q term may amplify; refine dt or coarsen the grid"
+            )
+            warnings.warn(msg, StochasticCouplingWarning)
+            warns.append(msg)
+        return warns
+
 
 @dataclass(frozen=True)
 class WeakFormReport:
@@ -328,19 +363,25 @@ def _given_level_coefficients(problem: ProblemData, level: int) -> LevelCoeffici
     """The caller's `level_coefficients(level)`, as float arrays, checked against the tree."""
     lc = problem.level_coefficients(level)
     a, b, c, sig, nu = (np.asarray(x, dtype=np.float64) for x in (lc.a, lc.b, lc.c, lc.sigma, lc.nu))
-    inv = None if lc.inv is None else np.asarray(lc.inv, dtype=np.intp)
     rows = a.shape[0]
     if any(arr.shape[0] != rows for arr in (b, c, sig, nu)):
         raise ValueError(f"level {level}: coefficient row counts disagree")
-    if inv is not None:
-        n_nodes = problem.tree.level_sizes[level]
-        if inv.shape != (n_nodes,):
-            raise ValueError(f"level {level}: inv has shape {inv.shape}, expected ({n_nodes},)")
-        if inv.min() < 0 or inv.max() >= rows:
-            raise ValueError(f"level {level}: inv references a missing row")
-    elif rows != 1:
-        raise ValueError(f"level {level}: {rows} rows but no inv map")
-    return LevelCoefficients(a=a, b=b, c=c, sigma=sig, nu=nu, inv=inv)
+    return LevelCoefficients(a=a, b=b, c=c, sigma=sig, nu=nu, inv=_given_row_map(problem, level, lc.inv, rows))
+
+
+def _given_row_map(problem: ProblemData, level: int, inv, rows: int) -> np.ndarray | None:
+    """A caller's node -> row map into `rows` rows at a level, checked against the tree."""
+    if inv is None:
+        if rows != 1:
+            raise ValueError(f"level {level}: {rows} rows but no inv map")
+        return None
+    inv = np.asarray(inv, dtype=np.intp)
+    n_nodes = problem.tree.level_sizes[level]
+    if inv.shape != (n_nodes,):
+        raise ValueError(f"level {level}: inv has shape {inv.shape}, expected ({n_nodes},)")
+    if inv.min() < 0 or inv.max() >= rows:
+        raise ValueError(f"level {level}: inv references a missing row")
+    return inv
 
 
 def _wiener_states(tree: PathTree, level: int, w_dependent: bool):
@@ -363,24 +404,19 @@ def level_forcing(problem: ProblemData, level: int) -> tuple[np.ndarray, np.ndar
     """The forcing the sweep uses at a level: rows (U, *grid) and the node -> row map.
 
     The map is None when one row serves every node, as in LevelCoefficients;
-    node i's forcing is rows[inv[i]] (_rows_at).  Samples no coefficient.
+    node i's forcing is rows[inv[i]] (_rows_at).  A forcing_level pair is
+    checked as a level_coefficients map is.  Samples no coefficient.
     """
     tree, grid = problem.tree, problem.grid
-    t = float(tree.time_grid.time(level))
-    n_nodes = tree.level_sizes[level]
     if problem.forcing_level is not None:
-        f = np.asarray(problem.forcing_level(level), dtype=np.float64)
-        if f.shape not in ((1,) + grid.shape, (n_nodes,) + grid.shape):
-            raise ValueError(
-                f"level {level}: forcing_level shape {f.shape} fits neither "
-                f"{(1,) + grid.shape} nor {(n_nodes,) + grid.shape}"
-            )
-        inv = None if f.shape[0] == 1 else np.arange(n_nodes)
+        f, inv = problem.forcing_level(level)
+        f = np.asarray(f, dtype=np.float64)
+        inv = _given_row_map(problem, level, inv, f.shape[0])
     elif problem.forcing is None:
         f, inv = np.zeros((1,) + grid.shape), None
     else:
         states, inv = _wiener_states(tree, level, problem.forcing_w_dependent)
-        f = sample_rows(problem.forcing, t, states, grid)
+        f = sample_rows(problem.forcing, float(tree.time_grid.time(level)), states, grid)
     if f.shape[1:] != grid.shape:
         raise ValueError(f"level {level}: forcing grid shape {f.shape[1:]} != {grid.shape}")
     if not np.all(np.isfinite(f)):
@@ -1012,29 +1048,7 @@ def solve(
         para = _parabolicity_precheck(problem, config)
     cfl = estimate_cfl(problem, config)
 
-    warns: list[str] = []
-    if config.time_stepping == EXPLICIT:
-        if not cfl.satisfied:
-            raise CflError(
-                f"dt = {dt:.3e} exceeds the explicit bound "
-                f"min({cfl.dt_parabolic:.3e}, {cfl.dt_transport:.3e}); "
-                f"use >= {cfl.suggested_n_steps} steps or semi_implicit stepping",
-                cfl,
-            )
-    elif dt > cfl.dt_transport * (1.0 + 1e-12):
-        msg = (
-            f"dt = {dt:.3e} exceeds the advective bound {cfl.dt_transport:.3e}; "
-            "the implicit step damps only the second-order part"
-        )
-        warnings.warn(msg, TransportCflWarning)
-        warns.append(msg)
-    if cfl.coupling_indicator > 1.0:
-        msg = (
-            f"stochastic coupling indicator {cfl.coupling_indicator:.2f} > 1: "
-            "the explicit sigma grad q term may amplify; refine dt or coarsen the grid"
-        )
-        warnings.warn(msg, StochasticCouplingWarning)
-        warns.append(msg)
+    warns = cfl.enforce(config.time_stepping == EXPLICIT, alternative="semi_implicit stepping")
 
     u_levels: list = [None] * (n + 1)
     q_levels: list = [None] * n
@@ -1349,6 +1363,7 @@ def problem_from_oracle(oracle: OracleSolution, tree: PathTree) -> ProblemData:
         coefficients=oracle.coefficients,
         terminal=oracle.terminal,
         forcing=oracle.forcing,
+        forcing_w_dependent=oracle.w_dependent,
     )
 
 

@@ -18,6 +18,9 @@ Core claims:
       generators vanish
     - the adjoint pair carries phi at the leaves and satisfies exact
       predictor duality; the u-form defect is small and first order
+    - the adjoint keys its coefficient and running-cost rows by the played
+      control: under a constant policy each level is one row, and its node
+      arrays are == those of the same adjoint given one row per node
     - check_max_principle certifies an improved policy at 100 percent and
       counts v-independent Hamiltonians as flat, not as passes earned
     - policy_iteration converges on an affine instance and falls back to
@@ -29,11 +32,15 @@ Core claims:
       the generator is applied
     - the forward CFL bound and the degeneracy check see a coefficient
       spike on any step level, not only at t = 0, T/2 and T
+    - the forward sweep and the exhaustive search refuse through
+      CflReport.enforce, suggesting a step count and not semi_implicit
+      stepping, and both warn when the coupling indicator exceeds 1
     - control_report assembles the full experiment record, making one
       forward and one adjoint solve per iteration: its final block is the
       final iterate's checks, == a fresh solve of the final policy, and a
       zero-iteration report solves the starting policy once; without
-      diagnostics, policy_iteration keeps no checks
+      diagnostics, policy_iteration keeps no checks; each iteration
+      evaluates the Hamiltonians once per level
 """
 
 import collections
@@ -69,7 +76,7 @@ from bspdelab.lattice import (
     UnsupportedModeError,
     build_tree,
 )
-from bspdelab.solver import CflError
+from bspdelab.solver import EXPLICIT, SEMI_IMPLICIT, CflError, SolverConfig, StochasticCouplingWarning
 
 
 def _grid(M=16):
@@ -677,7 +684,7 @@ def _fresh_final(problem, policy):
 @pytest.mark.parametrize("max_iters", [0, 1, 5], ids=["unsolved", "capped", "converged"])
 def test_control_report_solves_once_per_iteration(monkeypatch, max_iters):
     problem = _steering_problem(M=16, T=0.1, n=4, mode="full")
-    names = ("solve_forward", "solve_adjoint", "duality_check", "check_max_principle")
+    names = ("solve_forward", "solve_adjoint", "duality_check", "_max_principle")
     calls = _count_calls(monkeypatch, names)
     rep = control_report(problem, max_iters=max_iters)
     solved = max(rep["n_iterations"], 1)
@@ -691,8 +698,78 @@ def test_control_report_solves_once_per_iteration(monkeypatch, max_iters):
 
 def test_policy_iteration_without_diagnostics_keeps_no_checks(monkeypatch):
     problem = _steering_problem(M=16, T=0.1, n=4, mode="full")
-    calls = _count_calls(monkeypatch, ("duality_check", "check_max_principle"))
+    calls = _count_calls(monkeypatch, ("duality_check", "_max_principle"))
     record = policy_iteration(problem, max_iters=5)
     assert record.converged
     assert record.final_checks is None
     assert not calls
+
+
+def test_control_report_evaluates_hamiltonians_once_per_iteration(monkeypatch):
+    # the maximum-principle check and the argmax share each iterate's Hamiltonians
+    problem = _steering_problem(M=16, T=0.1, n=4, mode="full")
+    calls = _count_calls(monkeypatch, ("_level_hamiltonians",))
+    rep = control_report(problem, max_iters=5)
+    assert rep["n_iterations"] == 2
+    assert calls["_level_hamiltonians"] == problem.tree.n_steps * rep["n_iterations"]
+
+
+def _alternating_policy(tree):
+    return ControlPolicy(tuple(np.arange(size) % 2 for size in tree.level_sizes[:-1]))
+
+
+@pytest.mark.parametrize("stepping", [EXPLICIT, SEMI_IMPLICIT])
+@pytest.mark.parametrize("make_policy", [constant_policy, _alternating_policy], ids=["constant", "alternating"])
+def test_adjoint_steps_each_played_control_state_once(monkeypatch, stepping, make_policy):
+    # coefficients and running cost share the played-control map, so under a
+    # constant policy every adjoint level of this W-free problem is one row
+    problem = _steering_problem(M=16, T=0.1, n=6, mode="recombining")
+    tree, policy = problem.tree, make_policy(problem.tree)
+    config = SolverConfig(time_stepping=stepping)
+    keyed = solve_adjoint(problem, policy, config)
+    # the same adjoint given one coefficient and cost row per node
+    monkeypatch.setattr(control, "_played_controls", lambda indices: (indices, np.arange(len(indices))))
+    per_node = solve_adjoint(problem, policy, config)
+    assert per_node.meta["level_rows"] == list(tree.level_sizes[:-1]) + [1]
+    if make_policy is constant_policy:
+        assert keyed.meta["level_rows"] == [1] * (tree.n_steps + 1)
+    else:
+        assert sum(keyed.meta["level_rows"]) < sum(per_node.meta["level_rows"])
+    for level in range(tree.n_steps):
+        for name in ("u", "q", "r"):
+            assert np.array_equal(getattr(keyed, name)[level], getattr(per_node, name)[level])
+    assert np.array_equal(keyed.u[tree.n_steps], per_node.u[tree.n_steps])
+
+
+def test_forward_refusals_suggest_more_steps_only():
+    # the forward sweep is explicit only: its refusal names a step count, not semi_implicit
+    spiked = _spiked_steering_problem(a_spike=40.0)
+    steps = forward_cfl(spiked).suggested_n_steps
+    with pytest.raises(CflError, match=f"use >= {steps} steps$"):
+        solve_forward(spiked, constant_policy(spiked.tree))
+    with pytest.raises(CflError, match=f"use >= {steps} steps$"):
+        exhaustive_policy_search(spiked)
+
+
+def test_forward_and_exhaustive_warn_on_the_coupling_indicator():
+    # 2a - sigma sigma^T >= 0 keeps the indicator at or below the explicit
+    # bound's 0.9, except where a = 0 and sigma^2 sits within TOL_PSD = 1e-10;
+    # dt = 5e10 lifts that sigma (3e-6) to an indicator of 2.9
+    grid = _grid(16)
+    tree = build_tree(TimeGrid(1e11, 2), 1, "full")
+    x = grid.axis_coordinates()
+    problem = ControlProblem(
+        grid=grid,
+        tree=tree,
+        gamma=(-1.0, 1.0),
+        terminal_phi=np.cos(x),
+        xi0=np.ones(grid.shape),
+        sigma=lambda t, v, g: 3e-6 * np.ones((1, 1)),
+        cost_f=lambda t, v, g: v * np.cos(x),
+    )
+    report = forward_cfl(problem)
+    assert report.satisfied and report.coupling_indicator > 1.0
+    with pytest.warns(StochasticCouplingWarning, match="coupling indicator 2.92 > 1"):
+        solve_forward(problem, constant_policy(tree))
+    with pytest.warns(StochasticCouplingWarning, match="coupling indicator 2.92 > 1"):
+        exhaustive_policy_search(problem)

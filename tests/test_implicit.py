@@ -491,8 +491,9 @@ def test_level_forcing_samples_no_coefficient(mode):
         "sampler": {"forcing": lambda t, w, g: np.sin(x) * (1 + t)},
         "w_sampler": {"forcing": lambda t, w, g: np.cos(x + w[0]), "forcing_w_dependent": True},
         "forcing_level": {
-            "forcing_level": lambda level: np.stack(
-                [np.sin(x + k) for k in range(tree.level_sizes[level])]
+            "forcing_level": lambda level: (
+                np.stack([np.sin(x + k) for k in range(tree.level_sizes[level])]),
+                np.arange(tree.level_sizes[level]),
             )
         },
     }[mode]

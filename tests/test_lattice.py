@@ -24,7 +24,8 @@ Core claims:
     - tree_expectation of a deterministic terminal equals that value
     - AdaptedGridField validates per-level shapes; its node access is the
       rows at the node -> row map
-    - first_occurrence_keys numbers distinct column tuples by first node
+    - first_occurrence_keys numbers distinct column tuples by first node;
+      None and all-zero columns split no tuple
     - level_states walks node ranges unkeyed or when every node is its own
       state (inv None), else each distinct key tuple once through its first
       node, in blocks under BLOCK_BYTE_BUDGET
@@ -379,6 +380,16 @@ def test_first_occurrence_keys():
     assert inv.tolist() == [0, 1, 0, 2, 3, 0]
     reps, inv = lattice.first_occurrence_keys([None], 3)
     assert reps.tolist() == [0] and inv.tolist() == [0, 0, 0]
+
+
+def test_first_occurrence_keys_zero_columns_act_as_none():
+    # the children of a one-row level are all-zero columns: they split no tuple
+    a = np.array([3, 1, 3, 1, 0, 3])
+    zero = np.zeros(6, dtype=np.intp)
+    for with_zero, with_none in [([a, zero, zero], [a, None, None]), ([zero, zero], [None])]:
+        got, want = lattice.first_occurrence_keys(with_zero, 6), lattice.first_occurrence_keys(with_none, 6)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_wrong_level_size_is_refused():

@@ -2,7 +2,8 @@
 
 Core claims:
     - SolverConfig and ProblemData reject malformed inputs up front, and
-      level_coefficients rows that do not fit the level are refused
+      level_coefficients rows or a forcing_level map that do not fit the
+      level are refused
     - estimate_cfl reproduces the closed-form parabolic and advective
       bounds for constant coefficients
     - explicit stepping refuses an oversized dt with a CflError whose
@@ -59,6 +60,7 @@ from bspdelab.solver import (
     TransportCflWarning,
     default_test_functions,
     estimate_cfl,
+    level_forcing,
     oracle_step_residual,
     problem_from_oracle,
     solve,
@@ -312,6 +314,51 @@ def test_level_coefficients_must_fit_the_level(case, match):
     )
     with pytest.raises(ValueError, match=match):
         solve(problem)
+
+
+@pytest.mark.parametrize(
+    "case,match", [("inv_shape", "inv has shape"), ("inv_range", "missing row")]
+)
+def test_forcing_level_map_must_fit_the_level(case, match):
+    # forcing_level's (rows, inv) pair is checked as level_coefficients' map is
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
+    tree = build_tree(TimeGrid(0.05, 2), 1, "recombining")
+    rows = np.zeros((2,) + grid.shape)
+
+    def forcing_level(level):
+        nodes = tree.level_sizes[level]
+        if case == "inv_shape":
+            return rows, np.zeros(nodes + 1, dtype=int)
+        return rows, np.full(nodes, 2)
+
+    problem = ProblemData(
+        grid=grid,
+        tree=tree,
+        coefficients=_const_coeffs(),
+        terminal=lambda w, g: np.zeros(g.shape),
+        forcing_level=forcing_level,
+    )
+    with pytest.raises(ValueError, match=match):
+        level_forcing(problem, 1)
+    with pytest.raises(ValueError, match=match):
+        solve(problem)
+
+
+def test_oracle_problem_samples_a_w_dependent_forcing_at_each_state():
+    # a w_dependent oracle's forcing is read at every Wiener state, not at W = 0 alone
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
+    x = grid.axis_coordinates()
+    oracle = dataclasses.replace(
+        wiener_linear_oracle(grid, horizon=0.4), forcing=lambda t, w, g: np.cos(x) * w[0]
+    )
+    tree = build_tree(TimeGrid(0.4, 4), 1, "recombining")
+    problem = problem_from_oracle(oracle, tree)
+    for level in range(tree.n_steps):
+        t = float(tree.time_grid.time(level))
+        want = np.stack([oracle.forcing(t, w, grid) for w in tree.level_w(level)])
+        rows, inv = level_forcing(problem, level)
+        assert len(rows) == level + 1
+        assert np.array_equal(rows if inv is None else rows[inv], want)
 
 
 def test_meta_records_scheme_and_margin():
