@@ -345,7 +345,7 @@ def solve_forward(problem: ControlProblem, policy: ControlPolicy) -> ForwardStat
         )
     dt = tree.time_grid.dt
     report = forward_cfl(problem)
-    report.enforce(explicit=True)
+    report.enforce(explicit=True, term="sigma grad xi")
 
     levels = [np.broadcast_to(problem.xi0, (1,) + grid.shape).copy()]
     incr = tree.increments()
@@ -753,7 +753,7 @@ def exhaustive_policy_search(
         raise BudgetExceededError(
             f"exhaustive sweep needs {need} bytes for its largest level, over {workspace_bytes}"
         )
-    forward_cfl(problem).enforce(explicit=True)
+    forward_cfl(problem).enforce(explicit=True, term="sigma grad xi")
 
     dt, vol = tree.time_grid.dt, grid.cell_volume
     gax = tuple(range(2, 2 + grid.dim))

@@ -32,6 +32,7 @@ from .coefficients import (
 )
 from .grid import MAX_DERIVATIVE_ORDER, SpatialGrid, component_dot, diff, multi_indices
 from .grid import _level_norms
+from .lattice import node_blocks
 from .solver import ContinuationResult, ProblemData, SolutionPair, SolverConfig
 from .solver import continuation_gaps, level_forcing, solve
 
@@ -385,6 +386,7 @@ def _estimate_reports(
     # lists and terms indexed by exponent follow `exponents`.  level_norms
     # keeps norms.csv's p @ per-node sums, which can round apart from _expected
     u, r = solution.u, solution.r
+    r_row_bytes = 8 * grid.size * tree.wiener_dim
     u_sq, u_p = [], [[] for _ in exponents]
     level_norms = []
     r_term = f_sq_term = 0.0
@@ -400,7 +402,10 @@ def _estimate_reports(
         if level == n:
             level_norms.append((u_l2, u_m1, None))
             break
-        r_sq, _, r_l2 = _level_norms(r.levels[level], grid, m1)
+        # r in row blocks: a level that computes r on read builds one block at a time
+        r_sq, r_l2 = np.empty((2, len(u.levels[level])))
+        for rows in node_blocks(len(r_sq), r_row_bytes):
+            r_sq[rows], _, r_l2[rows] = _level_norms(r.rows(level, rows), grid, m1)
         r_term += dt * _expected(prob, r.per_node(level, r_sq))
         level_norms.append((u_l2, u_m1, math.sqrt(float(prob @ r.per_node(level, r_l2)))))
         f_rows, f_inv = level_forcing(problem, level)

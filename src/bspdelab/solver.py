@@ -115,7 +115,7 @@ class TransportCflWarning(UserWarning):
 
 
 class StochasticCouplingWarning(UserWarning):
-    """dt * max|sigma|^2 / h^2 > 1: the explicit sigma grad q coupling may grow."""
+    """dt * max|sigma|^2 / h^2 > 1: the explicit sigma-gradient noise term may grow."""
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,12 @@ class SolutionPair:
 
     Each level holds its distinct states: u, q and r share the level's
     node -> row map (AdaptedGridField), and u[level] gives the node array.
-    r = q + (grad u) sigma node by node (r^k = q^k + sigma^{ik} D_i u);
-    where sigma = 0, r holds q's arrays themselves, so treat both as
-    read-only.  meta records dt, h, viscosity, stepping mode, CFL and
+    r = q + (grad u) sigma node by node (r^k = q^k + sigma^{ik} D_i u) is a
+    TransformedField: a level stores r's rows only where they take no more
+    bytes than the level's sigma rows, and elsewhere computes the rows a
+    reader asks for from u, q and sigma, == the rows it would have stored.
+    Where sigma = 0, r holds q's arrays themselves, so treat the stored
+    arrays as read-only.  meta records dt, h, viscosity, stepping mode, CFL and
     parabolicity diagnostics, the stored rows per level (level_rows), and
     any warnings raised during the sweep.  weak_form is the WeakFormReport
     the sweep took when solve was given test functions, None otherwise.
@@ -221,7 +224,7 @@ class SolutionPair:
 
     u: AdaptedGridField
     q: AdaptedGridField
-    r: AdaptedGridField
+    r: TransformedField
     meta: dict
     weak_form: WeakFormReport | None = None
 
@@ -279,12 +282,13 @@ class CflReport:
             suggested_n_steps=suggested,
         )
 
-    def enforce(self, explicit: bool, alternative: str = "") -> list[str]:
+    def enforce(self, explicit: bool, alternative: str = "", term: str = "sigma grad q") -> list[str]:
         """The one step-size check; returns the warning messages it issued.
 
         Raises CflError for an explicit step above the bound, suggesting
         suggested_n_steps or `alternative`.  Warns on the advective bound
-        when not explicit, and on a coupling indicator above 1.
+        when not explicit, and on a coupling indicator above 1, naming the
+        caller's explicit noise `term`.
         """
         warns = []
         if explicit and not self.satisfied:
@@ -305,7 +309,7 @@ class CflReport:
         if self.coupling_indicator > 1.0:
             msg = (
                 f"stochastic coupling indicator {self.coupling_indicator:.2f} > 1: "
-                "the explicit sigma grad q term may amplify; refine dt or coarsen the grid"
+                f"the explicit {term} term may amplify; refine dt or coarsen the grid"
             )
             warnings.warn(msg, StochasticCouplingWarning)
             warns.append(msg)
@@ -865,12 +869,74 @@ class _LevelOperator:
         return u_cur, star
 
     def r_transform(self, u, q, nodes):
-        """r = q + (grad u) sigma on the node range `nodes` (r^k = q^k + sigma^{ik} D_i u).
+        """r on the node range `nodes` (_transformed).
 
         Where sigma = 0, r is q and solve stores q's array for it.
         """
-        sigma = self._at_nodes(self.coeffs.sigma, nodes)
-        return q + component_dot(sigma, _grad(u, self.grid)[..., :, None], axis=-2)
+        return _transformed(u, q, self._at_nodes(self.coeffs.sigma, nodes), self.grid)
+
+
+def _transformed(u, q, sigma, grid: SpatialGrid) -> np.ndarray:
+    """r = q + (grad u) sigma (r^k = q^k + sigma^{ik} D_i u) for rows of u and q.
+
+    sigma holds each row's sigma, or one row for all; the stencil and the
+    contraction act row by row, so any subset of rows gives the same values.
+    """
+    return q + component_dot(sigma, _grad(u, grid)[..., :, None], axis=-2)
+
+
+class _TransformedLevels:
+    """r's levels for TransformedField: stored rows, or rows computed on read.
+
+    kept[level] is the level's r rows (q's arrays where sigma = 0) or a
+    (sigma rows, row -> sigma-row map) pair, the map None when one sigma
+    row serves every row.  levels[level] gives a level's rows as an array.
+    """
+
+    def __init__(self, kept: list, u_levels: list, q_levels: list, grid: SpatialGrid):
+        self.kept, self.u, self.q, self.grid = kept, u_levels, q_levels, grid
+
+    def __len__(self) -> int:
+        return len(self.kept)
+
+    def __getitem__(self, level: int) -> np.ndarray:
+        kept = self.kept[level]
+        return kept if isinstance(kept, np.ndarray) else self.rows(level, slice(None))
+
+    def rows(self, level: int, rows) -> np.ndarray:
+        """The rows `rows` (an index, a slice or an index array) of a level."""
+        level = range(len(self.kept))[level]
+        kept = self.kept[level]
+        if isinstance(kept, np.ndarray):
+            return kept[rows]
+        if isinstance(rows, (int, np.integer)):
+            return self.rows(level, [rows])[0]
+        sigma, inv = kept
+        return _transformed(self.u[level][rows], self.q[level][rows], _rows_at(sigma, inv, rows), self.grid)
+
+
+class TransformedField(AdaptedGridField):
+    """The AdaptedGridField of r over _TransformedLevels.
+
+    Every reader works on a computed level too; at, rows and row_map touch
+    only the rows they return or none.
+    """
+
+    def at(self, level: int, nodes) -> np.ndarray:
+        inv = self.maps[level]
+        return self.levels.rows(level, nodes if inv is None else inv[nodes])
+
+    def rows(self, level: int, rows) -> np.ndarray:
+        """The rows `rows` of a level (levels[level][rows], building only those)."""
+        return self.levels.rows(level, rows)
+
+    def row_map(self, level: int) -> np.ndarray:
+        inv = self.maps[level]
+        return np.arange(len(self.levels.q[level])) if inv is None else inv
+
+    def stored(self, level: int) -> bool:
+        """Whether the level holds r's rows rather than computing them on read."""
+        return isinstance(self.levels.kept[level], np.ndarray)
 
 
 def _varying(problem: ProblemData) -> bool:
@@ -995,6 +1061,22 @@ def _parabolicity_precheck(problem: ProblemData, config: SolverConfig):
     return report
 
 
+def _kept_r(op: _LevelOperator, q: np.ndarray):
+    """What a level keeps of r, as _TransformedLevels.kept holds it.
+
+    q's array where sigma = 0; (sigma rows, an unfilled row -> sigma-row
+    map, None for one sigma row) where those take fewer bytes than r's
+    rows, which q's array sizes; else an unfilled array for r's rows.
+    """
+    if "sigma" not in op.nonzero:
+        return q
+    sigma, inv = op.coeffs.sigma, op.coeffs.inv
+    row_map = None if inv is None else np.empty(len(q), dtype=np.intp)
+    if sigma.nbytes + (0 if row_map is None else row_map.nbytes) < q.nbytes:
+        return sigma, row_map
+    return np.empty_like(q)
+
+
 def solve(
     problem: ProblemData, config: SolverConfig | None = None, test_functions=None
 ) -> SolutionPair:
@@ -1010,12 +1092,15 @@ def solve(
     at most BLOCK_BYTE_BUDGET bytes of one scalar field, written into the
     stored arrays, so what the sweep holds beyond them is a few blocks,
     whatever the level size.  Every node's u, q and r are `==` what
-    stepping it on its own gives.
+    stepping it on its own gives.  A level whose sigma rows (with their
+    row map) take fewer bytes than its r rows keeps those instead, and r's
+    rows are computed on read (TransformedField); where sigma = 0, r is q.
 
-    Preconditions: u, q and r stored one row per node would fit
-    WORKSPACE_BYTE_BUDGET (checked before anything is sampled, so r counts
-    even where sigma = 0 makes it q, and every node counts whether or not
-    it shares a row: an upper bound), degenerate parabolicity of the
+    Preconditions: u and q, and r when sigma is set or level_coefficients
+    overrides sampling, stored one row per node would fit
+    WORKSPACE_BYTE_BUDGET (checked before anything is sampled, so every
+    node counts whether or not it shares a row, and r counts on derived
+    levels too: an upper bound), degenerate parabolicity of the
     sampled coefficients (skipped when level_coefficients overrides
     sampling), and the explicit CFL bounds when stepping explicitly.
     Superparabolicity with margin 2 * viscosity comes for free from the
@@ -1033,12 +1118,14 @@ def solve(
     tree, grid = problem.tree, problem.grid
     n = tree.n_steps
     dt = tree.time_grid.dt
-    # u on levels 0..n; q and r, d' components each, on levels 0..n-1
-    nodes = sum(tree.level_sizes) + 2 * tree.wiener_dim * sum(tree.level_sizes[:-1])
+    # u on levels 0..n; q, and r where sigma can be nonzero, d' components
+    # each on levels 0..n-1
+    with_r = problem.coefficients.sigma is not None or problem.level_coefficients is not None
+    nodes = sum(tree.level_sizes) + (1 + with_r) * tree.wiener_dim * sum(tree.level_sizes[:-1])
     nbytes = 8 * grid.size * nodes
     if nbytes > WORKSPACE_BYTE_BUDGET:
         raise BudgetExceededError(
-            f"solve would store {nbytes} bytes of u, q and r, "
+            f"solve would store {nbytes} bytes of {'u, q and r' if with_r else 'u and q'}, "
             f"over the budget of {WORKSPACE_BYTE_BUDGET} bytes"
         )
 
@@ -1063,13 +1150,16 @@ def solve(
         count, maps[level], blocks = _level_states(problem, level, inv_next, [op.coeffs.inv, f_inv])
         u = u_levels[level] = np.empty((count,) + grid.shape)
         q = q_levels[level] = np.empty((count,) + grid.shape + (tree.wiener_dim,))
-        r = r_levels[level] = np.empty_like(q) if "sigma" in op.nonzero else q
+        r = r_levels[level] = _kept_r(op, q)
         for rows, nodes in blocks:
             ubar = level_conditional_expectation(tree, u_next, level, nodes, inv_next)
             q[rows] = level_martingale_representation(tree, u_next, level, nodes, inv_next)
             f_nodes = _rows_at(f, f_inv, nodes)
             u[rows], star = op.step(ubar, q[rows], f_nodes, level, nodes)
-            if r is not q:
+            if isinstance(r, tuple):
+                if r[1] is not None:
+                    r[1][rows] = op.coeffs.inv[nodes]
+            elif r is not q:
                 r[rows] = op.r_transform(u[rows], q[rows], nodes)
             if check is not None:
                 check.block(
@@ -1109,7 +1199,7 @@ def solve(
     return SolutionPair(
         u=AdaptedGridField(u_levels, maps),
         q=AdaptedGridField(q_levels, maps[:n]),
-        r=AdaptedGridField(r_levels, maps[:n]),
+        r=TransformedField(_TransformedLevels(r_levels, u_levels, q_levels, grid), maps[:n]),
         meta=meta,
         weak_form=None if check is None else check.report(),
     )
@@ -1287,7 +1377,7 @@ def continuation_gaps(problem: ProblemData, solutions: list, m1: int = 0) -> tup
     def expected_gap_sq(f0: AdaptedGridField, f1: AdaptedGridField, level: int) -> float:
         """E ||f0 - f1||_{m1,2}^2 at a level, each norm taken once per distinct row pair."""
         keys = [f0.row_map(level), f1.row_map(level)]
-        row_bytes = f0.levels[level][:1].nbytes
+        row_bytes = f0.at(level, slice(0, 1)).nbytes
         count, inv, blocks = level_states(keys, tree.level_sizes[level], row_bytes)
         out = np.empty(count)
         for rows, nodes in blocks:

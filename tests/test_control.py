@@ -769,7 +769,9 @@ def test_forward_and_exhaustive_warn_on_the_coupling_indicator():
     )
     report = forward_cfl(problem)
     assert report.satisfied and report.coupling_indicator > 1.0
-    with pytest.warns(StochasticCouplingWarning, match="coupling indicator 2.92 > 1"):
+    # the forward scheme's explicit noise term is sigma grad xi, not solve's sigma grad q
+    term = "coupling indicator 2.92 > 1: the explicit sigma grad xi term may amplify"
+    with pytest.warns(StochasticCouplingWarning, match=term):
         solve_forward(problem, constant_policy(tree))
-    with pytest.warns(StochasticCouplingWarning, match="coupling indicator 2.92 > 1"):
+    with pytest.warns(StochasticCouplingWarning, match=term):
         exhaustive_policy_search(problem)

@@ -18,7 +18,9 @@ Core claims:
     - a 2D heat solve samples its constant coefficients 3 times: one
       parabolicity probe, one CFL probe and the level operator
     - solve refuses, before sampling anything, a run whose stored u, q and
-      r exceed the workspace byte budget, and names the byte count
+      r exceed the workspace byte budget, and names the byte count; r
+      counts only where sigma is set, so a sigma-free run within the
+      budget for u and q solves
     - terms whose coefficient is zero everywhere are skipped: a 2D heat
       semi-implicit solve takes no gradient, and r is q itself on every
       level when sigma = 0 (and not when sigma != 0)
@@ -390,6 +392,24 @@ def test_solve_refuses_storage_over_the_byte_budget(monkeypatch):
     monkeypatch.setattr(solver, "WORKSPACE_BYTE_BUDGET", nbytes)
     solve(problem, config)
     assert terminal.calls > 0
+
+
+def test_byte_budget_counts_r_only_where_sigma_can_be_nonzero(monkeypatch):
+    heat = _heat_problem()
+    assert heat.coefficients.sigma is None
+    sigma = constant_sampler([[0.1], [0.0]], (2, 1))
+    noisy = dataclasses.replace(heat, coefficients=dataclasses.replace(heat.coefficients, sigma=sigma))
+    # 4 recombining steps: u on 15 nodes, q (one Wiener component) on the 10
+    # nodes of levels 0..3, and r on those 10 only when sigma is set
+    row = 8 * heat.grid.size
+    uq = row * (15 + 10)
+    monkeypatch.setattr(solver, "WORKSPACE_BYTE_BUDGET", uq)
+    solve(heat)
+    with pytest.raises(BudgetExceededError, match=f"store {uq + 10 * row} bytes of u, q and r,"):
+        solve(noisy)
+    monkeypatch.setattr(solver, "WORKSPACE_BYTE_BUDGET", uq - 1)
+    with pytest.raises(BudgetExceededError, match=f"store {uq} bytes of u and q,"):
+        solve(heat)
 
 
 # -- zero generator terms ------------------------------------------------------------

@@ -13,7 +13,11 @@ Core claims:
     - a stiff reaction term overflowing the sweep raises SolverBlowupError
     - the solved fields satisfy the summation-by-parts weak form to
       machine precision on both tree modes and both stepping modes
-    - r = q + sigma^T grad u holds node by node
+    - r = q + sigma^T grad u holds node by node; a level stores r only
+      where its sigma rows (and row map) are not smaller, otherwise r's
+      rows are computed on read, == the per-node transform, and what a
+      solve holds never exceeds u, q and a stored r; r's readers build
+      only the rows they return, and the sweep transforms no derived level
     - terminal data is sampled per unique leaf state, and a sample of the
       wrong shape is refused
     - viscosity_continuation validates its schedule, shrinks the
@@ -733,7 +737,11 @@ def test_sweep_stores_each_distinct_state_once(case):
             assert len(rows) == expected[level]
             if inv is None:
                 assert len(rows) == problem.tree.level_sizes[level]
-                assert field[level] is rows
+                if field is sol.r and not sol.r.stored(level):
+                    # a derived level computes its rows on each read
+                    assert np.array_equal(field[level], sol.r.rows(level, slice(None)))
+                else:
+                    assert field[level] is rows
             else:
                 assert np.array_equal(field[level], rows[inv])
     if case == "w_dependent_recombining":
@@ -748,6 +756,139 @@ def test_sweep_stores_each_distinct_state_once(case):
             assert np.array_equal(got[level], want[level]), (name, level)
     etas = default_test_functions(problem.grid, 2)
     assert weak_form_residual(sol, problem, etas).per_level == weak_form_residual(ref, problem, etas).per_level
+
+
+def _w_dependent_sigma(dim):
+    """sigma (d x 1) varying in x and W on a recombining lattice, a = I / 2."""
+    grid = SpatialGrid(dim=dim, half_width=np.pi, points=8 if dim == 2 else 16)
+
+    def sigma(t, w, g):
+        col = 0.3 * (1.0 + 0.2 * np.sin(g.coordinates()[0] + w[0]))
+        return np.stack([col] + [0.5 * col] * (dim - 1), axis=-1)[..., None]
+
+    coeffs = CoefficientSet(
+        dim=dim, wiener_dim=1, a=constant_sampler(0.5 * np.eye(dim), (dim, dim)), sigma=sigma, w_dependent=True
+    )
+    return ProblemData(
+        grid=grid,
+        tree=build_tree(TimeGrid(0.1, 5), 1, "recombining"),
+        coefficients=coeffs,
+        terminal=lambda w, g: np.cos(g.coordinates()[0]) * (1.0 + w[0]),
+    )
+
+
+def _alternating_sigma_rows():
+    """Two 1D sigma rows, node i reading row i % 2, through level_coefficients."""
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
+    tree = build_tree(TimeGrid(0.1, 5), 1, "recombining")
+    x = grid.axis_coordinates()
+    sigma = np.stack([0.3 * (1.0 + 0.2 * np.sin(x)), 0.2 * (1.0 + 0.3 * np.cos(x))])[..., None, None]
+    zeros = np.zeros((2,) + grid.shape)
+
+    def level_coefficients(level):
+        return LevelCoefficients(
+            a=np.full(sigma.shape, 0.5), b=zeros[..., None], c=zeros, sigma=sigma, nu=zeros[..., None],
+            inv=np.arange(tree.level_sizes[level]) % 2,
+        )
+
+    return ProblemData(
+        grid=grid,
+        tree=tree,
+        coefficients=CoefficientSet(dim=1, wiener_dim=1, a=constant_sampler([[0.5]], (1, 1))),
+        terminal=lambda w, g: np.cos(x) * (1.0 + w[0]),
+        level_coefficients=level_coefficients,
+    )
+
+
+def _r_case(case):
+    """(problem, config, which levels store r) for the r-storage tests."""
+    if case == "wiener_linear":
+        # one sigma row; level 0 keeps one r row, a tie, so it stores r
+        grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
+        tree = build_tree(TimeGrid(0.5, 8), 1, "recombining")
+        problem = problem_from_oracle(wiener_linear_oracle(grid, horizon=0.5), tree)
+        return problem, SolverConfig(time_stepping=SEMI_IMPLICIT), [True] + [False] * 7
+    if case == "markov_terminal_full":
+        # one 2 x 2 sigma row against (k + 1)^2 rows of two components
+        return _full_counterexample(_markov_terminal), SolverConfig(), [True, False, False, False]
+    if case == "alternating_sigma_rows":
+        # two sigma rows and a row -> sigma-row map against k + 1 rows
+        return _alternating_sigma_rows(), SolverConfig(), [True, True, False, False, False]
+    # one sigma row per distinct Wiener state, one r row per state: a tie in
+    # 1D, and sigma's d x 1 rows are larger than r's in 2D
+    return _w_dependent_sigma(1 if case == "w_dependent_1d" else 2), SolverConfig(), [True] * 5
+
+
+def _held_bytes(sol):
+    """Bytes of u, q, stored r and the sigma rows and maps r keeps, each array once."""
+    held = {id(rows): rows for rows in [*sol.u.levels, *sol.q.levels]}
+    for kept in sol.r.levels.kept:
+        for arr in kept if isinstance(kept, tuple) else (kept,):
+            if arr is not None:
+                held[id(arr)] = arr
+    return sum(arr.nbytes for arr in held.values())
+
+
+@pytest.mark.parametrize(
+    "case", ["wiener_linear", "markov_terminal_full", "alternating_sigma_rows", "w_dependent_1d", "w_dependent_2d"]
+)
+def test_r_is_the_per_node_transform_and_stores_no_more_than_u_q_r(case):
+    problem, config, stored = _r_case(case)
+    n = problem.tree.n_steps
+    sol = solve(problem, config)
+    assert [sol.r.stored(level) for level in range(n)] == stored
+    # each node stepped on its own, with its own sigma row: r stored per node
+    ref = solve(_per_node_states(problem), config)
+    assert all(ref.r.stored(level) for level in range(n))
+    for level in range(n):
+        assert np.array_equal(sol.r[level], ref.r[level]), level
+        assert np.array_equal(sol.r.levels[level], sol.r.rows(level, slice(None)))
+
+    uq = sum(rows.nbytes for rows in [*sol.u.levels, *sol.q.levels])
+    # storing r beside q wherever sigma is nonzero, r's rows take q's bytes
+    u_q_r = uq + sum(q.nbytes for q, kept in zip(sol.q.levels, sol.r.levels.kept) if kept is not q)
+    assert _held_bytes(sol) <= u_q_r
+    if case == "wiener_linear":
+        # u and q, one sigma row, and level 0's one r row
+        assert _held_bytes(sol) == uq + 2 * 8 * problem.grid.size < u_q_r
+    elif case in ("markov_terminal_full", "alternating_sigma_rows"):
+        assert _held_bytes(sol) < u_q_r
+    else:
+        assert _held_bytes(sol) == u_q_r
+
+
+def test_derived_r_readers_build_only_the_rows_they_return(monkeypatch):
+    problem, config, _ = _r_case("wiener_linear")
+    n = problem.tree.n_steps
+    stepped = []
+    real_r_transform = solver_module._LevelOperator.r_transform
+
+    def counting_r_transform(self, u, q, nodes):
+        stepped.append(len(u))
+        return real_r_transform(self, u, q, nodes)
+
+    monkeypatch.setattr(solver_module._LevelOperator, "r_transform", counting_r_transform)
+    sol = solve(problem, config)
+    # the sweep transforms level 0's one row only: the derived levels take none
+    assert stepped == [1]
+
+    level = n - 1
+    full = sol.r[level]
+    built = []
+    real = solver_module._transformed
+
+    def counting(u, q, sigma, grid):
+        built.append(len(u))
+        return real(u, q, sigma, grid)
+
+    monkeypatch.setattr(solver_module, "_transformed", counting)
+    assert np.array_equal(sol.r.row_map(level), np.arange(n)) and built == []
+    nodes = np.array([0, 2, 5])
+    assert np.array_equal(sol.r.at(level, nodes), full[nodes]) and built == [3]
+    assert np.array_equal(sol.r.at(level, 4), full[4]) and built == [3, 1]
+    assert np.array_equal(sol.r.at(level, slice(0, 1)), full[:1]) and built == [3, 1, 1]
+    assert len(sol.r) == n
+    assert all(np.array_equal(a, b) for a, b in zip(sol.r, [sol.r[k] for k in range(n)]))
 
 
 def test_continuation_gaps_equal_the_node_array_gaps():
