@@ -799,6 +799,7 @@ def cmd_sweep(args) -> int:
             "eps_schedule": list(cont.eps_schedule),
             "u_gaps": gaps,
             "u_gaps_strictly_decreasing": all(b < a for a, b in zip(gaps, gaps[1:])),
+            "r_gaps": [float(g) for g in cont.r_gaps],
             "aborted_at": cont.aborted_at,
         }
     _print_json(summary)

@@ -137,29 +137,11 @@ class CoefficientSet:
         g = grid.shape
         d, dp = self.dim, self.wiener_dim
         a = self._take(self.a, t, states, grid, g + (d, d), "a")
-        asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-1, -2))
-        # the tolerance scales with each row's own max |a|
-        scale = np.maximum(1.0, np.max(np.abs(a).reshape(len(a), -1), axis=1))
-        bad = np.max(asym.reshape(len(a), -1), axis=1) > 1e-12 * scale
-        if bad.any():
-            row = int(np.argmax(bad))
-            idx = np.unravel_index(np.argmax(asym[row]), g)
-            raise CoefficientDataError(
-                f"a is not symmetric at grid index {tuple(int(i) for i in idx)}, "
-                f"{_at(t, states[row])}"
-            )
         b = self._take(self.b, t, states, grid, g + (d,), "b")
         c = self._take(self.c, t, states, grid, g, "c")
         sigma = self._take(self.sigma, t, states, grid, g + (d, dp), "sigma")
         nu = self._take(self.nu, t, states, grid, g + (dp,), "nu")
-        for nm, arr in (("a", a), ("b", b), ("c", c), ("sigma", sigma), ("nu", nu)):
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                row, *idx = np.unravel_index(np.argmax(bad), arr.shape)[: 1 + d]
-                raise CoefficientDataError(
-                    f"{nm} sample contains non-finite values at grid index "
-                    f"{tuple(int(i) for i in idx)}, {_at(t, states[row])}"
-                )
+        check_rows(dict(a=a, b=b, c=c, sigma=sigma, nu=nu), d, lambda row: _at(t, states[row]))
         if np.ndim(w) != 2:
             w, a, b, c, sigma, nu = states[0], a[0], b[0], c[0], sigma[0], nu[0]
         return CoefficientSample(t=t, w=w, grid=grid, a=a, b=b, c=c, sigma=sigma, nu=nu)
@@ -176,6 +158,32 @@ class CoefficientSet:
                 f"{_at(t, states[0])}"
             )
         return arr
+
+
+def check_rows(fields: dict, dim: int, where: Callable[[int], str]) -> None:
+    """Refuse an asymmetric a (beyond 1e-12 max(1, max |a|) per row), then any
+    non-finite field; arrays are (rows, *grid, ...), and the error names the
+    field, where(row) for the first bad row, and the grid index.
+    """
+    a = fields.get("a")
+    if a is not None:
+        asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-1, -2))
+        scale = np.maximum(1.0, np.max(np.abs(a).reshape(len(a), -1), axis=1))
+        bad = np.max(asym.reshape(len(a), -1), axis=1) > 1e-12 * scale
+        if bad.any():
+            row = int(np.argmax(bad))
+            idx = np.unravel_index(np.argmax(asym[row]), asym.shape[1:])
+            raise CoefficientDataError(
+                f"a is not symmetric at grid index {tuple(int(i) for i in idx)}, {where(row)}"
+            )
+    for nm, arr in fields.items():
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            row, *idx = np.unravel_index(np.argmax(bad), arr.shape)[: 1 + dim]
+            raise CoefficientDataError(
+                f"{nm} sample contains non-finite values at grid index "
+                f"{tuple(int(i) for i in idx)}, {where(row)}"
+            )
 
 
 def _parabolicity_matrix(a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -246,7 +254,8 @@ DELTA_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class ParabolicityReport:
-    """Spectral summary of 2a - sigma sigma^T over the sampled states."""
+    """Spectral summary of 2a - sigma sigma^T over the sampled states; the
+    witness is the first state and grid point at the minimum."""
 
     min_eigenvalue: float
     delta: float
@@ -261,52 +270,65 @@ class ParabolicityReport:
             return self.verdict == VERDICT_SUPER
         raise ValueError(f"mode must be 'DP' or 'SP', got {mode!r}")
 
+    def enforce(self) -> "ParabolicityReport":
+        """The report; ParabolicityError, the one refusal of 2a - sigma sigma^T, if violated."""
+        if self.verdict == VERDICT_VIOLATED:
+            raise ParabolicityError(
+                f"2a - sigma sigma^T has eigenvalue {self.min_eigenvalue:.3e} "
+                f"below tolerance; witness {self.witness}"
+            )
+        return self
 
-def check_parabolicity(
-    coeffs: CoefficientSet,
-    grid: SpatialGrid,
-    samples: list[tuple[float, np.ndarray]] | None = None,
+
+def parabolicity_report(
+    a: np.ndarray, sigma: np.ndarray, grid: SpatialGrid, states: list[dict]
 ) -> ParabolicityReport:
-    """Eigenvalue scan of 2a - sigma sigma^T over grid points and (t, W) samples.
+    """Eigenvalue scan of 2a - sigma sigma^T over stacked rows and grid points.
 
+    a (rows, *grid, d, d) and sigma (rows, *grid, d, d') hold one row per
+    entry of states, a dict naming the row's state that the witness copies.
     Verdicts: 'violated' below -TOL_PSD, 'super-parabolic' when the minimum
     eigenvalue clears DELTA_FLOOR (then delta is that minimum), otherwise
     'degenerate-ok'.
     """
-    if samples is None:
-        samples = [(0.0, np.zeros(coeffs.wiener_dim))]
-    min_eig = np.inf
-    witness = None
-    for si, (t, w) in enumerate(samples):
-        smp = coeffs.sample(t, w, grid)
-        eigs = np.linalg.eigvalsh(smp.parabolicity_matrix())
-        local = eigs.min(axis=-1)
-        idx = np.unravel_index(np.argmin(local), grid.shape)
-        val = float(local[idx])
-        if val < min_eig:
-            min_eig = val
-            coords = grid.coordinates()
-            witness = {
-                "sample": si,
-                "t": float(t),
-                "w": np.asarray(w, dtype=float).reshape(-1).tolist(),
-                "grid_index": tuple(int(i) for i in idx),
-                "x": [float(c[idx]) for c in coords],
-                "eigenvalue": val,
-            }
+    local = np.linalg.eigvalsh(_parabolicity_matrix(a, sigma)).min(axis=-1)
+    at = np.unravel_index(np.argmin(local), local.shape)
+    row, idx = int(at[0]), at[1:]
+    min_eig = float(local[at])
     if min_eig < -TOL_PSD:
         verdict = VERDICT_VIOLATED
     elif min_eig >= DELTA_FLOOR:
         verdict = VERDICT_SUPER
     else:
         verdict = VERDICT_DEGENERATE
-    delta = max(min_eig, 0.0)
+    witness = {
+        "sample": row,
+        **states[row],
+        "grid_index": tuple(int(i) for i in idx),
+        "x": [float(c[idx]) for c in grid.coordinates()],
+        "eigenvalue": min_eig,
+    }
     return ParabolicityReport(
-        min_eigenvalue=float(min_eig),
-        delta=float(delta),
+        min_eigenvalue=min_eig,
+        delta=max(min_eig, 0.0),
         verdict=verdict,
         witness=witness,
-        n_samples=len(samples),
+        n_samples=len(states),
+    )
+
+
+def check_parabolicity(
+    coeffs: CoefficientSet,
+    grid: SpatialGrid,
+    samples: list[tuple[float, np.ndarray]] | None = None,
+) -> ParabolicityReport:
+    """parabolicity_report over (t, W) samples, one `sample` call each; default t = 0, W = 0."""
+    if samples is None:
+        samples = [(0.0, np.zeros(coeffs.wiener_dim))]
+    smps = [coeffs.sample(t, w, grid) for t, w in samples]
+    states = [{"t": float(t), "w": np.asarray(w, dtype=float).reshape(-1).tolist()} for t, w in samples]
+    return parabolicity_report(
+        np.stack([s.a for s in smps]), np.stack([s.sigma for s in smps]), grid, states
     )
 
 

@@ -45,12 +45,11 @@ import numpy as np
 from .coefficients import (
     CoefficientDataError,
     CoefficientSet,
-    ParabolicityError,
-    _parabolicity_matrix,
+    check_rows,
     constant_sampler,
+    parabolicity_report,
 )
 from .grid import (
-    TOL_PSD,
     SpatialGrid,
     batch_divergence,
     batch_gradient,
@@ -119,12 +118,13 @@ class ControlProblem:
 
     Construction samples every field once at every (t, v) the problem can
     read: each v in gamma at every step time t_0..t_{n-1}, at T/2 and at T.
-    It refuses samplers that come back non-finite, an asymmetric a, or a
-    degeneracy violation (2a - sigma sigma^T must stay positive semidefinite
-    for each control), and keeps the samples in one table that the forward
-    sweep, the adjoint, the Hamiltonian, the cost and the CFL bound all read;
-    no sampler is called after construction.  The table holds at most
-    |gamma| (n + 2) grid.size (d^2 + d + d d' + 2 d' + 3) float64 values.
+    check_rows and parabolicity_report, the checks of CoefficientSet, refuse
+    a non-finite field, an asymmetric a or 2a - sigma sigma^T not psd on
+    one row per (t, v), naming t and v (the worst state for 2a - sigma
+    sigma^T, first on ties, control index inner).  The samples stay in one
+    table that the forward sweep, the adjoint, the Hamiltonian, the cost
+    and the CFL bound all read; no sampler is called after construction.  It
+    holds at most |gamma| (n + 2) grid.size (d^2 + d + d d' + 2 d' + 3) float64 values.
     """
 
     grid: SpatialGrid
@@ -175,8 +175,7 @@ class ControlProblem:
         # unset fields stay zero
         table = {n: np.zeros(lead + sfx) for n, sfx in suffixes.items()}
         for gi, v in enumerate(self.gamma):
-            # check in time order, so the earliest bad state is the one reported
-            for row, t in sorted(enumerate(times), key=lambda item: item[1]):
+            for row, t in enumerate(times):
                 for name, values in table.items():
                     fn = getattr(self, name)
                     if fn is None:
@@ -184,27 +183,16 @@ class ControlProblem:
                     arr = np.asarray(fn(t, v, self.grid), dtype=np.float64)
                     target = values.shape[2:]
                     try:
-                        out = np.broadcast_to(arr, target)
+                        values[row, gi] = np.broadcast_to(arr, target)
                     except ValueError:
                         raise CoefficientDataError(
                             f"{name} sampled shape {arr.shape} does not broadcast to {target}"
                         ) from None
-                    if not np.all(np.isfinite(out)):
-                        raise CoefficientDataError(
-                            f"{name} sampled non-finite at t={t}, v={v!r}"
-                        )
-                    values[row, gi] = out
-                a, sigma = table["a"][row, gi], table["sigma"][row, gi]
-                if not np.allclose(a, a.swapaxes(-1, -2)):
-                    raise CoefficientDataError(
-                        f"a sampled at t={t}, v={v!r} is not symmetric"
-                    )
-                min_eig = float(np.linalg.eigvalsh(_parabolicity_matrix(a, sigma)).min())
-                if min_eig < -TOL_PSD:
-                    raise ParabolicityError(
-                        f"2a - sigma sigma^T has eigenvalue {min_eig:.3e} "
-                        f"at t={t}, v={v!r}"
-                    )
+        # one row per (time row, control), control index inner
+        rows = {name: values.reshape((-1,) + values.shape[2:]) for name, values in table.items()}
+        states = [{"t": float(t), "v": v} for t in times for v in self.gamma]
+        check_rows(rows, d, lambda row: "t = {t!r}, v = {v!r}".format(**states[row]))
+        parabolicity_report(rows["a"], rows["sigma"], self.grid, states).enforce()
         object.__setattr__(self, "_table", _ControlTable(**table))
 
 

@@ -23,10 +23,8 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .coefficients import (
-    VERDICT_VIOLATED,
     CoefficientSet,
     DerivedCoefficients,
-    ParabolicityError,
     check_parabolicity,
     derive_from_sample,
 )
@@ -218,12 +216,7 @@ def check_basic_estimate(
     """
     if not (0 < eps_lemma < 1):
         raise ValueError(f"eps_lemma must lie in (0, 1), got {eps_lemma}")
-    para = check_parabolicity(coeffs, grid)
-    if para.verdict == VERDICT_VIOLATED:
-        raise ParabolicityError(
-            f"coefficients violate degenerate parabolicity: min eigenvalue "
-            f"{para.min_eigenvalue:.3e}, witness {para.witness}"
-        )
+    check_parabolicity(coeffs, grid).enforce()
     smp = coeffs.sample(0.0, None, grid)
     derived = derive_from_sample(smp)
     vol = grid.cell_volume

@@ -54,9 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import (
-    VERDICT_VIOLATED,
     CoefficientSet,
-    ParabolicityError,
     check_parabolicity,
     sample_rows,
     transformed_drift,
@@ -965,15 +963,14 @@ def _level_operators(problem: ProblemData, config: SolverConfig):
 
     Coefficients that are neither time_dependent nor w_dependent, with no
     level_coefficients override, are one state: one operator serves every
-    level.  Otherwise each level gets a fresh one; it factorises only after
-    the caller drops the previous one, so one level of factors is alive.
+    level.  Otherwise each level gets a fresh one, built after the caller
+    drops the previous one (`del op` at the end of the loop body) and held
+    here by no name, so one level of coefficient rows and factors is alive.
     """
-    varying = _varying(problem)
-    op = None
-    for level in range(problem.tree.n_steps - 1, -1, -1):
-        if op is None or varying:
-            op = _LevelOperator(problem, config, level)
-        yield level, op
+    n = problem.tree.n_steps
+    shared = None if _varying(problem) else _LevelOperator(problem, config, n - 1)
+    for level in range(n - 1, -1, -1):
+        yield level, (_LevelOperator(problem, config, level) if shared is None else shared)
 
 
 # -- step-size analysis ----------------------------------------------------------
@@ -1050,17 +1047,6 @@ def parabolicity_probes(coefficients: CoefficientSet, tree: PathTree) -> list:
     return samples
 
 
-def _parabolicity_precheck(problem: ProblemData, config: SolverConfig):
-    samples = parabolicity_probes(problem.coefficients, problem.tree)
-    report = check_parabolicity(problem.coefficients, problem.grid, samples=samples)
-    if report.verdict == VERDICT_VIOLATED:
-        raise ParabolicityError(
-            f"2a - sigma sigma^T has eigenvalue {report.min_eigenvalue:.3e} "
-            f"below tolerance; witness {report.witness}"
-        )
-    return report
-
-
 def _kept_r(op: _LevelOperator, q: np.ndarray):
     """What a level keeps of r, as _TransformedLevels.kept holds it.
 
@@ -1100,9 +1086,10 @@ def solve(
     overrides sampling, stored one row per node would fit
     WORKSPACE_BYTE_BUDGET (checked before anything is sampled, so every
     node counts whether or not it shares a row, and r counts on derived
-    levels too: an upper bound), degenerate parabolicity of the
-    sampled coefficients (skipped when level_coefficients overrides
-    sampling), and the explicit CFL bounds when stepping explicitly.
+    levels too: an upper bound), degenerate parabolicity at the
+    parabolicity_probes states (ParabolicityReport.enforce; skipped when
+    level_coefficients overrides sampling), and the explicit CFL bounds
+    when stepping explicitly.
     Superparabolicity with margin 2 * viscosity comes for free from the
     added eps Laplacian, and the effective margin is recorded in meta.
 
@@ -1132,7 +1119,8 @@ def solve(
     check = None if test_functions is None else _WeakFormCheck(problem, config, test_functions)
     para = None
     if problem.level_coefficients is None:
-        para = _parabolicity_precheck(problem, config)
+        probes = parabolicity_probes(problem.coefficients, tree)
+        para = check_parabolicity(problem.coefficients, grid, samples=probes).enforce()
     cfl = estimate_cfl(problem, config)
 
     warns = cfl.enforce(config.time_stepping == EXPLICIT, alternative="semi_implicit stepping")
@@ -1167,6 +1155,7 @@ def solve(
                 )
         if check is not None:
             check.end_level(level)
+        del op
 
     meta = {
         "dt": dt,
@@ -1364,6 +1353,7 @@ def weak_form_residual(
                 _, star = op.step(ubar, q, f_nodes, level, nodes)
             check.block(op, level, nodes, u_n, q, ubar, star, f_nodes, u_next, inv_next)
         check.end_level(level)
+        del op
     return check.report()
 
 
@@ -1494,6 +1484,7 @@ def oracle_step_residual(
         defect = math.sqrt(float(np.sum(p * (sq_norms if inv is None else sq_norms[inv]))))
         worst = max(worst, defect / dt)
         u_next, inv_next = u_ex, ex_inv
+        del op
     return OracleResidualReport(
         residual=worst, constant=worst / (dt + grid.h**2), dt=dt, h=grid.h
     )

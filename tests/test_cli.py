@@ -20,7 +20,8 @@ Core claims:
       suggestion on stderr
     - sweep writes the constant table and a continuation block with
       strictly decreasing gaps, solving each viscosity once; a repeated
-      viscosity exits 1 before any solve
+      viscosity exits 1 before any solve; the block's r gaps are == the
+      continuation's
     - control writes the policy iteration record with full certification
     - the seed flag overrides the config seed and changes the data
 """
@@ -30,6 +31,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -37,7 +39,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from bspdelab import cli
+from bspdelab import cli, energy
 from bspdelab.cli import main
 
 PI = "3.141592653589793"
@@ -505,6 +507,24 @@ def test_sweep_table_and_continuation(tmp_path, capsys):
     assert lines[0] == "sweep_value,lhs,rhs,c_fit,config_hash"
     assert len(lines) == 4
     assert lines[1].startswith("0.1,")
+
+
+def test_sweep_prints_the_continuation_r_gaps(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = _write(tmp_path, config + "\n[sweep]\nkind = viscosity\nvalues = 0.1 0.05\n")
+    tables = []
+
+    def recorded(*args, **kwargs):
+        tables.append(energy.constant_sweep(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "constant_sweep", recorded)
+    code, stdout, _ = _run(capsys, ["sweep", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 0
+    cont = json.loads(stdout)["continuation"]
+    assert cont["r_gaps"] == tables[0].continuation.r_gaps
+    assert len(cont["r_gaps"]) == 1 and cont["r_gaps"][0] > 0.0
 
 
 def _count_solves(monkeypatch, fail=False):

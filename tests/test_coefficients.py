@@ -7,6 +7,11 @@ Core claims:
       the right witnesses and tolerance behavior
     - exactly degenerate families (a = sigma sigma^T / 2) report min
       eigenvalue 0 within PSD tolerance
+    - the stacked parabolicity scan reports the min, delta, verdict and
+      witness (first state and grid point on ties) == a loop over samples,
+      on the built-ins and the varying_cli probes
+    - sample's errors name the field, t, the offending Wiener row and the
+      grid index
     - the gradient symmetry check accepts commuting noise and rejects the
       three built-in counterexamples with violation well above tolerance
     - non-periodic sets are seam-masked so the wrap never triggers a report
@@ -20,7 +25,9 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from bspdelab import cli
 from bspdelab.coefficients import (
+    DELTA_FLOOR,
     CoefficientDataError,
     CoefficientSet,
     ParabolicityError,
@@ -30,7 +37,8 @@ from bspdelab.coefficients import (
     constant_sampler,
     oleinik_constant,
 )
-from bspdelab.grid import SpatialGrid, random_smooth_field
+from bspdelab.grid import TOL_PSD, SpatialGrid, random_smooth_field
+from bspdelab.solver import parabolicity_probes
 
 
 def _grid(M=32):
@@ -135,6 +143,133 @@ def test_parabolicity_multiple_samples():
     rep = check_parabolicity(cx1, grid, samples=samples)
     assert rep.n_samples == 3
     assert rep.passes("DP")
+
+
+def _reference_report(coeffs, grid, samples):
+    """check_parabolicity as a loop over samples: one sample call and one
+    eigenvalue scan per state, the first state and grid point at the
+    minimum winning."""
+    min_eig, witness = np.inf, None
+    for si, (t, w) in enumerate(samples):
+        smp = coeffs.sample(t, w, grid)
+        local = np.linalg.eigvalsh(smp.parabolicity_matrix()).min(axis=-1)
+        idx = np.unravel_index(np.argmin(local), grid.shape)
+        if float(local[idx]) < min_eig:
+            min_eig = float(local[idx])
+            witness = {
+                "sample": si,
+                "t": float(t),
+                "w": np.asarray(w, dtype=float).reshape(-1).tolist(),
+                "grid_index": tuple(int(i) for i in idx),
+                "x": [float(c[idx]) for c in grid.coordinates()],
+                "eigenvalue": min_eig,
+            }
+    if min_eig < -TOL_PSD:
+        verdict = "violated"
+    elif min_eig >= DELTA_FLOOR:
+        verdict = "super-parabolic"
+    else:
+        verdict = "degenerate-ok"
+    return min_eig, max(min_eig, 0.0), verdict, witness
+
+
+def _varying_cli_coefficients(tmp_path, s, k):
+    """The expression coefficients of the varying_cli benchmark configuration, with its tree."""
+    sigma = f"{s!r} * (1 + 0.3 * sin(x1 + w1))"
+    path = tmp_path / f"varying-{s}.ini"
+    path.write_text(
+        f"""
+[grid]
+d = 1
+R = 3.141592653589793
+M = 128
+
+[tree]
+T = 0.5
+n_steps = 64
+dprime = 1
+mode = recombining
+
+[problem]
+a11 = 0.5 * ({sigma}) ^ 2 + {k!r} * (1 + 0.5 * cos(x1 - w1) * exp(-t))
+sigma11 = {sigma}
+b1 = 0.4 * sin(x1 + t)
+""",
+        encoding="utf-8",
+    )
+    parser, _ = cli.load_config(str(path))
+    grid, tree = cli.build_grid(parser), cli.build_tree(parser)
+    return cli.build_coefficients(parser, grid, tree), grid, tree
+
+
+def _assert_report_matches_reference(coeffs, grid, samples):
+    rep = check_parabolicity(coeffs, grid, samples=samples)
+    ref = _reference_report(coeffs, grid, samples)
+    assert (rep.min_eigenvalue, rep.delta, rep.verdict, rep.witness) == ref
+    # the witness prints in the same key order
+    assert list(rep.witness) == list(ref[3])
+    assert rep.n_samples == len(samples)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_parabolicity_report_equals_the_per_sample_loop_on_builtins(which):
+    samples = [(0.0, np.zeros(2)), (0.5, np.ones(2)), (1.0, np.array([-1.0, 2.0]))]
+    _assert_report_matches_reference(builtin_counterexamples()[which], _grid(16), samples)
+
+
+# (s, k) of seeds 0, 1 and 7
+@pytest.mark.parametrize(
+    "s, k",
+    [
+        (0.2813354060979356, 0.13144335776159866),
+        (0.20751511510959114, 0.08093149111858346),
+        (0.2882466830254541, 0.08665484804668003),
+    ],
+)
+def test_parabolicity_report_equals_the_per_sample_loop_on_varying_cli_probes(tmp_path, s, k):
+    coeffs, grid, tree = _varying_cli_coefficients(tmp_path, s, k)
+    samples = parabolicity_probes(coeffs, tree)
+    assert len(samples) == 5
+    _assert_report_matches_reference(coeffs, grid, samples)
+
+
+def test_parabolicity_report_witness_is_the_first_state_on_ties():
+    # 2a - sigma^2 = 0.5 - 2 W^2 is lowest, -1.5, at both W = -1 and W = 1
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=8)
+    coeffs = CoefficientSet(
+        dim=1,
+        wiener_dim=1,
+        a=lambda t, w, g: np.full(g.shape + (1, 1), 0.75 - w[0] ** 2),
+        sigma=constant_sampler([[1.0]], (1, 1)),
+        w_dependent=True,
+    )
+    samples = [(0.0, np.zeros(1)), (0.5, np.zeros(1)), (0.5, -np.ones(1)), (0.5, np.ones(1))]
+    _assert_report_matches_reference(coeffs, grid, samples)
+    rep = check_parabolicity(coeffs, grid, samples=samples)
+    assert rep.witness["sample"] == 2 and rep.witness["grid_index"] == (0,)
+    with pytest.raises(ParabolicityError, match=r"-1\.500e\+00 below tolerance; witness \{'sample': 2,"):
+        rep.enforce()
+
+
+def test_sample_errors_name_the_field_the_state_and_the_grid_index():
+    grid = _grid(16)
+    w = np.array([1.0, -2.0])
+    with pytest.raises(CoefficientDataError) as err:
+        _const_set([[1.0, 0.3], [0.0, 1.0]]).sample(0.5, w, grid)
+    assert str(err.value) == "a is not symmetric at grid index (0, 0), t = 0.5, W = [1.0, -2.0]"
+
+    def nu(t, w, g):
+        out = np.zeros(g.shape + (2,))
+        if w[0] < 0:
+            out[3, 5, 1] = np.nan
+        return out
+
+    spiked = CoefficientSet(dim=2, wiener_dim=2, a=constant_sampler(np.eye(2), (2, 2)), nu=nu)
+    with pytest.raises(CoefficientDataError) as err:
+        spiked.sample(0.5, np.stack([w, -w]), grid)
+    assert str(err.value) == (
+        "nu sample contains non-finite values at grid index (3, 5), t = 0.5, W = [-1.0, 2.0]"
+    )
 
 
 # -- gradient symmetry ---------------------------------------------------------------

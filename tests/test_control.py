@@ -3,7 +3,10 @@
 Core claims:
     - ControlProblem construction probes every control value and refuses
       empty gamma, wrong-shaped data, non-finite samples, asymmetric a,
-      and degeneracy violations
+      and degeneracy violations, through the row check and the
+      parabolicity scan CoefficientSet uses: errors name t and v, the
+      asymmetry tolerance is sample's, and W-free samplers get the same
+      verdict and eigenvalue as through check_parabolicity
     - the construction samples broadcast scalars and zero-fill unset fields
     - construction calls each sampler once per (probe time, control), and
       nothing after it (search, iteration, report, duality) samples again
@@ -43,6 +46,7 @@ Core claims:
       evaluates the Hamiltonians once per level
 """
 
+import ast
 import collections
 import math
 import warnings
@@ -52,7 +56,12 @@ import pytest
 from pytest import approx
 
 from bspdelab import control
-from bspdelab.coefficients import CoefficientDataError, ParabolicityError
+from bspdelab.coefficients import (
+    CoefficientDataError,
+    CoefficientSet,
+    ParabolicityError,
+    check_parabolicity,
+)
 from bspdelab.control import (
     ControlPolicy,
     ControlProblem,
@@ -215,8 +224,84 @@ def test_degeneracy_violation_on_a_step_level_rejected():
     # sigma(t_1) = 3.5 makes 2a - sigma^2 = -11.75 at t = 0.025, a step time
     # that t = 0, T/2 and T all miss
     _spiked_steering_problem()
-    with pytest.raises(ParabolicityError, match=r"-1\.175e\+01 at t=0\.025, v=-1\.0"):
+    with pytest.raises(
+        ParabolicityError,
+        match=r"-1\.175e\+01 below tolerance; witness \{'sample': \d+, 't': 0\.025, 'v': -1\.0,",
+    ):
         _spiked_steering_problem(sigma_spike=3.0)
+
+
+def test_slightly_asymmetric_a_rejected_naming_t_and_v():
+    # a^{12} - a^{21} = 1e-9 from T/2 on under v = 1: over the tolerance of
+    # CoefficientSet.sample, 1e-12 max(1, max |a|)
+    grid = SpatialGrid(dim=2, half_width=np.pi, points=8)
+    tree = build_tree(TimeGrid(0.1, 4), 1, "full")
+    phi = np.zeros(grid.shape)
+
+    def a(t, v, g):
+        return np.array([[1.0, 0.3 + (1e-9 if t > 0.04 and v > 0 else 0.0)], [0.3, 1.0]])
+
+    with pytest.raises(
+        CoefficientDataError, match=r"^a is not symmetric at grid index \(0, 0\), t = 0\.05, v = 1\.0$"
+    ):
+        ControlProblem(grid=grid, tree=tree, gamma=(-1.0, 1.0), terminal_phi=phi, xi0=phi, a=a)
+
+
+def test_non_finite_nu_rejected_naming_t_v_and_grid_index():
+    grid = _grid()
+    tree = build_tree(TimeGrid(0.1, 4), 1, "full")
+    phi = np.zeros(grid.shape)
+
+    def nu(t, v, g):
+        out = np.zeros(g.shape + (1,))
+        if t > 0.06 and v < 0:
+            out[5, 0] = np.nan
+        return out
+
+    with pytest.raises(
+        CoefficientDataError,
+        match=r"^nu sample contains non-finite values at grid index \(5,\), t = 0\.075\d*, v = -1\.0$",
+    ):
+        ControlProblem(grid=grid, tree=tree, gamma=(-1.0, 1.0), terminal_phi=phi, xi0=phi, nu=nu)
+
+
+@pytest.mark.parametrize(
+    "a0, verdict", [(0.5, "super-parabolic"), (0.125, "degenerate-ok"), (0.1, "violated")]
+)
+def test_control_table_and_coefficient_set_agree_on_parabolicity(a0, verdict):
+    grid = _grid()
+    tree = build_tree(TimeGrid(0.1, 4), 1, "full")
+    x = grid.axis_coordinates()
+    phi = np.zeros(grid.shape)
+
+    # 2a - sigma^2 = 2 a0 - 0.25 + 0.1 (1 - cos(x - v pi / 4)), lowest at
+    # the grid point x = v pi / 4
+    def a(t, v, g):
+        return (a0 + 0.05 * (1.0 - np.cos(x - v * np.pi / 4)))[:, None, None]
+
+    def sigma(t, v, g):
+        return np.full(g.shape + (1, 1), 0.5)
+
+    coeffs = CoefficientSet(
+        dim=1, wiener_dim=1, a=lambda t, w, g: a(t, 1.0, g), sigma=lambda t, w, g: sigma(t, 1.0, g)
+    )
+    report = check_parabolicity(coeffs, grid)
+    assert report.verdict == verdict
+
+    def build():
+        return ControlProblem(
+            grid=grid, tree=tree, gamma=(1.0,), terminal_phi=phi, xi0=phi, a=a, sigma=sigma
+        )
+
+    if verdict != "violated":
+        build()
+        return
+    with pytest.raises(ParabolicityError, match=f"eigenvalue {report.min_eigenvalue:.3e} below") as err:
+        build()
+    witness = ast.literal_eval(str(err.value).split("witness ", 1)[1])
+    assert witness["eigenvalue"] == report.min_eigenvalue
+    assert witness["grid_index"] == report.witness["grid_index"]
+    assert witness["x"] == report.witness["x"]
 
 
 def test_sample_field_defaults_and_broadcast():

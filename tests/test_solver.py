@@ -34,19 +34,30 @@ Core claims:
     - a solve stores each distinct node state once, with node arrays `==`
       a solve whose nodes all differ, and the continuation gaps taken per
       distinct row pair equal the gaps of the node arrays
+    - solve, weak_form_residual and oracle_step_residual build each level's
+      operator with no older one alive
+    - known limit: the parabolicity probes refuse a leaf state that no
+      level the sweep samples holds
 """
 
 import dataclasses
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from pytest import approx
 
 from bspdelab import energy, lattice
-from bspdelab.coefficients import CoefficientSet, builtin_counterexamples, constant_sampler
+from bspdelab.coefficients import (
+    CoefficientSet,
+    ParabolicityError,
+    builtin_counterexamples,
+    check_parabolicity,
+    constant_sampler,
+)
 from bspdelab.grid import SpatialGrid, batch_gradient, level_norm_sq
 from bspdelab.lattice import TimeGrid, build_tree
 from bspdelab import solver as solver_module
@@ -907,3 +918,53 @@ def test_continuation_gaps_equal_the_node_array_gaps():
     )
     assert res.u_gaps == [u_gap]
     assert res.r_gaps == [r_gap]
+
+
+def test_each_pass_builds_a_level_operator_with_no_older_one_alive(monkeypatch):
+    problem = _w_dependent_recombining()
+    live, alive_at_build = weakref.WeakSet(), []
+    init = solver_module._LevelOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        alive_at_build.append(len(live))
+        init(self, *args, **kwargs)
+        live.add(self)
+
+    monkeypatch.setattr(solver_module._LevelOperator, "__init__", counted)
+    etas = default_test_functions(problem.grid)
+    sol = solve(problem, None, etas)
+    weak_form_residual(sol, problem, etas)
+    # every level reads W, so each pass builds one operator per level
+    assert alive_at_build == [0] * (2 * problem.tree.n_steps)
+    del sol
+    oracle_step_residual(heat_oracle(SpatialGrid(dim=1, half_width=np.pi, points=16), horizon=0.1), 6)
+    assert alive_at_build[-1] == 0
+
+
+def test_probes_refuse_a_state_no_level_holds_known_limit():
+    # Known limit (ROADMAP item 1): the T/2 probes read the leaf states
+    # +-n sqrt(dt), which no level at T/2 holds.  Every state the sweep
+    # samples (levels 0..3) has 2a - sigma^2 >= 0.05, yet solve refuses the
+    # leaf state W = -4 sqrt(dt).  Checking the rows each level samples
+    # instead flips this test.
+    grid = SpatialGrid(dim=1, half_width=np.pi, points=16)
+    tree = build_tree(TimeGrid(0.1, 4), 1, "recombining")
+    coeffs = CoefficientSet(
+        dim=1,
+        wiener_dim=1,
+        a=lambda t, w, g: np.full(g.shape + (1, 1), 0.75 - w[0] ** 2),
+        sigma=constant_sampler([[1.0]], (1, 1)),
+        w_dependent=True,
+    )
+    problem = ProblemData(
+        grid=grid, tree=tree, coefficients=coeffs, terminal=lambda w, g: np.cos(g.axis_coordinates())
+    )
+    swept = [
+        check_parabolicity(coeffs, grid, [(float(t), w) for w in tree.level_w(level)]).min_eigenvalue
+        for level, t in enumerate(tree.time_grid.times[:-1])
+    ]
+    assert min(swept) == approx(0.05)
+    with pytest.raises(ParabolicityError, match=r"eigenvalue -3\.000e-01 below tolerance") as err:
+        solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT))
+    # W = -4 sqrt(0.025), the first leaf
+    assert "'t': 0.05, 'w': [-0.63245" in str(err.value)
