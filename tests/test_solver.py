@@ -936,7 +936,6 @@ def test_each_pass_builds_a_level_operator_with_no_older_one_alive(monkeypatch):
     weak_form_residual(sol, problem, etas)
     # every level reads W, so each pass builds one operator per level
     assert alive_at_build == [0] * (2 * problem.tree.n_steps)
-    del sol
     oracle_step_residual(heat_oracle(SpatialGrid(dim=1, half_width=np.pi, points=16), horizon=0.1), 6)
     assert alive_at_build[-1] == 0
 
