@@ -40,7 +40,7 @@ import numpy as np
 # Full trees are refused above this many total sign bits (wiener_dim * n_steps):
 # 2^22 leaves is roughly an 8M-node tree, the largest that stays desk-scale.
 FULL_TREE_BIT_BUDGET = 22
-# Bytes of u, q and r a solve may store.
+# Bytes of u and r a solve may store (q is built on read).
 WORKSPACE_BYTE_BUDGET = 2**31
 # Bytes of one level field a per-level pass reads per node block; the pass's
 # temporaries are a few such blocks, whatever the level size.

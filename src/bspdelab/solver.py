@@ -6,7 +6,8 @@ expectation of the next level gives the predictor, the martingale
 representation gives q, and an Euler application of the generator
 (explicit or semi-implicit in the second-order part) produces u.  Nodes
 with the same inputs (children's values, coefficients and forcing) get
-the same (u, q), so each level stores and steps its distinct states once.
+the same (u, q), so each level steps its distinct states once.  A level
+stores u alone: q is fixed by the next level's u, and is rebuilt on read.
 The sweep, the weak form, the continuation gaps and the oracle step
 residual all walk a level through lattice.level_states; the passes that
 read a node's children key it by their rows too (_level_states).
@@ -209,19 +210,23 @@ class SolutionPair:
 
     Each level holds its distinct states: u, q and r share the level's
     node -> row map (AdaptedGridField), and u[level] gives the node array.
-    r = q + (grad u) sigma node by node (r^k = q^k + sigma^{ik} D_i u) is a
-    TransformedField: a level stores r's rows only where they take no more
-    bytes than the level's sigma rows, and elsewhere computes the rows a
-    reader asks for from u, q and sigma, == the rows it would have stored.
-    Where sigma = 0, r holds q's arrays themselves, so treat the stored
-    arrays as read-only.  meta records dt, h, viscosity, stepping mode, CFL and
+    A level stores u's rows.  q and r are TransformedFields, which build
+    the rows a reader asks for, == the rows the sweep took.  q's
+    rows are the martingale representation of u[level + 1] at each row's
+    first node (the level keeps those nodes, or none where every node is
+    its own row).  r = q + (grad u) sigma node by node
+    (r^k = q^k + sigma^{ik} D_i u): a level stores r's rows only where
+    they take no more bytes than the level's sigma rows, elsewhere keeps
+    the sigma rows and computes r from u, q and sigma, and where sigma = 0
+    reads q's rows.  Treat the stored arrays as read-only.
+    meta records dt, h, viscosity, stepping mode, CFL and
     parabolicity diagnostics, the stored rows per level (level_rows), and
     any warnings raised during the sweep.  weak_form is the WeakFormReport
     the sweep took when solve was given test functions, None otherwise.
     """
 
     u: AdaptedGridField
-    q: AdaptedGridField
+    q: TransformedField
     r: TransformedField
     meta: dict
     weak_form: WeakFormReport | None = None
@@ -869,7 +874,7 @@ class _LevelOperator:
     def r_transform(self, u, q, nodes):
         """r on the node range `nodes` (_transformed).
 
-        Where sigma = 0, r is q and solve stores q's array for it.
+        Where sigma = 0, r is q and solve transforms nothing.
         """
         return _transformed(u, q, self._at_nodes(self.coeffs.sigma, nodes), self.grid)
 
@@ -883,16 +888,51 @@ def _transformed(u, q, sigma, grid: SpatialGrid) -> np.ndarray:
     return q + component_dot(sigma, _grad(u, grid)[..., :, None], axis=-2)
 
 
-class _TransformedLevels:
-    """r's levels for TransformedField: stored rows, or rows computed on read.
+def _representation_rows(tree: PathTree, u_levels: list, level: int, kept: tuple, rows) -> np.ndarray:
+    """q's rows `rows` at a level, from u's next level (the build of q's _TransformedLevels).
 
-    kept[level] is the level's r rows (q's arrays where sigma = 0) or a
-    (sigma rows, row -> sigma-row map) pair, the map None when one sigma
-    row serves every row.  levels[level] gives a level's rows as an array.
+    kept is (row -> first node, None where every node is its own row; the
+    next level's node -> row map).  A row's q is the martingale
+    representation at its first node, the call the sweep made for it.
+    """
+    reps, inv_next = kept
+    nodes = rows
+    if reps is not None or not isinstance(rows, slice):
+        # node numbers, as the child table reads them: none negative
+        nodes = (np.arange(len(u_levels[level])) if reps is None else reps)[rows]
+        if inv_next is None:
+            # a per-node next level is read as views for a range only;
+            # other nodes gather their children through the identity map
+            inv_next = np.arange(len(u_levels[level + 1]))
+    return level_martingale_representation(tree, u_levels[level + 1], level, nodes, inv_next)
+
+
+def _transformed_rows(
+    q: _TransformedLevels, u_levels: list, grid: SpatialGrid, level: int, kept, rows
+) -> np.ndarray:
+    """r's rows `rows` at a level, from u, q and sigma (the build of r's _TransformedLevels).
+
+    kept is None where sigma = 0, r being q, else (sigma rows, row ->
+    sigma-row map), the map None when one sigma row serves every row.
+    """
+    if kept is None:
+        return q.rows(level, rows)
+    sigma, inv = kept
+    return _transformed(u_levels[level][rows], q.rows(level, rows), _rows_at(sigma, inv, rows), grid)
+
+
+class _TransformedLevels:
+    """The levels of q or r for TransformedField: stored rows, or rows built on read.
+
+    kept[level] is the level's rows as an array, or what
+    build(level, kept[level], rows) builds the rows `rows` from
+    (_representation_rows for q, _transformed_rows for r).  Every level
+    has u's row count (u holds u's levels).  levels[level] gives a level's
+    rows as an array.
     """
 
-    def __init__(self, kept: list, u_levels: list, q_levels: list, grid: SpatialGrid):
-        self.kept, self.u, self.q, self.grid = kept, u_levels, q_levels, grid
+    def __init__(self, kept: list, u_levels: list, build: Callable):
+        self.kept, self.u, self.build = kept, u_levels, build
 
     def __len__(self) -> int:
         return len(self.kept)
@@ -909,14 +949,13 @@ class _TransformedLevels:
             return kept[rows]
         if isinstance(rows, (int, np.integer)):
             return self.rows(level, [rows])[0]
-        sigma, inv = kept
-        return _transformed(self.u[level][rows], self.q[level][rows], _rows_at(sigma, inv, rows), self.grid)
+        return self.build(level, kept, rows)
 
 
 class TransformedField(AdaptedGridField):
-    """The AdaptedGridField of r over _TransformedLevels.
+    """The AdaptedGridField of q or r over _TransformedLevels.
 
-    Every reader works on a computed level too; at, rows and row_map touch
+    Every reader works on a built level too; at, rows and row_map touch
     only the rows they return or none.
     """
 
@@ -930,11 +969,16 @@ class TransformedField(AdaptedGridField):
 
     def row_map(self, level: int) -> np.ndarray:
         inv = self.maps[level]
-        return np.arange(len(self.levels.q[level])) if inv is None else inv
+        return np.arange(len(self.levels.u[level])) if inv is None else inv
 
     def stored(self, level: int) -> bool:
-        """Whether the level holds r's rows rather than computing them on read."""
-        return isinstance(self.levels.kept[level], np.ndarray)
+        """Whether the level's rows take no transform of their own on read.
+
+        True where the level stores them and, for r, where sigma = 0 and r
+        is q's rows; False where they are built from u (q) or from u, q
+        and sigma (r).
+        """
+        return not isinstance(self.levels.kept[level], tuple)
 
 
 def _varying(problem: ProblemData) -> bool:
@@ -1047,20 +1091,21 @@ def parabolicity_probes(coefficients: CoefficientSet, tree: PathTree) -> list:
     return samples
 
 
-def _kept_r(op: _LevelOperator, q: np.ndarray):
+def _kept_r(op: _LevelOperator, shape: tuple):
     """What a level keeps of r, as _TransformedLevels.kept holds it.
 
-    q's array where sigma = 0; (sigma rows, an unfilled row -> sigma-row
-    map, None for one sigma row) where those take fewer bytes than r's
-    rows, which q's array sizes; else an unfilled array for r's rows.
+    None where sigma = 0 (r is q, built on read); (sigma rows, an unfilled
+    row -> sigma-row map, None for one sigma row) where those take fewer
+    bytes than r's rows of shape `shape`; else an unfilled array for r's
+    rows.
     """
     if "sigma" not in op.nonzero:
-        return q
+        return None
     sigma, inv = op.coeffs.sigma, op.coeffs.inv
-    row_map = None if inv is None else np.empty(len(q), dtype=np.intp)
-    if sigma.nbytes + (0 if row_map is None else row_map.nbytes) < q.nbytes:
+    row_map = None if inv is None else np.empty(shape[0], dtype=np.intp)
+    if sigma.nbytes + (0 if row_map is None else row_map.nbytes) < 8 * math.prod(shape):
         return sigma, row_map
-    return np.empty_like(q)
+    return np.empty(shape)
 
 
 def solve(
@@ -1075,14 +1120,20 @@ def solve(
     level keeps the node -> row map (None where every node is its own
     state).  A level whose next level holds one row per node is not keyed:
     its nodes are stepped in node ranges.  Rows are stepped in blocks of
-    at most BLOCK_BYTE_BUDGET bytes of one scalar field, written into the
-    stored arrays, so what the sweep holds beyond them is a few blocks,
-    whatever the level size.  Every node's u, q and r are `==` what
-    stepping it on its own gives.  A level whose sigma rows (with their
-    row map) take fewer bytes than its r rows keeps those instead, and r's
-    rows are computed on read (TransformedField); where sigma = 0, r is q.
+    at most BLOCK_BYTE_BUDGET bytes of one scalar field: a block's q is
+    taken from the next level's u, used for the step, the r-transform and
+    the weak form, and dropped, and its u is written into the stored
+    array, so what the sweep holds beyond the stored rows is a few blocks,
+    whatever the level size.  A level stores u's rows and the first node
+    of each row (none where every node is its own row); q's rows are
+    rebuilt on read from those nodes and the next level's u
+    (TransformedField).  A level whose sigma rows (with their row map)
+    take fewer bytes than its r rows keeps those instead of r's rows, and
+    r's rows are computed on read from u, q and sigma; where sigma = 0, r
+    is q.  Every node's u, q and r are `==` what stepping it on its own
+    gives.
 
-    Preconditions: u and q, and r when sigma is set or level_coefficients
+    Preconditions: u, and r when sigma is set or level_coefficients
     overrides sampling, stored one row per node would fit
     WORKSPACE_BYTE_BUDGET (checked before anything is sampled, so every
     node counts whether or not it shares a row, and r counts on derived
@@ -1105,14 +1156,14 @@ def solve(
     tree, grid = problem.tree, problem.grid
     n = tree.n_steps
     dt = tree.time_grid.dt
-    # u on levels 0..n; q, and r where sigma can be nonzero, d' components
-    # each on levels 0..n-1
+    # u on levels 0..n, and r where sigma can be nonzero, d' components on
+    # levels 0..n-1
     with_r = problem.coefficients.sigma is not None or problem.level_coefficients is not None
-    nodes = sum(tree.level_sizes) + (1 + with_r) * tree.wiener_dim * sum(tree.level_sizes[:-1])
+    nodes = sum(tree.level_sizes) + with_r * tree.wiener_dim * sum(tree.level_sizes[:-1])
     nbytes = 8 * grid.size * nodes
     if nbytes > WORKSPACE_BYTE_BUDGET:
         raise BudgetExceededError(
-            f"solve would store {nbytes} bytes of {'u, q and r' if with_r else 'u and q'}, "
+            f"solve would store {nbytes} bytes of {'u and r' if with_r else 'u'}, "
             f"over the budget of {WORKSPACE_BYTE_BUDGET} bytes"
         )
 
@@ -1126,8 +1177,8 @@ def solve(
     warns = cfl.enforce(config.time_stepping == EXPLICIT, alternative="semi_implicit stepping")
 
     u_levels: list = [None] * (n + 1)
-    q_levels: list = [None] * n
-    r_levels: list = [None] * n
+    q_kept: list = [None] * n
+    r_kept: list = [None] * n
     maps: list = [None] * (n + 1)
     u_levels[n], maps[n] = _terminal_values(problem)
 
@@ -1137,22 +1188,21 @@ def solve(
         # nodes sharing their children's rows, coefficients and forcing share u, q and r
         count, maps[level], blocks = _level_states(problem, level, inv_next, [op.coeffs.inv, f_inv])
         u = u_levels[level] = np.empty((count,) + grid.shape)
-        q = q_levels[level] = np.empty((count,) + grid.shape + (tree.wiener_dim,))
-        r = r_levels[level] = _kept_r(op, q)
+        reps = None if maps[level] is None else np.concatenate([nodes for _, nodes in blocks])
+        q_kept[level] = (reps, inv_next)
+        r = r_kept[level] = _kept_r(op, u.shape + (tree.wiener_dim,))
         for rows, nodes in blocks:
             ubar = level_conditional_expectation(tree, u_next, level, nodes, inv_next)
-            q[rows] = level_martingale_representation(tree, u_next, level, nodes, inv_next)
+            q = level_martingale_representation(tree, u_next, level, nodes, inv_next)
             f_nodes = _rows_at(f, f_inv, nodes)
-            u[rows], star = op.step(ubar, q[rows], f_nodes, level, nodes)
+            u[rows], star = op.step(ubar, q, f_nodes, level, nodes)
             if isinstance(r, tuple):
                 if r[1] is not None:
                     r[1][rows] = op.coeffs.inv[nodes]
-            elif r is not q:
-                r[rows] = op.r_transform(u[rows], q[rows], nodes)
+            elif r is not None:
+                r[rows] = op.r_transform(u[rows], q, nodes)
             if check is not None:
-                check.block(
-                    op, level, nodes, u[rows], q[rows], ubar, star, f_nodes, u_next, inv_next
-                )
+                check.block(op, level, nodes, u[rows], q, ubar, star, f_nodes, u_next, inv_next)
         if check is not None:
             check.end_level(level)
         del op
@@ -1185,10 +1235,12 @@ def solve(
         "level_rows": [len(rows) for rows in u_levels],
         "warnings": warns,
     }
+    q_levels = _TransformedLevels(q_kept, u_levels, partial(_representation_rows, tree, u_levels))
+    r_levels = _TransformedLevels(r_kept, u_levels, partial(_transformed_rows, q_levels, u_levels, grid))
     return SolutionPair(
         u=AdaptedGridField(u_levels, maps),
-        q=AdaptedGridField(q_levels, maps[:n]),
-        r=TransformedField(_TransformedLevels(r_levels, u_levels, q_levels, grid), maps[:n]),
+        q=TransformedField(q_levels, maps[:n]),
+        r=TransformedField(r_levels, maps[:n]),
         meta=meta,
         weak_form=None if check is None else check.report(),
     )

@@ -17,13 +17,13 @@ Core claims:
       level when they vary in t or W or come from level_coefficients
     - a 2D heat solve samples its constant coefficients 3 times: one
       parabolicity probe, one CFL probe and the level operator
-    - solve refuses, before sampling anything, a run whose stored u, q and
-      r exceed the workspace byte budget, and names the byte count; r
-      counts only where sigma is set, so a sigma-free run within the
-      budget for u and q solves
+    - solve refuses, before sampling anything, a run whose stored u and r
+      exceed the workspace byte budget, and names the byte count; q is
+      never stored and r counts only where sigma is set, so a sigma-free
+      run within the budget for u solves
     - terms whose coefficient is zero everywhere are skipped: a 2D heat
-      semi-implicit solve takes no gradient, and r is q itself on every
-      level when sigma = 0 (and not when sigma != 0)
+      semi-implicit solve takes no gradient, and r == q on every level
+      when sigma = 0 (and not when sigma != 0)
     - with no explicit part (semi-implicit, b = c = 0) a step solves once
       whatever the corrector passes, and returns (u, u) as the repeated
       passes would
@@ -375,9 +375,9 @@ def test_constant_heat_solve_samples_coefficients_three_times(monkeypatch):
 
 def test_solve_refuses_storage_over_the_byte_budget(monkeypatch):
     base = _varying_problem(4)
-    # M = 16; a recombining tree with 4 steps stores u on 15 nodes and q, r
-    # (one Wiener component each) on the 10 nodes of levels 0..3
-    nbytes = 8 * 16 * (15 + 2 * 10)
+    # M = 16; a recombining tree with 4 steps stores u on 15 nodes and r
+    # (one Wiener component) on the 10 nodes of levels 0..3
+    nbytes = 8 * 16 * (15 + 10)
     terminal = _CountingSampler(lambda t, w, g: base.terminal(w, g))
     problem = dataclasses.replace(base, terminal=lambda w, g: terminal(0.0, w, g))
     levels = _count_level_coefficients(monkeypatch)
@@ -399,16 +399,16 @@ def test_byte_budget_counts_r_only_where_sigma_can_be_nonzero(monkeypatch):
     assert heat.coefficients.sigma is None
     sigma = constant_sampler([[0.1], [0.0]], (2, 1))
     noisy = dataclasses.replace(heat, coefficients=dataclasses.replace(heat.coefficients, sigma=sigma))
-    # 4 recombining steps: u on 15 nodes, q (one Wiener component) on the 10
-    # nodes of levels 0..3, and r on those 10 only when sigma is set
+    # 4 recombining steps: u on 15 nodes, no q, and r (one Wiener
+    # component) on the 10 nodes of levels 0..3 only when sigma is set
     row = 8 * heat.grid.size
-    uq = row * (15 + 10)
-    monkeypatch.setattr(solver, "WORKSPACE_BYTE_BUDGET", uq)
+    u = row * 15
+    monkeypatch.setattr(solver, "WORKSPACE_BYTE_BUDGET", u)
     solve(heat)
-    with pytest.raises(BudgetExceededError, match=f"store {uq + 10 * row} bytes of u, q and r,"):
+    with pytest.raises(BudgetExceededError, match=f"store {u + 10 * row} bytes of u and r,"):
         solve(noisy)
-    monkeypatch.setattr(solver, "WORKSPACE_BYTE_BUDGET", uq - 1)
-    with pytest.raises(BudgetExceededError, match=f"store {uq} bytes of u and q,"):
+    monkeypatch.setattr(solver, "WORKSPACE_BYTE_BUDGET", u - 1)
+    with pytest.raises(BudgetExceededError, match=f"store {u} bytes of u,"):
         solve(heat)
 
 
@@ -478,8 +478,8 @@ def test_r_is_q_exactly_when_sigma_vanishes(sigma):
         terminal=lambda w, g: np.cos(x) * (1.0 + w[0]),
     )
     sol = solve(problem, SolverConfig(time_stepping=SEMI_IMPLICIT))
-    shared = [sol.r[level] is sol.q[level] for level in range(len(sol.q))]
-    assert shared == [sigma == 0.0] * len(sol.q)
+    equal = [np.array_equal(sol.r[level], sol.q[level]) for level in range(len(sol.q))]
+    assert equal == [sigma == 0.0] * len(sol.q)
 
 
 # -- forcing without coefficient sampling ------------------------------------------

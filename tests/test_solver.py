@@ -18,6 +18,11 @@ Core claims:
       rows are computed on read, == the per-node transform, and what a
       solve holds never exceeds u, q and a stored r; r's readers build
       only the rows they return, and the sweep transforms no derived level
+    - a solve stores no q: each level's q, == the martingale
+      representation of the next level's node array and == a solve whose
+      nodes all differ, is built on read, and q's readers build only the
+      rows they return; on wiener_linear a solve holds u, one sigma row
+      and one r row
     - terminal data is sampled per unique leaf state, and a sample of the
       wrong shape is refused
     - viscosity_continuation validates its schedule, shrinks the
@@ -59,7 +64,7 @@ from bspdelab.coefficients import (
     constant_sampler,
 )
 from bspdelab.grid import SpatialGrid, batch_gradient, level_norm_sq
-from bspdelab.lattice import TimeGrid, build_tree
+from bspdelab.lattice import TimeGrid, build_tree, level_martingale_representation
 from bspdelab import solver as solver_module
 from bspdelab.oracles import exact_level_fields, heat_oracle, wiener_linear_oracle
 from bspdelab.solver import (
@@ -748,11 +753,11 @@ def test_sweep_stores_each_distinct_state_once(case):
             assert len(rows) == expected[level]
             if inv is None:
                 assert len(rows) == problem.tree.level_sizes[level]
-                if field is sol.r and not sol.r.stored(level):
-                    # a derived level computes its rows on each read
-                    assert np.array_equal(field[level], sol.r.rows(level, slice(None)))
-                else:
+                if field is sol.u or field is sol.r and sol.r.stored(level):
                     assert field[level] is rows
+                else:
+                    # q, and r on a derived level, compute their rows on each read
+                    assert np.array_equal(field[level], field.rows(level, slice(None)))
             else:
                 assert np.array_equal(field[level], rows[inv])
     if case == "w_dependent_recombining":
@@ -900,6 +905,84 @@ def test_derived_r_readers_build_only_the_rows_they_return(monkeypatch):
     assert np.array_equal(sol.r.at(level, slice(0, 1)), full[:1]) and built == [3, 1, 1]
     assert len(sol.r) == n
     assert all(np.array_equal(a, b) for a, b in zip(sol.r, [sol.r[k] for k in range(n)]))
+
+
+def _q_case(case):
+    if case == "w_free_full":
+        return _full_counterexample(lambda w, g: np.cos(g.coordinates()[0]))
+    if case == "markov_terminal_full":
+        return _full_counterexample(_markov_terminal)
+    if case == "w_dependent_recombining":
+        return _w_dependent_recombining()
+    return _w_dependent_sigma(1 if case == "w_dependent_sigma_1d" else 2)
+
+
+@pytest.mark.parametrize("stepping", [EXPLICIT, SEMI_IMPLICIT])
+@pytest.mark.parametrize(
+    "case",
+    ["w_free_full", "markov_terminal_full", "w_dependent_recombining", "w_dependent_sigma_1d", "w_dependent_sigma_2d"],
+)
+def test_q_is_the_representation_of_the_next_level_u(case, stepping):
+    problem = _q_case(case)
+    tree, config = problem.tree, SolverConfig(time_stepping=stepping)
+    sol = solve(problem, config)
+    ref = solve(_per_node_states(problem), config)
+    assert len(sol.q) == tree.n_steps
+    for level in range(tree.n_steps):
+        q = sol.q[level]
+        assert not sol.q.stored(level)
+        assert np.array_equal(q, level_martingale_representation(tree, sol.u[level + 1], level)), level
+        assert np.array_equal(q, ref.q[level]), level
+        # node reads in any order, through the row map or a per-node next level
+        nodes = np.arange(tree.level_sizes[level])[::-1]
+        assert np.array_equal(sol.q.at(level, nodes), q[nodes])
+        assert np.array_equal(sol.q.at(level, -1), q[-1])
+
+
+@pytest.mark.parametrize("case", ["wiener_linear", "markov_terminal_full"])
+def test_derived_q_readers_build_only_the_rows_they_return(monkeypatch, case):
+    problem, config, _ = _r_case(case)
+    sol = solve(problem, config)
+    level = 2
+    full, rows = sol.q[level], sol.q.levels[level]
+    built = []
+    real = solver_module.level_martingale_representation
+
+    def counting(*args):
+        out = real(*args)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(solver_module, "level_martingale_representation", counting)
+    assert np.array_equal(sol.q.row_map(level), sol.u.row_map(level)) and built == []
+    assert len(sol.q) == problem.tree.n_steps and built == []
+    nodes = np.array([0, 2, 1])
+    assert np.array_equal(sol.q.at(level, nodes), full[nodes]) and built == [3]
+    assert np.array_equal(sol.q.at(level, 1), full[1]) and built == [3, 1]
+    assert np.array_equal(sol.q.rows(level, slice(1, 3)), rows[1:3]) and built == [3, 1, 2]
+    # a derived r level builds q for the rows it returns
+    assert not sol.r.stored(level)
+    r_rows = sol.r.at(level, nodes)
+    assert built[3:] == [3]
+    assert np.array_equal(r_rows, sol.r[level][nodes])
+
+
+def test_a_solve_holds_u_sigma_and_maps_but_no_q():
+    problem, config, stored = _r_case("wiener_linear")
+    sol = solve(problem, config)
+    held = {}
+    for arr in [*sol.u.levels, *sol.u.maps]:
+        if arr is not None:
+            held[id(arr)] = arr
+    for kept in [*sol.q.levels.kept, *sol.r.levels.kept]:
+        for arr in kept if isinstance(kept, tuple) else (kept,):
+            if arr is not None:
+                held[id(arr)] = arr
+    u_bytes = sum(rows.nbytes for rows in sol.u.levels)
+    # u, one sigma row and level 0's one r row (a tie); every level here is
+    # one row per node, so no map holds a byte
+    assert stored == [True] + [False] * 7
+    assert sum(arr.nbytes for arr in held.values()) == u_bytes + 2 * 8 * problem.grid.size
 
 
 def test_continuation_gaps_equal_the_node_array_gaps():
