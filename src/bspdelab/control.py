@@ -198,7 +198,13 @@ class ControlProblem:
 
 @dataclass(frozen=True)
 class ControlPolicy:
-    """Adapted control choice: one gamma index per node on levels 0..n-1."""
+    """Adapted control choice: one gamma index per node on levels 0..n-1.
+
+    Indices are stored as int64.  Integer arrays and integral floats (1.0)
+    pass; an entry that is not an integer (0.7, -0.2, nan, True) is refused
+    with a ValueError naming its level, not truncated to a control the
+    caller did not choose.
+    """
 
     indices: tuple
 
@@ -206,7 +212,7 @@ class ControlPolicy:
         object.__setattr__(
             self,
             "indices",
-            tuple(np.asarray(arr, dtype=np.int64) for arr in self.indices),
+            tuple(_integer_indices(level, arr) for level, arr in enumerate(self.indices)),
         )
 
     def dump(self, gamma: tuple) -> list:
@@ -218,6 +224,16 @@ class ControlPolicy:
                     {"level": level, "index": index, "control": gamma[int(gi)]}
                 )
         return rows
+
+
+def _integer_indices(level: int, values) -> np.ndarray:
+    arr = np.asarray(values)
+    integral = arr.dtype.kind in "iu" or (
+        arr.dtype.kind == "f" and bool(np.all(np.isfinite(arr) & (arr == np.trunc(arr))))
+    )
+    if not integral:
+        raise ValueError(f"policy level {level} holds control indices that are not integers")
+    return arr.astype(np.int64)
 
 
 def constant_policy(tree: PathTree, index: int = 0) -> ControlPolicy:
@@ -256,7 +272,7 @@ def _generator_apply(xi, smp: _ControlTable, grid: SpatialGrid):
     """(L xi, M xi) for a batch xi (nodes, *grid) from one gradient of xi."""
     du = batch_gradient(xi, grid)
     m_xi = component_dot(smp.sigma, du[..., :, None], axis=-2) + smp.nu * xi[..., None]
-    # in place: exhaustive_policy_search applies this to every prefix state of a level at once
+    # in place: exhaustive_policy_search applies this to all of a level's (path, node) states at once
     l_xi = batch_divergence(component_dot(smp.a, du[..., None, :]), grid)
     l_xi += component_dot(smp.b, du)
     l_xi += smp.c * xi
@@ -683,22 +699,21 @@ class ExhaustiveResult:
     costs: np.ndarray
 
 
-def _spread(values: np.ndarray, n_gamma: int) -> np.ndarray:
-    """Per-prefix rows one level longer from values per (prefix, node, control).
+def _ancestral_paths(n_gamma: int, n_children: int, offsets: list, level: int) -> np.ndarray:
+    """Path codes of a level's nodes under every prefix code, (prefixes, nodes).
 
-    values has shape (K, s, |gamma|, ...) for the K prefixes and s nodes of
-    one level.  Row prefix + K (d_0 + |gamma| d_1 + ... + |gamma|^(s-1) d_(s-1))
-    of the result, node j, holds values[prefix, j, d_j]: the rows are the
-    prefixes that also fix this level's controls, in policy-code order.
+    A prefix code holds the controls of the offsets[level] nodes above the
+    level, one base-|gamma| digit per node.  Digit l of a path code is the
+    control of the node's ancestor on level l, node j // k^(level - l)
+    there, so it reads prefix digit offsets[l] + j // k^(level - l).
     """
-    n_prefix, n_nodes = values.shape[:2]
-    rest = values.shape[3:]
-    out = np.empty((n_prefix * n_gamma**n_nodes, n_nodes) + rest)
-    for j in range(n_nodes):
-        # row = prefix + K (low + |gamma|^j (d_j + |gamma| high)) with low < |gamma|^j
-        view = out.reshape((n_gamma ** (n_nodes - 1 - j), n_gamma, n_gamma**j, n_prefix, n_nodes) + rest)
-        view[:, :, :, :, j] = np.moveaxis(values[:, j], 1, 0)[None, :, None]
-    return out
+    codes = np.arange(n_gamma ** offsets[level], dtype=np.int64)[:, None]
+    nodes = np.arange(offsets[level + 1] - offsets[level])
+    paths = np.zeros((codes.shape[0], nodes.size), dtype=np.int64)
+    for up in range(level):
+        ancestor = offsets[up] + nodes // n_children ** (level - up)
+        paths += (codes // n_gamma**ancestor) % n_gamma * n_gamma**up
+    return paths
 
 
 def exhaustive_policy_search(
@@ -706,19 +721,26 @@ def exhaustive_policy_search(
     budget: int = 2**20,
     workspace_bytes: int = 2**22,
 ) -> ExhaustiveResult:
-    """Evaluate J for all |gamma|^nodes policies, sharing states across prefixes.
+    """Evaluate J for all |gamma|^nodes policies, sharing states across ancestral paths.
 
     Full trees only: the enumeration assigns controls per pathwise node.
     A policy's code has the control index of the j-th non-leaf node (nodes
-    ordered level-major) as its j-th base-|gamma| digit.  The forward state
-    at level L depends only on the controls above L, the code's low
-    offsets[L] digits, so the sweep holds one state per (prefix, node) and
-    applies the generator once per control to that batch.  Each code's J
-    adds one table per level, indexed by its low digits, then the terminal
-    pairing of the last level's children; no per-policy state is built.
+    ordered level-major) as its j-th base-|gamma| digit.  A node's forward
+    state depends only on the controls its ancestors play, so the sweep
+    holds one state per (ancestral path, node), |gamma|^L sizes[L] of them
+    on level L, and applies the generator once per control to that batch.
+    Each level's pairings (running cost, and on the last level the terminal
+    pairing of the children) are gathered to the codes of the controls
+    above the level and added into each code's J one node at a time; no
+    per-policy state or (policies x nodes) table is built.
     `workspace_bytes` (4 MiB by default) caps the largest level's children,
-    prefixes * nodes * |gamma| * children * grid points * 8 bytes; it and
-    `budget` are checked before the sweep allocates or applies anything.
+    |gamma|^L * sizes[L] * |gamma| * children * grid points * 8 bytes; it
+    and `budget` are checked before the sweep allocates or applies anything.
+    The search holds the cost vector, 8 bytes per policy (at most 8 MiB
+    under the default budget), plus the largest level's children and a few
+    temporaries of its states: on the benchmark's steering instance
+    (M = 16, n = 4, 2^15 policies) the tracemalloc peak is 0.38 MiB, of
+    which 0.25 MiB is the cost vector and 32 KiB the children.
     """
     tree, grid = problem.tree, problem.grid
     if tree.mode != "full":
@@ -735,7 +757,7 @@ def exhaustive_policy_search(
             f"{n_gamma}^{total} = {n_policies} policies exceed budget {budget}"
         )
     n_children = tree.child_count
-    states = max(n_gamma ** offsets[level] * size for level, size in enumerate(sizes))
+    states = max(n_gamma**level * size for level, size in enumerate(sizes))
     need = states * n_gamma * n_children * grid.size * 8
     if need > workspace_bytes:
         raise BudgetExceededError(
@@ -747,33 +769,45 @@ def exhaustive_policy_search(
     gax = tuple(range(2, 2 + grid.dim))
     incr = tree.increments()
     costs = np.zeros(n_policies)
-    # xi[prefix, node]: the level's state under every prefix of controls above it
+    # xi[path, node]: the level's state under each path of its ancestors' controls
     xi = np.broadcast_to(problem.xi0, (1, 1) + grid.shape)
     for level in range(tree.n_steps):
-        n_prefix, n_nodes = xi.shape[:2]
+        n_paths, n_nodes = xi.shape[:2]
         flat = xi.reshape((-1,) + grid.shape)
-        pairs = np.empty((n_prefix, n_nodes, n_gamma))
-        children = np.empty((n_prefix, n_nodes, n_gamma, n_children) + grid.shape)
+        pairs = np.empty((n_paths, n_nodes, n_gamma))
+        # children[control, path, node, child]: the next level's states, path
+        # code control * |gamma|^level + path, node node * k + child
+        children = np.empty((n_gamma, n_paths, n_nodes, n_children) + grid.shape)
         for gi in range(n_gamma):
             smp = problem._table[level, gi]
-            dr, mt = _generator_apply(flat, smp, grid)
-            dr += smp.big_f
-            mt += smp.big_g
             pairs[:, :, gi] = np.sum(smp.cost_f * xi, axis=gax) * vol
-            kick = np.einsum("pm...k,ck->pmc...", mt.reshape(xi.shape + (-1,)), incr)
-            children[:, :, gi] = (xi + dt * dr.reshape(xi.shape))[:, :, None] + kick
-        # row sums, not a BLAS product whose rounding can depend on the row
-        # count: a policy's J does not depend on how many prefixes share it
-        table = _spread(pairs * tree.level_probabilities(level)[:, None], n_gamma)
-        by_prefix = costs.reshape(-1, table.shape[0])  # a view: columns are the low digits
-        by_prefix += dt * np.sum(table, axis=1)
+            dr, mt = _generator_apply(flat, smp, grid)
+            mt += smp.big_g
+            np.einsum("pm...k,ck->pmc...", mt.reshape(xi.shape + (-1,)), incr, out=children[gi])
+            # xi + dt (L xi + F), then plus the kick, in place: floating-point
+            # sums commute, so these are the out-of-place states, bit for bit
+            dr += smp.big_f
+            dr *= dt
+            stepped = dr.reshape(xi.shape)
+            stepped += xi
+            children[gi] += stepped[:, :, None]
+            del dr, mt, stepped  # freed before the next control's generator runs
+        pairs *= dt * tree.level_probabilities(level)[:, None]
         if level + 1 < tree.n_steps:
-            xi = _spread(children, n_gamma).reshape((-1, n_nodes * n_children) + grid.shape)
-    # children[prefix, node, control, child] are the leaves of the last level
-    leaf_probs = tree.level_probabilities(tree.n_steps).reshape(sizes[-1], 1, n_children)
-    leaf_axes = tuple(range(4, 4 + grid.dim))
-    leaves = np.sum(problem.terminal_phi * children, axis=leaf_axes) * vol * leaf_probs
-    costs += np.sum(_spread(leaves, n_gamma).reshape(n_policies, -1), axis=1)
+            xi = children.reshape((-1, n_nodes * n_children) + grid.shape)
+        else:
+            leaf_probs = tree.level_probabilities(level + 1).reshape(n_nodes, n_children)
+            kid_axes = tuple(range(3, 3 + grid.dim))
+            for gi in range(n_gamma):
+                leaves = np.sum(problem.terminal_phi * children[gi], axis=kid_axes)
+                pairs[:, :, gi] += np.sum(leaves * vol * leaf_probs, axis=-1)
+        # by_prefix[prefix, node, control]: the pairings each code above the level sees
+        by_prefix = pairs[_ancestral_paths(n_gamma, n_children, offsets, level), np.arange(n_nodes)]
+        n_prefix = by_prefix.shape[0]
+        for j in range(n_nodes):
+            # code = prefix + n_prefix (low + |gamma|^j (d_j + |gamma| high)), low < |gamma|^j
+            view = costs.reshape(-1, n_gamma, n_gamma**j, n_prefix)
+            view += by_prefix[:, j].T[None, :, None, :]
 
     best = int(np.argmin(costs))
     weights = n_gamma ** np.arange(total, dtype=np.int64)

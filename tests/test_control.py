@@ -11,7 +11,8 @@ Core claims:
     - construction calls each sampler once per (probe time, control), and
       nothing after it (search, iteration, report, duality) samples again
     - constant_policy, policies_equal and dump behave as documented, and
-      malformed policies are rejected before any sweep
+      malformed policies are rejected before any sweep; a policy entry that
+      is not an integer is refused at construction, naming its level
     - the forward march refuses CFL-violating steps and, before sweeping,
       recombining lattices whose probabilities underflow; it conserves a static
       state under zero dynamics, and its recombining conditional means
@@ -31,8 +32,11 @@ Core claims:
     - exhaustive_policy_search agrees with the plain forward cost path,
       enforces its mode and budget guards, and its minimum matches costs;
       its cost for every policy equals the plain forward cost path's, and
-      its byte cap is the largest level's children array, checked before
-      the generator is applied
+      its byte cap is the largest level's children array, one state per
+      (ancestral path, node), checked before the generator is applied; at
+      the benchmark's size its traced peak is the cost vector plus that
+      array plus a small fixed slack, and at M = 256 (refused when states
+      were kept per prefix) its costs match the forward cost path at depth 4
     - the forward CFL bound and the degeneracy check see a coefficient
       spike on any step level, not only at t = 0, T/2 and T
     - the forward sweep and the exhaustive search refuse through
@@ -49,6 +53,7 @@ Core claims:
 import ast
 import collections
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -403,6 +408,22 @@ def test_malformed_policy_rejected():
         solve_forward(problem, out_of_range)
 
 
+def test_policy_refuses_entries_that_are_not_integers():
+    # truncation would have stored [0] and [1, 0]: -0.2 playing gamma[0]
+    with pytest.raises(ValueError, match="level 0 .* not integers"):
+        ControlPolicy((np.array([0.7]), np.array([1.9, -0.2])))
+    with pytest.raises(ValueError, match="level 1 .* not integers"):
+        ControlPolicy((np.array([0]), np.array([1.0, -0.2])))
+    for bad in (np.nan, np.inf, True):
+        with pytest.raises(ValueError, match="level 0"):
+            ControlPolicy((np.array([bad]),))
+    kept = ControlPolicy(
+        (np.array([1], dtype=np.int32), np.array([0, 1], dtype=np.uint8), np.array([1.0, 0.0]))
+    )
+    assert all(arr.dtype == np.int64 for arr in kept.indices)
+    assert [arr.tolist() for arr in kept.indices] == [[1], [0, 1], [1, 0]]
+
+
 # -- forward march ---------------------------------------------------------------
 
 
@@ -691,9 +712,9 @@ def test_exhaustive_costs_match_every_policy(make, n_policies):
 def test_exhaustive_byte_cap_is_the_largest_level(monkeypatch):
     problem = _steering_problem(M=8, T=0.1, n=3, mode="full")
     whole = exhaustive_policy_search(problem)
-    # level 2 is the largest: 2^3 prefixes * 4 nodes, each with |gamma| = 2
-    # controls and 2 children of 8 points * 8 bytes
-    need = 2**3 * 4 * 2 * 2 * 8 * 8
+    # level 2 is the largest: 2^2 ancestral paths * 4 nodes, each with
+    # |gamma| = 2 controls and 2 children of 8 points * 8 bytes
+    need = 2**2 * 4 * 2 * 2 * 8 * 8
     applied = []
     monkeypatch.setattr(control, "_generator_apply", lambda *args: applied.append(args))
     with pytest.raises(BudgetExceededError, match=f"needs {need} bytes"):
@@ -705,6 +726,38 @@ def test_exhaustive_byte_cap_is_the_largest_level(monkeypatch):
     assert np.array_equal(capped.costs, whole.costs)
     assert capped.j == whole.j
     assert policies_equal(capped.policy, whole.policy)
+
+
+def test_exhaustive_peak_is_the_costs_and_the_largest_level():
+    problem = _steering_problem(M=16, T=0.1, n=4, mode="full")
+    # level 3: 2^3 paths * 8 nodes * |gamma| = 2 * 2 children * 16 points * 8 bytes
+    need = 2**3 * 8 * 2 * 2 * 16 * 8
+    with pytest.raises(BudgetExceededError, match=f"needs {need} bytes"):
+        exhaustive_policy_search(problem, workspace_bytes=need - 1)
+    tracemalloc.start()
+    try:
+        res = exhaustive_policy_search(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.costs.nbytes == 8 * 2**15
+    # the slack covers the last level's states and generator temporaries, a
+    # few (64 states x 16 points) arrays; a (policies x nodes) table is 2 MiB
+    assert peak <= res.costs.nbytes + need + 3 * 2**16
+
+
+def test_exhaustive_reaches_a_fine_grid_at_depth_four():
+    # states kept per (prefix, node) needed 8388608 bytes here, over the
+    # default 4 MiB workspace; per (ancestral path, node) they need 524288
+    problem = _steering_problem(M=256, T=0.004, n=4, mode="full")
+    res = exhaustive_policy_search(problem)
+    assert res.n_policies == 2**15
+    codes = np.random.default_rng(0).choice(res.n_policies, 30, replace=False).tolist()
+    codes += [0, res.n_policies - 1, int(np.argmin(res.costs))]
+    for code in codes:
+        policy = _policy_of_code(problem.tree, 2, code)
+        j = cost(problem, policy, solve_forward(problem, policy))
+        assert res.costs[code] == approx(j, rel=1e-13, abs=0)
 
 
 def test_exhaustive_guards():

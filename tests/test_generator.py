@@ -12,7 +12,7 @@ Core claims:
     - the control generator takes one gradient per (level, control) in
       solve_forward and exhaustive_policy_search, and (L xi, M xi) equals
       the two separate applications it replaced exactly; the exhaustive
-      search applies it to one state per (policy prefix, node)
+      search applies it to one state per (ancestral path, node)
     - a backward step takes at most one gradient per level and corrector
       pass, whatever the number of coefficient rows: one for the primal
       kind and for explicit adjoint steps, none for semi-implicit adjoint
@@ -261,7 +261,7 @@ def test_control_takes_one_gradient_per_level_and_control(monkeypatch):
     assert len(calls) == tree.n_steps * len(problem.gamma)
 
 
-def test_exhaustive_batch_is_one_state_per_prefix_and_node(monkeypatch):
+def test_exhaustive_batch_is_one_state_per_path_and_node(monkeypatch):
     problem = _control_problem()
     rows = []
     original = control._generator_apply
@@ -272,9 +272,9 @@ def test_exhaustive_batch_is_one_state_per_prefix_and_node(monkeypatch):
 
     monkeypatch.setattr(control, "_generator_apply", recording)
     exhaustive_policy_search(problem)
-    # level L holds |gamma|^offsets[L] prefixes of its sizes[L] nodes:
-    # offsets (0, 1, 3) and sizes (1, 2, 4), once per control
-    assert rows == [1, 1, 2 * 2, 2 * 2, 2**3 * 4, 2**3 * 4]
+    # level L holds |gamma|^L ancestral paths of its sizes[L] nodes:
+    # sizes (1, 2, 4), once per control
+    assert rows == [1, 1, 2 * 2, 2 * 2, 2**2 * 4, 2**2 * 4]
 
 
 def _l_apply(xi, a, b, c, grid):
