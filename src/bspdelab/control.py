@@ -279,6 +279,17 @@ def _generator_apply(xi, smp: _ControlTable, grid: SpatialGrid):
     return l_xi, m_xi
 
 
+def _generator_temporaries(dim: int, wiener_dim: int) -> int:
+    """State-sized arrays _generator_apply holds at once, at most.
+
+    An axis_derivative holds three (its sum and two taps), so batch_gradient
+    holds at most dim + 2 and batch_divergence four.  The peak is that
+    divergence, beside grad u (dim), M xi (wiener_dim) and a grad u (dim),
+    or M xi's last sum, beside grad u and its two terms (3 wiener_dim).
+    """
+    return max(2 * dim + wiener_dim + 4, dim + 3 * wiener_dim)
+
+
 def forward_cfl(problem: ControlProblem) -> CflReport:
     """Explicit step bounds for the forward scheme, maximized over gamma.
 
@@ -733,14 +744,17 @@ def exhaustive_policy_search(
     pairing of the children) are gathered to the codes of the controls
     above the level and added into each code's J one node at a time; no
     per-policy state or (policies x nodes) table is built.
-    `workspace_bytes` (4 MiB by default) caps the largest level's children,
-    |gamma|^L * sizes[L] * |gamma| * children * grid points * 8 bytes; it
-    and `budget` are checked before the sweep allocates or applies anything.
-    The search holds the cost vector, 8 bytes per policy (at most 8 MiB
-    under the default budget), plus the largest level's children and a few
-    temporaries of its states: on the benchmark's steering instance
-    (M = 16, n = 4, 2^15 policies) the tracemalloc peak is 0.38 MiB, of
-    which 0.25 MiB is the cost vector and 32 KiB the children.
+    `workspace_bytes` (4 MiB by default) caps what the search holds: the
+    cost vector, 8 bytes per policy, plus, on the largest level, its
+    |gamma|^L sizes[L] states, their |gamma| * children children each and
+    the generator's temporaries on those states (_generator_temporaries),
+    each state grid points * 8 bytes.  It and `budget` are checked before
+    the sweep allocates or applies anything; under the default cap a
+    search of 2^19 policies or more is refused whatever the grid.  On the
+    benchmark's steering instance (M = 16, n = 4, 2^15 policies) the
+    guard counts 0.34 MiB (0.25 MiB of it the cost vector) and the
+    tracemalloc peak is 0.37 MiB, the rest the last level's path codes; at
+    M = 256 it counts 1.75 MiB against a 1.63 MiB peak.
     """
     tree, grid = problem.tree, problem.grid
     if tree.mode != "full":
@@ -758,10 +772,12 @@ def exhaustive_policy_search(
         )
     n_children = tree.child_count
     states = max(n_gamma**level * size for level, size in enumerate(sizes))
-    need = states * n_gamma * n_children * grid.size * 8
+    per_state = 1 + n_gamma * n_children + _generator_temporaries(grid.dim, tree.wiener_dim)
+    need = 8 * (n_policies + states * per_state * grid.size)
     if need > workspace_bytes:
         raise BudgetExceededError(
-            f"exhaustive sweep needs {need} bytes for its largest level, over {workspace_bytes}"
+            f"exhaustive sweep needs {need} bytes for its costs and largest level, "
+            f"over {workspace_bytes}"
         )
     forward_cfl(problem).enforce(explicit=True, term="sigma grad xi")
 

@@ -32,11 +32,13 @@ Core claims:
     - exhaustive_policy_search agrees with the plain forward cost path,
       enforces its mode and budget guards, and its minimum matches costs;
       its cost for every policy equals the plain forward cost path's, and
-      its byte cap is the largest level's children array, one state per
-      (ancestral path, node), checked before the generator is applied; at
-      the benchmark's size its traced peak is the cost vector plus that
-      array plus a small fixed slack, and at M = 256 (refused when states
-      were kept per prefix) its costs match the forward cost path at depth 4
+      its byte cap is the cost vector plus the largest level's states (one
+      per (ancestral path, node)), their children and the generator's
+      temporaries on them, checked before the generator is applied; at the
+      benchmark's size its traced peak is that count plus a small fixed
+      slack, at M = 256 the count bounds the peak, and there (refused when
+      states were kept per prefix) its costs match the forward cost path
+      at depth 4
     - the forward CFL bound and the degeneracy check see a coefficient
       spike on any step level, not only at t = 0, T/2 and T
     - the forward sweep and the exhaustive search refuse through
@@ -712,9 +714,10 @@ def test_exhaustive_costs_match_every_policy(make, n_policies):
 def test_exhaustive_byte_cap_is_the_largest_level(monkeypatch):
     problem = _steering_problem(M=8, T=0.1, n=3, mode="full")
     whole = exhaustive_policy_search(problem)
-    # level 2 is the largest: 2^2 ancestral paths * 4 nodes, each with
-    # |gamma| = 2 controls and 2 children of 8 points * 8 bytes
-    need = 2**2 * 4 * 2 * 2 * 8 * 8
+    # 2^7 costs, and level 2, the largest: 2^2 ancestral paths * 4 nodes,
+    # each state with |gamma| = 2 controls and 2 children and 7 generator
+    # temporaries, of 8 points * 8 bytes
+    need = 2**7 * 8 + 2**2 * 4 * (1 + 2 * 2 + 7) * 8 * 8
     applied = []
     monkeypatch.setattr(control, "_generator_apply", lambda *args: applied.append(args))
     with pytest.raises(BudgetExceededError, match=f"needs {need} bytes"):
@@ -730,8 +733,9 @@ def test_exhaustive_byte_cap_is_the_largest_level(monkeypatch):
 
 def test_exhaustive_peak_is_the_costs_and_the_largest_level():
     problem = _steering_problem(M=16, T=0.1, n=4, mode="full")
-    # level 3: 2^3 paths * 8 nodes * |gamma| = 2 * 2 children * 16 points * 8 bytes
-    need = 2**3 * 8 * 2 * 2 * 16 * 8
+    # 2^15 costs, and level 3: 2^3 paths * 8 nodes, each state with
+    # |gamma| = 2 * 2 children and 7 generator temporaries, of 16 points * 8 bytes
+    need = 2**15 * 8 + 2**3 * 8 * (1 + 2 * 2 + 7) * 16 * 8
     with pytest.raises(BudgetExceededError, match=f"needs {need} bytes"):
         exhaustive_policy_search(problem, workspace_bytes=need - 1)
     tracemalloc.start()
@@ -741,14 +745,30 @@ def test_exhaustive_peak_is_the_costs_and_the_largest_level():
     finally:
         tracemalloc.stop()
     assert res.costs.nbytes == 8 * 2**15
-    # the slack covers the last level's states and generator temporaries, a
-    # few (64 states x 16 points) arrays; a (policies x nodes) table is 2 MiB
-    assert peak <= res.costs.nbytes + need + 3 * 2**16
+    # the slack covers the last level's path codes, (2^7 prefixes x 8 nodes)
+    # int64 arrays; a (policies x nodes) table is 2 MiB
+    assert peak <= need + 2**16
+
+
+def test_exhaustive_guard_bounds_the_peak_on_a_fine_grid():
+    problem = _steering_problem(M=256, T=0.004, n=4, mode="full")
+    # 2^15 costs, and 64 states of 256 points with 4 children and 7 temporaries each
+    need = 2**15 * 8 + 64 * (1 + 4 + 7) * 256 * 8
+    with pytest.raises(BudgetExceededError, match=f"needs {need} bytes"):
+        exhaustive_policy_search(problem, workspace_bytes=need - 1)
+    tracemalloc.start()
+    try:
+        exhaustive_policy_search(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
 
 
 def test_exhaustive_reaches_a_fine_grid_at_depth_four():
-    # states kept per (prefix, node) needed 8388608 bytes here, over the
-    # default 4 MiB workspace; per (ancestral path, node) they need 524288
+    # states kept per (prefix, node) needed 8388608 bytes of children here,
+    # over the default 4 MiB workspace; per (ancestral path, node) the search
+    # needs 1835008 bytes in all
     problem = _steering_problem(M=256, T=0.004, n=4, mode="full")
     res = exhaustive_policy_search(problem)
     assert res.n_policies == 2**15
